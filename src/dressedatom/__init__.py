@@ -17,8 +17,8 @@ from .drives import ConstantDrive, CosineDrive, RwaPairDrive, TabulatedDrive
 from .frames import (DispersionInput, FrameQuantities, connection_dtheta,
                      detuning, dispersion_omega, identity_residuals,
                      mixing_angle, rabi_frequency, transition_current)
-from .closedform import (DressedSolution, PhaseIntegrand, Regime,
-                         dressed_solution, elliptic_phase, limit_form,
+from .closedform import (DressedSolution, Regime, dressed_solution,
+                         elliptic_phase, limit_form,
                          phase_integral, psi0_gamma_zero_integrand)
 from .elliptic import EllipticArg, carlson_rd, carlson_rf, ellip_e_incomplete
 from .oracle import (PropagationResult, StateVector, compare,
@@ -33,7 +33,7 @@ __all__ = [
     "detuning", "rabi_frequency", "mixing_angle", "connection_dtheta",
     "identity_residuals", "dispersion_omega", "transition_current",
     "EllipticArg", "carlson_rf", "carlson_rd", "ellip_e_incomplete",
-    "PhaseIntegrand", "DressedSolution", "Regime",
+    "DressedSolution", "Regime",
     "phase_integral", "dressed_solution", "psi0_gamma_zero_integrand",
     "elliptic_phase", "limit_form",
     "StateVector", "PropagationResult", "hamiltonian",

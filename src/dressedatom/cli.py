@@ -51,6 +51,9 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     series, report = run_scenario(cfg)
     _write_outputs(args.out, series, report, cfg)
+    if report.get("norm_ok") is False:
+        print(f"warning: norm drift {report['norm_drift']:.3e} exceeds norm_tol "
+              f"{cfg.norm_tol:.3e}", file=sys.stderr)
     for key in ("compare", "current_fit", "identities_max"):
         if key in report:
             print(f"{key}: {report[key]}")

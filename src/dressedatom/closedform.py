@@ -9,10 +9,14 @@ plane-wave spatial factor is the scalar 1 here), from which
 
     psi0 = (psi_+ - psi_-)/(2i) = -sin(Z),    psi1 = cos(Z).
 
-The real part of Z is adaptive quadrature with panel boundaries pinned to
-the known coupling zeros; the imaginary part uses the exact shortcut
-theta(t) - theta(0), valid whenever the angle path is continuous on [0, t]
-(the positive-root angle is; a quadrature cross-check lives in the tests).
+The real part of Z is one vectorised panel quadrature: every output
+segment, split at the known coupling zeros where the radicand can vanish,
+is a panel; all panels of a block are evaluated in one integrand call with
+a Gauss-Legendre n/2n pair, whose difference is the error estimate, and
+only the panels that miss their share of the tolerance are bisected.  The
+imaginary part uses the exact shortcut theta(t) - theta(0), valid whenever
+the angle path is continuous on [0, t] (the positive-root angle is; the
+same quadrature of the connection is the cross-check).
 
 For the cosine drive the real part also has the closed elliptic form
 (sqrt(wt^2 + j0^2)/W) * E(W t, A) with A = j0/sqrt(wt^2 + j0^2).  Note the
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .config import AtomConfig, BranchMode, Tolerances
 from .drives import CosineDrive, Drive
@@ -39,26 +42,17 @@ from .frames import connection_dtheta, detuning, rabi_frequency, theta_of_t
 
 _DEFAULT_TOL = Tolerances()
 
+# Gauss-Legendre pair for the panel error estimate (G_n against G_2n)
+_GL_N = 7
+_GL_X_N, _GL_WEIGHTS_N = np.polynomial.legendre.leggauss(_GL_N)
+_GL_X_2N, _GL_WEIGHTS_2N = np.polynomial.legendre.leggauss(2 * _GL_N)
+_GL_NODES = np.concatenate([_GL_X_N, _GL_X_2N])
+_BLOCK = 512  # segments per block and panels per integrand call
+
 
 class Regime(enum.Enum):
     RESONANT = "resonant"
     FAR_DETUNED = "far_detuned"
-
-
-@dataclass(frozen=True)
-class PhaseIntegrand:
-    """Snapshot of the complex integrand omega_r + i dtheta/dt at one time."""
-
-    t: float
-    omega_r: float
-    dtheta_dt: float
-
-    @classmethod
-    def at(cls, cfg: AtomConfig, drive: Drive, t: float, branch: BranchMode,
-           tol: Tolerances = _DEFAULT_TOL) -> "PhaseIntegrand":
-        return cls(t=float(t),
-                   omega_r=float(rabi_frequency(cfg, drive, t, branch, tol)),
-                   dtheta_dt=float(connection_dtheta(cfg, drive, t, branch, tol)))
 
 
 @dataclass(frozen=True)
@@ -74,22 +68,86 @@ class DressedSolution:
     p0_norm: float
 
 
-def _quad_or_raise(f, a: float, b: float, points, tol: float, limit: int) -> float:
-    if b == a:
-        return 0.0
-    pts = [p for p in np.atleast_1d(points) if a < p < b] or None
-    try:
-        res = quad(f, a, b, points=pts, limit=limit, epsabs=tol, epsrel=1e-12,
-                   full_output=1)
-    except ValueError as exc:  # more pinned panels than the budget allows
-        raise QuadratureFailure(str(exc)) from None
-    val, abserr = res[0], res[1]
+def _panel_pair(f, a: np.ndarray, b: np.ndarray):
+    """Gauss-Legendre 2n-point values of int_a^b f on each panel, with
+    |G_2n - G_n| as the error estimate; one call of f for all nodes."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    y = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(len(a), -1)
+    lo = half * np.sum(y[:, :_GL_N] * _GL_WEIGHTS_N, axis=1)
+    hi = half * np.sum(y[:, _GL_N:] * _GL_WEIGHTS_2N, axis=1)
+    return hi, np.abs(hi - lo)
+
+
+def _block_integrals(f, ts: np.ndarray, pins: np.ndarray, seg_tol: float,
+                     limit: int) -> np.ndarray:
+    """int f over each segment [ts[i], ts[i+1]] of one block of the grid.
+
+    Every segment, split at the pins inside it, starts as one or more
+    panels.  Panels are evaluated at most _BLOCK at a time, last first; one
+    whose error estimate misses its share of seg_tol (pro rata to its
+    width, or 1e-12 relative) is bisected and pushed back.
+    """
+    pins = pins[np.searchsorted(pins, ts[0], "right"):
+                np.searchsorted(pins, ts[-1], "left")]
+    order = np.argsort(np.concatenate([ts, pins]), kind="stable")
+    edges = np.concatenate([ts, pins])[order]
+    # a panel belongs to the segment of the last grid point at or before it
+    owner = np.cumsum(order < len(ts))[:-1] - 1
+    lo, hi = edges[:-1], edges[1:]
+    n_seg = len(ts) - 1
+    width = np.diff(ts)
+    width = np.where(width > 0, width, 1.0)
+    panels = np.bincount(owner, minlength=n_seg)
+    vals = np.zeros(n_seg)
+    errs = np.zeros(n_seg)
+    while len(lo):
+        if panels.max() > limit:
+            i = int(np.argmax(panels))
+            raise QuadratureFailure(f"quadrature on [{ts[i]}, {ts[i + 1]}] "
+                                    f"needs more than {limit} panels")
+        k = max(len(lo) - _BLOCK, 0)
+        a, b, own = lo[k:], hi[k:], owner[k:]
+        lo, hi, owner = lo[:k], hi[:k], owner[:k]
+        val, err = _panel_pair(f, a, b)
+        if not np.all(np.isfinite(err)):
+            i = own[np.argmin(np.isfinite(err))]
+            raise QuadratureFailure(f"integrand not finite on [{ts[i]}, {ts[i + 1]}]")
+        bad = err > np.maximum(seg_tol * (b - a) / width[own], 1e-12 * np.abs(val))
+        vals += np.bincount(own[~bad], weights=val[~bad], minlength=n_seg)
+        errs += np.bincount(own[~bad], weights=err[~bad], minlength=n_seg)
+        if bad.any():
+            a, b, own = a[bad], b[bad], own[bad]
+            panels += np.bincount(own, minlength=n_seg)
+            mid = 0.5 * (a + b)
+            lo = np.concatenate([lo, a, mid])
+            hi = np.concatenate([hi, mid, b])
+            owner = np.concatenate([owner, own, own])
     # a roundoff-limited result whose error estimate still meets the target
     # is usable; only an estimate above tolerance is a failure
-    if abserr > max(tol, abs(val) * 1e-10):
-        raise QuadratureFailure(
-            f"quadrature on [{a}, {b}] stopped at error {abserr:.3e} > {tol:.3e}")
-    return val
+    over = errs > np.maximum(seg_tol, np.abs(vals) * 1e-10)
+    if over.any():
+        i = int(np.argmax(over))
+        raise QuadratureFailure(f"quadrature on [{ts[i]}, {ts[i + 1]}] stopped "
+                                f"at error {errs[i]:.3e} > {seg_tol:.3e}")
+    return vals
+
+
+def _segment_integrals(f, ts: np.ndarray, pins, seg_tol: float,
+                       limit: int) -> np.ndarray:
+    """int f over each segment [ts[i], ts[i+1]] of a non-decreasing grid.
+
+    Blocks of _BLOCK segments keep memory independent of the grid length.
+    A segment fails with QuadratureFailure when its summed error estimate
+    exceeds max(seg_tol, |value| * 1e-10), when it needs more than
+    ``limit`` panels, or when the integrand is not finite on it.
+    """
+    pins = np.sort(np.asarray(pins, dtype=float))
+    out = np.empty(len(ts) - 1)
+    for i in range(0, len(out), _BLOCK):
+        out[i:i + _BLOCK] = _block_integrals(f, ts[i:i + _BLOCK + 1], pins,
+                                             seg_tol, limit)
+    return out
 
 
 def _radicand_pins(cfg: AtomConfig, drive: Drive, t_end: float,
@@ -107,15 +165,9 @@ def phase_integral(cfg: AtomConfig, drive: Drive, t: float, branch: BranchMode,
                    tol: float = _DEFAULT_TOL.quad_tol,
                    tols: Tolerances = _DEFAULT_TOL) -> complex:
     """Z(t) with absolute error <= tol on each part (t >= 0)."""
-    if t < 0:
-        raise DomainError("phase integral defined for t >= 0")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    pins = _radicand_pins(cfg, drive, t, tols)
-    re = _quad_or_raise(lambda s: rabi_frequency(cfg, drive, s, branch, tols),
-                        0.0, t, pins, tol, tols.quad_limit)
-    im = float(theta_of_t(cfg, drive, t) - theta_of_t(cfg, drive, 0.0))
-    return complex(re, im)
+    return complex(phase_series(cfg, drive, np.array([float(t)]), branch, tol, tols)[0])
 
 
 def connection_phase_quadrature(cfg: AtomConfig, drive: Drive, t: float,
@@ -127,28 +179,27 @@ def connection_phase_quadrature(cfg: AtomConfig, drive: Drive, t: float,
     The connection jumps at every coupling zero (sign of the envelope
     derivative), so those are always pinned.
     """
-    zeros = drive.coupling_zero_times(0.0, t)
-    return _quad_or_raise(lambda s: connection_dtheta(cfg, drive, s, branch, tols),
-                          0.0, t, zeros, tol, tols.quad_limit)
+    return float(_segment_integrals(
+        lambda s: connection_dtheta(cfg, drive, s, branch, tols),
+        np.array([0.0, t]), drive.coupling_zero_times(0.0, t), tol,
+        tols.quad_limit)[0])
 
 
 def phase_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray, branch: BranchMode,
                  tol: float = _DEFAULT_TOL.quad_tol,
                  tols: Tolerances = _DEFAULT_TOL) -> np.ndarray:
-    """Z on an increasing grid starting at ts[0] >= 0, by cumulative segments."""
+    """Z on a non-decreasing grid starting at ts[0] >= 0, by cumulative segments."""
     ts = np.asarray(ts, dtype=float)
-    re = np.zeros(len(ts))
-    acc = 0.0
-    if ts[0] > 0.0:
-        acc = phase_integral(cfg, drive, ts[0], branch, tol, tols).real
-    re[0] = acc
-    pins = _radicand_pins(cfg, drive, float(ts[-1]), tols) if len(ts) > 1 else []
-    seg_tol = max(tol / max(len(ts), 1), 1e-14)
-    for i in range(1, len(ts)):
-        acc += _quad_or_raise(
-            lambda s: rabi_frequency(cfg, drive, s, branch, tols),
-            ts[i - 1], ts[i], pins, seg_tol, tols.quad_limit)
-        re[i] = acc
+    if ts[0] < 0:
+        raise DomainError("phase integral defined for t >= 0")
+    if np.any(np.diff(ts) < 0):
+        raise DomainError("phase_series needs a non-decreasing grid")
+    seg_tol = max(tol / len(ts), 1e-14)
+    grid = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
+    segs = _segment_integrals(lambda s: rabi_frequency(cfg, drive, s, branch, tols),
+                              grid, _radicand_pins(cfg, drive, float(ts[-1]), tols),
+                              seg_tol, tols.quad_limit)
+    re = np.concatenate([[0.0], np.cumsum(segs)])[len(grid) - len(ts):]
     im = theta_of_t(cfg, drive, ts) - theta_of_t(cfg, drive, 0.0)
     return re + 1j * np.asarray(im)
 

@@ -37,7 +37,7 @@ class Tolerances:
     deg_eps: float = 1e-12      # frame degeneracy threshold (angle undefined)
     rad_eps: float = 1e-12      # radicand-zero detection, scaled by coupling^2
     quad_tol: float = 1e-10     # absolute tolerance per phase-integral part
-    quad_limit: int = 2 ** 15   # subdivision budget for adaptive quadrature
+    quad_limit: int = 2 ** 15   # panel budget per segment of the phase quadrature
     norm_tol: float = 1e-8      # allowed propagation norm drift
     fd_step: float = 1e-3       # step for finite-difference cross-checks
 

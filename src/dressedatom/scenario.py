@@ -31,7 +31,7 @@ import numpy as np
 from . import closedform, frames, oracle
 from .config import AtomConfig, BranchMode, Tolerances
 from .drives import ConstantDrive, CosineDrive, Drive, RwaPairDrive
-from .errors import ParseError, UnknownAxis, ValidationError
+from .errors import DressedAtomError, ParseError, UnknownAxis, ValidationError
 from .series import TimeSeries
 
 _OUTPUT_KINDS = ("frame", "closed", "oracle", "compare", "identities", "current")
@@ -115,6 +115,20 @@ class ScenarioConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
+def _number(key: str, value) -> float:
+    """A config number: JSON int or float, finite (the JSON reader also
+    accepts NaN and Infinity)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"key {key!r} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"key {key!r} must be a finite number, got {number}")
+    return number
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat JSON object; unknown keys are errors, missing keys default.
 
@@ -132,10 +146,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if "omega_tilde" in raw:
         if "e2" in raw:
             raise ParseError("give either 'e2' or 'omega_tilde', not both")
-        wt = float(raw.pop("omega_tilde"))
-        e1 = float(raw.get("e1", 0.0))
-        hbar = float(raw.get("hbar", 1.0))
-        omega = float(raw.get("omega", 1.0))
+        wt = _number("omega_tilde", raw.pop("omega_tilde"))
+        e1 = _number("e1", raw.get("e1", 0.0))
+        hbar = _number("hbar", raw.get("hbar", 1.0))
+        omega = _number("omega", raw.get("omega", 1.0))
         raw["e2"] = e1 + hbar * (2.0 * wt + omega)
 
     kwargs = {}
@@ -151,9 +165,7 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ParseError("output_stride must be an integer")
             kwargs[key] = value
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(f"key {key!r} must be a number")
-            kwargs[key] = float(value)
+            kwargs[key] = _number(key, value)
     cfg = ScenarioConfig(**kwargs)
     cfg.validate()
     return cfg
@@ -307,7 +319,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
                                      "correlation": fit.correlation,
                                      "amplitude": fit.amplitude,
                                      "n_periods": fit.n_periods}
-        except Exception as exc:  # InsufficientSpan stays a report entry
+        except DressedAtomError as exc:  # InsufficientSpan stays a report entry
             report["current_fit"] = {"status": type(exc).__name__,
                                      "detail": str(exc)}
 

@@ -47,6 +47,36 @@ def test_parse_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"j0": NaN}',
+    '{"t_end": NaN}',
+    '{"t_end": Infinity}',
+    '{"omega_tilde": -Infinity}',
+    '{"omega_tilde": 0.5, "e1": NaN}',
+    '{"quad_tol": NaN}',
+    '{"dt": 1' + '0' * 400 + '}',
+], ids=["j0-nan", "t_end-nan", "t_end-inf", "omega_tilde-neginf", "e1-nan",
+        "quad_tol-nan", "dt-int-beyond-float"])
+def test_non_finite_number_is_a_parse_error(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missed_norm_tolerance_warns(rwa_config, tmp_path, capsys):
+    doc = json.loads(rwa_config.read_text())
+    rwa_config.write_text(json.dumps(dict(doc, norm_tol=1e-15)))
+    out = tmp_path / "out"
+    assert main(["run", str(rwa_config), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["norm_ok"] is False
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: norm drift")
+
+
 def test_numerical_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     # dt far above the enforced resolution bound

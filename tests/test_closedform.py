@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ellipeinc
 
 from dressedatom import (AtomConfig, BranchMode, ConstantDrive, CosineDrive,
-                         Regime, RwaPairDrive, dressed_solution,
+                         Regime, RwaPairDrive, Tolerances, dressed_solution,
                          elliptic_phase, limit_form, phase_integral,
                          psi0_gamma_zero_integrand)
-from dressedatom.closedform import (PhaseIntegrand, connection_phase_quadrature,
-                                    dressed_series, phase_series)
-from dressedatom.errors import DomainError, RegimeMismatch
+from dressedatom.closedform import (connection_phase_quadrature, dressed_series,
+                                    phase_series)
+from dressedatom.errors import DomainError, QuadratureFailure, RegimeMismatch
 from dressedatom.frames import connection_dtheta, rabi_frequency
 from dressedatom.scenario import dominant_frequency
 
@@ -96,6 +99,19 @@ def test_phase_series_matches_pointwise():
         assert abs(zs[i] - z) <= 1e-9
 
 
+@pytest.mark.parametrize("start,n", [(1.3, 25), (0.0, 1500)])
+def test_phase_series_offset_and_multi_block_grids(start, n):
+    # a grid not starting at 0 integrates [0, ts[0]] first; 1500 points
+    # span several evaluation blocks
+    cfg = cfg_wt(0.8, j0=1.2, omega=1.4)
+    drv = CosineDrive(1.2, 1.4)
+    ts = np.linspace(start, 6.0, n)
+    zs = phase_series(cfg, drv, ts, SMOOTH)
+    for i in (0, 3, n // 2, n - 1):
+        z = phase_integral(cfg, drv, float(ts[i]), SMOOTH)
+        assert abs(zs[i] - z) <= 1e-9
+
+
 def test_phase_quadrature_failure_on_tiny_budget():
     from dressedatom import Tolerances
     from dressedatom.errors import QuadratureFailure
@@ -106,12 +122,77 @@ def test_phase_quadrature_failure_on_tiny_budget():
         phase_integral(cfg, drv, 2000.0, SMOOTH, tol=1e-12, tols=tols)
 
 
-def test_phase_integrand_consistency():
+def test_phase_nonfinite_integrand_raises():
+    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
+    with pytest.raises(QuadratureFailure):
+        phase_integral(cfg, CosineDrive(math.nan, 1.0), 2.0, SMOOTH)
+
+
+def test_phase_series_rejects_bad_grid():
     cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
     drv = CosineDrive(1.0, 1.0)
-    pi_ = PhaseIntegrand.at(cfg, drv, 0.8, SMOOTH)
-    assert pi_.omega_r == pytest.approx(float(rabi_frequency(cfg, drv, 0.8, SMOOTH)))
-    assert pi_.dtheta_dt == pytest.approx(float(connection_dtheta(cfg, drv, 0.8)))
+    with pytest.raises(DomainError):
+        phase_series(cfg, drv, np.array([0.0, 2.0, 1.0]), SMOOTH)
+    with pytest.raises(DomainError):
+        phase_series(cfg, drv, np.array([-1.0, 1.0]), SMOOTH)
+
+
+# Exactness over random parameters; derandomized so the suite is repeatable.
+_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+_J0 = st.floats(0.05, 2.0)
+_OMEGA = st.floats(0.3, 3.0)
+_T = st.floats(0.0, 20.0)
+_N = st.integers(2, 40)
+
+
+@given(wt=st.floats(-2.0, 2.0), j0=_J0, omega=_OMEGA, t=_T, n=_N)
+@_PROPERTY
+def test_positive_branch_cosine_is_elliptic(wt, j0, omega, t, n):
+    cfg = cfg_wt(wt, j0=j0, omega=omega)
+    ts = np.linspace(0.0, t, n)
+    z = phase_series(cfg, CosineDrive(j0, omega), ts, POSITIVE)
+    amp = math.hypot(wt, j0)
+    ref = (amp / omega) * ellipeinc(omega * ts, (j0 / amp) ** 2)
+    assert np.max(np.abs(z.real - ref)) <= 1e-9
+
+
+@given(j0=_J0, omega=_OMEGA, t=_T, n=_N)
+@_PROPERTY
+def test_resonant_cosine_population_is_exact(j0, omega, t, n):
+    cfg = cfg_wt(0.0, j0=j0, omega=omega)
+    ts = np.linspace(0.0, t, n)
+    out = dressed_series(cfg, CosineDrive(j0, omega), ts, SMOOTH)
+    ref = np.sin((j0 / omega) * np.sin(omega * ts)) ** 2
+    assert np.max(np.abs(out["p0_raw"] - ref)) <= 1e-9
+
+
+@given(wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0), omega=_OMEGA, t=_T, n=_N)
+@_PROPERTY
+def test_rotating_pair_phase_is_linear(wt, j0, omega, t, n):
+    cfg = cfg_wt(wt, j0=j0, omega=omega)
+    ts = np.linspace(0.0, t, n)
+    z = phase_series(cfg, RwaPairDrive(j0, omega), ts, SMOOTH)
+    assert np.max(np.abs(z.real - math.hypot(wt, j0) * ts)) <= 1e-9
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_phase_series_across_zeros_near_rad_eps(factor):
+    # detuning just below (pinned, smooth branch flips) or just above
+    # (unpinned: a kink of width ~wt at every zero) the radicand threshold
+    j0, omega = 0.1, 1.0
+    wt = factor * math.sqrt(Tolerances().rad_eps) * j0
+    cfg = cfg_wt(wt, j0=j0, omega=omega)
+    drv = CosineDrive(j0, omega)
+    ts = np.arange(0.0, 4.0 * math.pi, 0.0031)  # straddles four zeros
+    amp = math.hypot(wt, j0)
+    pos = phase_series(cfg, drv, ts, POSITIVE).real
+    smooth = phase_series(cfg, drv, ts, SMOOTH).real
+    ref = (amp / omega) * ellipeinc(omega * ts, (j0 / amp) ** 2)
+    assert np.max(np.abs(pos - ref)) <= 1e-9
+    if factor > 1.0:
+        assert np.array_equal(smooth, pos)
+    else:
+        assert np.max(np.abs(smooth - (j0 / omega) * np.sin(omega * ts))) <= 1e-9
 
 
 # ----------------------------------------------------------- dressed solution
