@@ -12,7 +12,7 @@ needs:
 * ``frame_coupling`` / ``frame_rate`` -- the real coupling seen in the frame
   co-rotating with the coupling phase arg(J + i*Gamma), and that phase's
   rotation rate.  The direct integrator works in this frame (see
-  ``oracle.frame_hamiltonian``).
+  ``oracle._rk4_run``).
 """
 
 from __future__ import annotations

@@ -177,7 +177,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 
 def _output_grid(cfg: ScenarioConfig) -> np.ndarray:
-    n_steps = max(1, round(cfg.t_end / cfg.dt))
+    n_steps = oracle.step_count(cfg.t_end, cfg.dt)
     dt = cfg.t_end / n_steps
     idx = np.arange(0, n_steps + 1, cfg.output_stride)
     if idx[-1] != n_steps:

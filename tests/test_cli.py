@@ -67,6 +67,20 @@ def test_non_finite_number_is_a_parse_error(text, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"t_end": 1e300, "outputs": "closed"},
+    {"t_end": 10000.001, "dt": 0.001, "outputs": "oracle"},
+], ids=["t_end-1e300", "just-above-ceiling"])
+def test_step_count_ceiling_is_a_validation_error(doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ceiling" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missed_norm_tolerance_warns(rwa_config, tmp_path, capsys):
     doc = json.loads(rwa_config.read_text())
     rwa_config.write_text(json.dumps(dict(doc, norm_tol=1e-15)))

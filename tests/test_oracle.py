@@ -1,18 +1,20 @@
 """Direct integrator: Hamiltonian surfaces, propagation, comparisons."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dressedatom import (AtomConfig, BranchMode, ConstantDrive, CosineDrive,
                          RwaPairDrive, StateVector, compare,
-                         current_dynamics_check, hamiltonian,
+                         current_dynamics_check, detuning, hamiltonian,
                          initial_state_for_psi_frame, propagate)
 from dressedatom.closedform import dressed_series
-from dressedatom.errors import GridMismatch, StepTooLarge
-from dressedatom.oracle import (ComparisonReport, Metric, bare_state,
-                                enforced_step_bound, frame_hamiltonian)
+from dressedatom.errors import GridMismatch, StepTooLarge, ValidationError
+from dressedatom.oracle import (_CHUNK, MAX_STEPS, ComparisonReport, _rk4_run,
+                                bare_state, enforced_step_bound, step_count)
 from dressedatom.series import TimeSeries
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
@@ -48,14 +50,13 @@ def test_hamiltonian_cosine_zero_of_drive():
 
 
 def test_frame_hamiltonian_constant_for_pair():
+    # H_frame = offset + [[wt, q], [q, -wt]]: for the pair drive the frame
+    # coupling q is the constant amplitude, so the whole matrix is constant
     cfg = cfg_wt(0.6, j0=0.8, omega=1.3)
     drv = RwaPairDrive(0.8, 1.3)
-    h0 = frame_hamiltonian(cfg, drv, 0.0)
-    h1 = frame_hamiltonian(cfg, drv, 2.1)
-    assert np.allclose(h0, h1)
-    # detuning on the diagonal, the pair amplitude off it
-    assert (h0[0, 0] - h0[1, 1]).real == pytest.approx(2 * 0.6)
-    assert h0[0, 1] == pytest.approx(0.8)
+    q = drv.frame_coupling(np.array([0.0, 0.4, 2.1, 17.3]))
+    assert np.all(q == 0.8)
+    assert detuning(cfg) == pytest.approx(0.6)
 
 
 # ------------------------------------------------------------ initial state
@@ -158,6 +159,90 @@ def test_resonance_equivalence_to_closed_form():
                          - 2.0 * np.abs(res.psi0_oracle) ** 2)) <= 1e-6
 
 
+# ------------------------------------------------------- chunked RK4 scan
+
+def _rk4_loop(cfg, drive, c0, n_steps, dt, keep_every):
+    """The scalar RK4 loop the chunked scan replaced: the reference."""
+    c = cfg.to_natural()
+    wt = detuning(c)
+    off = 0.5 * (c.e1 + c.e2) - 0.5 * c.omega_drive
+    d1 = off + wt
+    d2 = off - wt
+    grid = np.arange(2 * n_steps + 1) * (0.5 * dt)
+    q = np.asarray(drive.frame_coupling(grid), dtype=float)
+
+    def deriv(qv, a, b):
+        return -1j * (d1 * a + qv * b), -1j * (qv * a + d2 * b)
+
+    a, b = complex(c0[0]), complex(c0[1])
+    kept = [(a, b)]
+    drift = 0.0
+    for k in range(n_steps):
+        q0, qh, q1 = q[2 * k], q[2 * k + 1], q[2 * k + 2]
+        k1a, k1b = deriv(q0, a, b)
+        k2a, k2b = deriv(qh, a + 0.5 * dt * k1a, b + 0.5 * dt * k1b)
+        k3a, k3b = deriv(qh, a + 0.5 * dt * k2a, b + 0.5 * dt * k2b)
+        k4a, k4b = deriv(q1, a + dt * k3a, b + dt * k3b)
+        a = a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a)
+        b = b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
+        drift = max(drift, abs(math.sqrt(abs(a) ** 2 + abs(b) ** 2) - 1.0))
+        if (k + 1) % keep_every == 0:
+            kept.append((a, b))
+    return kept, drift, (a, b)
+
+
+# edge cases: one step, keep_every beyond n_steps, just below, at and above
+# one chunk, keep_every not dividing n_steps, several chunks
+@example(wt=0.4, j0=1.2, omega=1.3, n_steps=1, keep_every=1, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, n_steps=1, keep_every=5, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, n_steps=_CHUNK - 1, keep_every=10, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, n_steps=_CHUNK, keep_every=_CHUNK, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, n_steps=_CHUNK + 1, keep_every=1, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, n_steps=3 * _CHUNK + 17, keep_every=7, drive="cosine")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0),
+       omega=st.floats(0.2, 3.0), n_steps=st.integers(1, 3 * _CHUNK + 100),
+       keep_every=st.integers(1, 400), drive=st.sampled_from(["cosine", "rwa"]))
+def test_rk4_scan_matches_loop(wt, j0, omega, n_steps, keep_every, drive):
+    cfg = cfg_wt(wt, j0=j0, omega=omega)
+    drv = CosineDrive(j0, omega) if drive == "cosine" else RwaPairDrive(j0, omega)
+    dt = enforced_step_bound(cfg, drv) / 2
+    c0 = np.array([0.6, 0.8j])
+    kept, drift, final = _rk4_loop(cfg, drv, c0, n_steps, dt, keep_every)
+    if n_steps % keep_every:
+        kept.append(final)  # the last row is always the final state
+    ref = np.array(kept)
+    c1, c2, scan_drift = _rk4_run(cfg, drv, c0, n_steps, dt, keep_every)
+    assert len(c1) == len(c2) == len(ref)
+    assert np.max(np.abs(c1 - ref[:, 0])) <= 1e-12
+    assert np.max(np.abs(c2 - ref[:, 1])) <= 1e-12
+    assert abs(scan_drift - drift) <= 1e-12
+
+
+def test_rk4_scan_memory_does_not_grow_with_steps():
+    # the scan holds one chunk of step matrices and the kept rows, never
+    # arrays over the whole grid (the scalar loop peaked at 18 MiB here)
+    cfg = cfg_wt(0.4, j0=1.2, omega=1.3)
+    drv = CosineDrive(1.2, 1.3)
+    n_steps = 400_000
+    tracemalloc.start()
+    try:
+        _rk4_run(cfg, drv, np.array([1.0, 0.0]), n_steps, 1e-3, n_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_step_count_ceiling():
+    assert step_count(10.0, 0.001) == 10_000
+    assert step_count(1e-9, 1.0) == 1
+    assert step_count(MAX_STEPS * 1e-3, 1e-3) == MAX_STEPS
+    for t_end, dt in ((1e300, 1e-3), ((MAX_STEPS + 1) * 1e-3, 1e-3), (1.0, 1e-310)):
+        with pytest.raises(ValidationError, match="ceiling"):
+            step_count(t_end, dt)
+
+
 # ------------------------------------------------------------------ compare
 
 def _series(ts, p0):
@@ -176,8 +261,7 @@ def test_compare_constant_offset():
     p0 = np.sin(ts) ** 2
     rep = compare(_series(ts, p0), _series(ts, p0 + 1e-3))
     assert rep.max_abs == pytest.approx(1e-3)
-    assert compare(_series(ts, p0), _series(ts, p0 + 1e-3),
-                   Metric.MAX_ABS) == pytest.approx(1e-3)
+    assert rep.rms == pytest.approx(1e-3)
 
 
 def test_compare_grid_mismatch():
