@@ -70,12 +70,13 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ValidationError("--values is empty")
     table, reports = sweep(cfg, args.axis, values)
+    text = table.to_csv()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(table.to_csv())
+    (out / "sweep.csv").write_text(text)
     (out / "sweep_report.json").write_text(
         json.dumps(reports, indent=2, sort_keys=True, default=str) + "\n")
-    print(table.to_csv(), end="")
+    print(text, end="")
     return 0
 
 

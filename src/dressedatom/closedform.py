@@ -236,31 +236,41 @@ def dressed_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray, branch: Branch
             "psi1": psi1, "p0_raw": p0, "p1_raw": p1, "p0_norm": p0 / (p0 + p1)}
 
 
-def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t: float,
+def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
                               branch: BranchMode = BranchMode.POSITIVE_ROOT,
-                              tol: Tolerances = _DEFAULT_TOL) -> complex:
+                              tol: Tolerances = _DEFAULT_TOL):
     """The printed integrand of the zero-connection solution, taken literally.
 
     Cross-check surface: the real part must be |omega_r| and the imaginary
     part must match the connection (up to the sign it carries where the
     cosine is negative); any pointwise gap is what the identities report
-    records.
+    records.  A scalar ``t`` gives a complex, an array of times a complex
+    array; a degenerate point anywhere raises for the first such time.
     """
     if not isinstance(drive, CosineDrive):
         raise DomainError("literal integrand is defined for the cosine drive only")
+    t = np.asarray(t, dtype=float)
     wt = detuning(cfg)
     w = drive.omega
-    j = drive.j0 * math.cos(w * t)
-    wr = math.hypot(wt, j)
+    j = drive.j0 * np.cos(w * t)
+    wr = np.hypot(wt, j)
     scale = max(drive.coupling_scale(), abs(wt), 1.0)
-    if wr < tol.deg_eps * scale:
-        raise DegenerateFrameError(f"radicand zero at t={t}")
+    bad = wr < tol.deg_eps * scale
+    if np.any(bad):
+        raise DegenerateFrameError(f"radicand zero at t={t[bad].flat[0]}")
     u = wt + wr
-    if abs(u) < tol.deg_eps * scale and j == 0.0:
-        raise DegenerateFrameError(f"angle denominator vanishes at t={t}")
+    # u = 0 with j != 0 (wt < 0, |j| below an ulp of |wt|) would divide by zero
+    bad = ((np.abs(u) < tol.deg_eps * scale) & (j == 0.0)) | (u == 0.0)
+    if np.any(bad):
+        raise DegenerateFrameError(f"angle denominator vanishes at t={t[bad].flat[0]}")
     denom = wt + j * j / u
-    imag = -wt * (drive.j0 * w * math.sin(w * t)) / (2.0 * wr * denom)
-    return complex(wr, imag)
+    imag = -wt * (drive.j0 * w * np.sin(w * t)) / (2.0 * wr * denom)
+    if t.ndim == 0:
+        return complex(wr, imag)
+    # real and imaginary parts set apart: wr + 1j*imag would turn -0 into 0
+    out = np.empty(t.shape, dtype=complex)
+    out.real, out.imag = wr, imag
+    return out
 
 
 def elliptic_phase(cfg: AtomConfig, drive: Drive, t: float,

@@ -185,6 +185,18 @@ def _output_grid(cfg: ScenarioConfig) -> np.ndarray:
     return idx * dt
 
 
+def _nearest_distance(ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """min over zeros of |t - zero| for every t; ``zeros`` sorted.
+
+    Only the zeros just below and just above each t can be nearest, so the
+    memory is O(len(ts)), not O(len(ts) * len(zeros)).
+    """
+    i = np.searchsorted(zeros, ts)
+    below = zeros[np.maximum(i - 1, 0)]
+    above = zeros[np.minimum(i, len(zeros) - 1)]
+    return np.minimum(np.abs(ts - below), np.abs(ts - above))
+
+
 def _initial_state(cfg: ScenarioConfig, atom: AtomConfig, drv: Drive):
     if cfg.initial_state == "dressed":
         return oracle.initial_state_for_psi_frame(atom, drv, cfg.branch_mode(),
@@ -287,18 +299,19 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         # as NaN (the identities presume a differentiable envelope there)
         zeros = np.asarray(drv.coupling_zero_times(0.0, float(ts[-1]) + 1.0))
         if len(zeros) and len(ts):
-            dist = np.min(np.abs(ts[:, None] - zeros[None, :]), axis=1)
-            straddle = dist <= 5.0 * tols.fd_step
+            straddle = _nearest_distance(ts, zeros) <= 5.0 * tols.fd_step
             r2 = np.where(straddle, np.nan, r2)
             r3 = np.where(straddle, np.nan, r3)
         cols = [ts, r1, r2, r3]
         if cfg.drive == "cosine":
-            eq24 = np.array([closedform.psi0_gamma_zero_integrand(atom, drv, t)
-                             if abs(frames.rabi_frequency(
-                                 atom, drv, t, BranchMode.POSITIVE_ROOT, tols)) > 1e-9
-                             else complex(np.nan, np.nan) for t in ts])
+            re24 = np.full(len(ts), np.nan)
+            im24 = np.full(len(ts), np.nan)
+            ok = np.abs(frames.rabi_frequency(
+                atom, drv, ts, BranchMode.POSITIVE_ROOT, tols)) > 1e-9
+            eq24 = closedform.psi0_gamma_zero_integrand(atom, drv, ts[ok])
+            re24[ok], im24[ok] = eq24.real, eq24.imag
             dth = frames.connection_dtheta(atom, drv, ts, branch, tols)
-            cols += [eq24.real, eq24.imag, np.abs(eq24.imag - dth)]
+            cols += [re24, im24, np.abs(im24 - dth)]
         out["identities"] = TimeSeries(schemas["identities"], np.column_stack(cols))
 
         def _finite_max(a):

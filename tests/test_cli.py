@@ -121,7 +121,9 @@ def test_sweep_subcommand(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep", str(cfg), "--axis", "omega_tilde",
                  "--values", "0.0,0.5", "--out", str(out)]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
+    text = (out / "sweep.csv").read_text()
+    assert capsys.readouterr().out == text
+    lines = text.splitlines()
     assert lines[0].startswith("omega_tilde,")
     assert len(lines) == 3
 

@@ -1,11 +1,12 @@
 """Closed-form phase integral, dressed solution, elliptic phase, limits."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipeinc
@@ -16,9 +17,10 @@ from dressedatom import (AtomConfig, BranchMode, ConstantDrive, CosineDrive,
                          psi0_gamma_zero_integrand)
 from dressedatom.closedform import (connection_phase_quadrature, dressed_series,
                                     phase_series)
-from dressedatom.errors import DomainError, QuadratureFailure, RegimeMismatch
-from dressedatom.frames import connection_dtheta, rabi_frequency
-from dressedatom.scenario import dominant_frequency
+from dressedatom.errors import (DegenerateFrameError, DomainError, QuadratureFailure,
+                               RegimeMismatch)
+from dressedatom.frames import connection_dtheta, detuning, rabi_frequency
+from dressedatom.scenario import dominant_frequency, parse_config, run_scenario
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
@@ -305,6 +307,97 @@ def test_literal_integrand_degenerate_at_radicand_zero():
     cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
     with pytest.raises(DegenerateFrameError):
         psi0_gamma_zero_integrand(cfg, CosineDrive(1.0, 1.0), math.pi / 2)
+
+
+def _literal_integrand_loop(cfg, drive, ts, tol=Tolerances()):
+    """psi0_gamma_zero_integrand one time at a time with the math module:
+    the reference for its array form."""
+    wt = detuning(cfg)
+    scale = max(drive.coupling_scale(), abs(wt), 1.0)
+    out = []
+    for t in ts:
+        j = drive.j0 * math.cos(drive.omega * t)
+        wr = math.hypot(wt, j)
+        if wr < tol.deg_eps * scale:
+            raise DegenerateFrameError(f"radicand zero at t={t}")
+        u = wt + wr
+        if abs(u) < tol.deg_eps * scale and j == 0.0:
+            raise DegenerateFrameError(f"angle denominator vanishes at t={t}")
+        denom = wt + j * j / u
+        imag = -wt * (drive.j0 * drive.omega * math.sin(drive.omega * t)) / (2.0 * wr * denom)
+        out.append(complex(wr, imag))
+    return out
+
+
+def _assert_same_parts(a, b, rtol):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert np.array_equal(a == 0.0, b == 0.0)
+    assert np.array_equal(np.signbit(a[a == 0.0]), np.signbit(b[b == 0.0]))
+    fin = np.isfinite(a)
+    assert np.all(np.abs(a[fin] - b[fin]) <= rtol * np.maximum(np.abs(b[fin]), 1.0))
+
+
+@_PROPERTY
+@given(wt=st.floats(-1.5, 1.5), j0=st.floats(0.1, 1.5), omega=st.floats(0.5, 2.0),
+       ts=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=60))
+@example(wt=0.0, j0=1.2, omega=1.0, ts=[0.0, 0.4, 2.8, 4.0, 7.0])
+def test_literal_integrand_array_matches_scalar(wt, j0, omega, ts):
+    cfg = cfg_wt(wt, j0=j0, omega=omega)
+    drv = CosineDrive(j0, omega)
+    ts = np.array(ts)
+    wr = np.hypot(wt, j0 * np.cos(omega * ts))
+    assume(np.all(wr > 1e-6))
+    arr = psi0_gamma_zero_integrand(cfg, drv, ts)
+    one = [psi0_gamma_zero_integrand(cfg, drv, float(t)) for t in ts]
+    assert all(type(v) is complex for v in one)
+    for part in ("real", "imag"):
+        _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in one], 1e-15)
+    if wt >= 0.0:
+        # for wt < 0, u = wt + |omega_r| cancels near the coupling zeros, so
+        # one ulp of hypot is amplified; the reference is compared where it is not
+        ref = _literal_integrand_loop(cfg, drv, ts)
+        for part in ("real", "imag"):
+            _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in ref], 1e-15)
+
+
+def test_literal_integrand_array_degenerate_raises_for_first_time():
+    cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
+    with pytest.raises(DegenerateFrameError, match=f"t={math.pi / 2}"):
+        psi0_gamma_zero_integrand(cfg, CosineDrive(1.0, 1.0),
+                                  np.array([0.3, math.pi / 2, 1.5 * math.pi]))
+
+
+def test_literal_integrand_degenerate_where_denominator_rounds_to_zero():
+    # wt < 0 and cos(W t) ~ 6e-17: wt + |omega_r| rounds to 0 with j != 0
+    cfg = cfg_wt(-0.3, j0=0.9, omega=math.pi / 2)
+    drv = CosineDrive(0.9, math.pi / 2)
+    for t in (1.0, np.array([0.5, 1.0])):
+        with pytest.raises(DegenerateFrameError, match="denominator vanishes at t=1.0"):
+            psi0_gamma_zero_integrand(cfg, drv, t)
+
+
+@pytest.mark.parametrize("wt, omega", [(0.0, math.pi / 2), (0.4, 1.1), (0.05, 0.9)])
+def test_identities_eq24_columns_match_row_loop(wt, omega):
+    # omega = pi/2 puts coupling zeros on grid points t = 1, 3: NaN rows there
+    cfg = parse_config(json.dumps({
+        "drive": "cosine", "omega_tilde": wt, "j0": 0.9, "omega": omega,
+        "t_end": 4.0, "dt": 1e-3, "output_stride": 5, "outputs": "identities"}))
+    series, _ = run_scenario(cfg)
+    ident = series["identities"]
+    atom, drv, tols = cfg.atom_config(), cfg.drive_signal(), cfg.tolerances()
+    ts = ident.t
+    ref = np.array([_literal_integrand_loop(atom, drv, [t], tols)[0]
+                    if abs(rabi_frequency(atom, drv, t, POSITIVE, tols)) > 1e-9
+                    else complex(np.nan, np.nan) for t in ts])
+    gap = np.abs(ref.imag - connection_dtheta(atom, drv, ts, SMOOTH, tols))
+    _assert_same_parts(ident.column("re_eq24"), ref.real, 1e-15)
+    _assert_same_parts(ident.column("im_eq24"), ref.imag, 1e-15)
+    _assert_same_parts(ident.column("im_eq24_gap"), gap, 1e-15)
+    if wt == 0.0:
+        im = ident.column("im_eq24")
+        assert np.isnan(im).sum() == 2
+        assert np.any(np.signbit(im[im == 0.0])) and not np.all(np.signbit(im[im == 0.0]))
 
 
 # ------------------------------------------------------------ elliptic phase

@@ -1,6 +1,8 @@
 """Config surface, scenario runs, sweeps, CSV determinism."""
 
+import io
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from dressedatom import (ScenarioConfig, parse_config, run_scenario,
                          serialize_config, sweep)
 from dressedatom.errors import ParseError, UnknownAxis, ValidationError
 from dressedatom.frames import detuning
+from dressedatom.scenario import _nearest_distance
 
 
 # ------------------------------------------------------------------ parsing
@@ -99,6 +102,31 @@ def test_run_identities_output():
     assert "im_eq24_gap" in cols
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zeros=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40, unique=True),
+       ts=st.lists(st.floats(0.0, 60.0), max_size=200))
+def test_nearest_distance_matches_dense(zeros, ts):
+    zeros = np.sort(np.array(zeros))
+    for grid in (np.array(ts), np.arange(0.0, 60.0, 1e-3), zeros,
+                 np.concatenate([zeros - 5e-3, zeros + 5e-3])):
+        dense = np.min(np.abs(grid[:, None] - zeros[None, :]), axis=1)
+        assert np.array_equal(_nearest_distance(grid, zeros), dense)
+
+
+def test_identities_memory_does_not_grow_with_zeros():
+    # 200,001 rows against ~64 coupling zeros: a rows x zeros distance
+    # matrix alone would be ~100 MiB
+    cfg = replace(ScenarioConfig(), t_end=200.0, dt=1e-3, output_stride=1,
+                  outputs="identities")
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2 ** 20
+
+
 def test_run_zero_span_emits_headers_only():
     cfg = replace(ScenarioConfig(), t_end=0.0, outputs="frame,closed")
     series, report = run_scenario(cfg)
@@ -123,9 +151,10 @@ def test_csv_17_digit_roundtrip():
     cfg = replace(ScenarioConfig(), t_end=2.0, dt=0.01, outputs="closed")
     series, _ = run_scenario(cfg)
     text = series["closed"].to_csv()
-    from dressedatom.series import TimeSeries
-    back = TimeSeries.from_csv(text)
-    assert np.array_equal(back.data, series["closed"].data)
+    header, body = text.split("\n", 1)
+    assert header.split(",") == series["closed"].columns
+    back = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+    assert np.array_equal(back, series["closed"].data)
 
 
 def test_frame_output_columns():
