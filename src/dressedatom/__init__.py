@@ -3,9 +3,8 @@
 Library layout:
 
     config      AtomConfig, BranchMode, Tolerances
-    drives      CosineDrive, RwaPairDrive, ConstantDrive, TabulatedDrive
+    drives      CosineDrive, RwaPairDrive, ConstantDrive
     frames      detuning, Rabi root, mixing angle, connection, identities
-    elliptic    Carlson R_F/R_D and the incomplete E(phi, k)
     closedform  phase integral Z(t), dressed solution, elliptic phase, limits
     oracle      direct RK4 integration, dressed projection, comparisons
     scenario    JSON config surface, runs, sweeps, CSV series
@@ -13,14 +12,12 @@ Library layout:
 """
 
 from .config import AtomConfig, BranchMode, Tolerances
-from .drives import ConstantDrive, CosineDrive, RwaPairDrive, TabulatedDrive
-from .frames import (DispersionInput, FrameQuantities, connection_dtheta,
-                     detuning, dispersion_omega, identity_residuals,
+from .drives import ConstantDrive, CosineDrive, RwaPairDrive
+from .frames import (connection_dtheta, detuning, identity_residuals,
                      mixing_angle, rabi_frequency, transition_current)
 from .closedform import (DressedSolution, Regime, dressed_solution,
                          elliptic_phase, limit_form,
                          phase_integral, psi0_gamma_zero_integrand)
-from .elliptic import EllipticArg, carlson_rd, carlson_rf, ellip_e_incomplete
 from .oracle import (PropagationResult, StateVector, compare,
                      current_dynamics_check, hamiltonian,
                      initial_state_for_psi_frame, propagate)
@@ -28,11 +25,9 @@ from .scenario import ScenarioConfig, parse_config, run_scenario, serialize_conf
 
 __all__ = [
     "AtomConfig", "BranchMode", "Tolerances",
-    "CosineDrive", "RwaPairDrive", "ConstantDrive", "TabulatedDrive",
-    "FrameQuantities", "DispersionInput",
+    "CosineDrive", "RwaPairDrive", "ConstantDrive",
     "detuning", "rabi_frequency", "mixing_angle", "connection_dtheta",
-    "identity_residuals", "dispersion_omega", "transition_current",
-    "EllipticArg", "carlson_rf", "carlson_rd", "ellip_e_incomplete",
+    "identity_residuals", "transition_current",
     "DressedSolution", "Regime",
     "phase_integral", "dressed_solution", "psi0_gamma_zero_integrand",
     "elliptic_phase", "limit_form",

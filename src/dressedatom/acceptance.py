@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ellipeinc
 
 from .closedform import (dressed_series, elliptic_phase, phase_series,
                          resonant_amplitude)
 from .config import AtomConfig, BranchMode, Tolerances
 from .drives import ConstantDrive, CosineDrive, RwaPairDrive
-from .elliptic import EllipticArg, ellip_e_incomplete
 from .errors import DressedAtomError
 from .frames import (connection_dtheta, detuning, identity_residuals,
                      mixing_angle_series, rabi_frequency)
@@ -259,8 +259,7 @@ def criterion_7(fast: bool = False) -> CriterionResult:
                            points=list(drive.coupling_zero_times(0.0, t)) or None)[0]
                 worst = max(worst, abs(elliptic_phase(cfg, drive, t) - ref))
                 if amp > 0:
-                    lit = (j0 * omega / amp) * ellip_e_incomplete(
-                        EllipticArg(omega * t, amp))
+                    lit = (j0 * omega / amp) * ellipeinc(omega * t, amp * amp)
                     literal_worst = max(literal_worst,
                                         abs(lit - ref) / max(abs(ref), 1e-30))
     elapsed = time.perf_counter() - t0

@@ -18,7 +18,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import acceptance
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
                      ParseError, QuadratureFailure, RegimeMismatch,
                      StepTooLarge, UnknownAxis, ValidationError)
@@ -88,6 +87,10 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_accept(args) -> int:
+    # imported here: the suite loads scipy, which run, sweep and identities
+    # do not need
+    from . import acceptance
+
     return acceptance.main(fast=args.fast)
 
 

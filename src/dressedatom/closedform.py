@@ -35,10 +35,10 @@ import numpy as np
 
 from .config import AtomConfig, BranchMode, Tolerances
 from .drives import CosineDrive, Drive
-from .elliptic import EllipticArg, ellip_e_incomplete
 from .errors import (DegenerateFrameError, DomainError, QuadratureFailure,
                      RegimeMismatch)
-from .frames import connection_dtheta, detuning, rabi_frequency, theta_of_t
+from .frames import (connection_dtheta, detuning, rabi_frequency,
+                     radicand_zeros, theta_of_t)
 
 _DEFAULT_TOL = Tolerances()
 
@@ -150,17 +150,6 @@ def _segment_integrals(f, ts: np.ndarray, pins, seg_tol: float,
     return out
 
 
-def _radicand_pins(cfg: AtomConfig, drive: Drive, t_end: float,
-                   tols: Tolerances) -> np.ndarray:
-    """Panel pins for the omega_r integrand: it is smooth except where the
-    radicand touches zero, which needs the detuning itself near zero."""
-    wt = detuning(cfg)
-    scale = max(drive.coupling_scale(), abs(wt), 1e-300)
-    if wt * wt > tols.rad_eps * scale * scale:
-        return np.array([])
-    return np.asarray(drive.coupling_zero_times(0.0, t_end))
-
-
 def phase_integral(cfg: AtomConfig, drive: Drive, t: float, branch: BranchMode,
                    tol: float = _DEFAULT_TOL.quad_tol,
                    tols: Tolerances = _DEFAULT_TOL) -> complex:
@@ -197,7 +186,7 @@ def phase_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray, branch: BranchMo
     seg_tol = max(tol / len(ts), 1e-14)
     grid = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
     segs = _segment_integrals(lambda s: rabi_frequency(cfg, drive, s, branch, tols),
-                              grid, _radicand_pins(cfg, drive, float(ts[-1]), tols),
+                              grid, radicand_zeros(cfg, drive, float(ts[-1]), tols),
                               seg_tol, tols.quad_limit)
     re = np.concatenate([[0.0], np.cumsum(segs)])[len(grid) - len(ts):]
     im = theta_of_t(cfg, drive, ts) - theta_of_t(cfg, drive, 0.0)
@@ -237,7 +226,6 @@ def dressed_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray, branch: Branch
 
 
 def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
-                              branch: BranchMode = BranchMode.POSITIVE_ROOT,
                               tol: Tolerances = _DEFAULT_TOL):
     """The printed integrand of the zero-connection solution, taken literally.
 
@@ -245,7 +233,8 @@ def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
     part must match the connection (up to the sign it carries where the
     cosine is negative); any pointwise gap is what the identities report
     records.  A scalar ``t`` gives a complex, an array of times a complex
-    array; a degenerate point anywhere raises for the first such time.
+    array; a radicand zero anywhere raises for the first such time.  The
+    printed form uses the positive root, so it takes no branch mode.
     """
     if not isinstance(drive, CosineDrive):
         raise DomainError("literal integrand is defined for the cosine drive only")
@@ -258,12 +247,9 @@ def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
     bad = wr < tol.deg_eps * scale
     if np.any(bad):
         raise DegenerateFrameError(f"radicand zero at t={t[bad].flat[0]}")
-    u = wt + wr
-    # u = 0 with j != 0 (wt < 0, |j| below an ulp of |wt|) would divide by zero
-    bad = ((np.abs(u) < tol.deg_eps * scale) & (j == 0.0)) | (u == 0.0)
-    if np.any(bad):
-        raise DegenerateFrameError(f"angle denominator vanishes at t={t[bad].flat[0]}")
-    denom = wt + j * j / u
+    # j^2 / (wt + |omega_r|) equals |omega_r| - wt; for wt < 0 the printed
+    # quotient cancels near every coupling zero and is 0/0 on one
+    denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
     imag = -wt * (drive.j0 * w * np.sin(w * t)) / (2.0 * wr * denom)
     if t.ndim == 0:
         return complex(wr, imag)
@@ -285,12 +271,15 @@ def elliptic_phase(cfg: AtomConfig, drive: Drive, t: float,
         raise DomainError("elliptic representation requires the cosine drive")
     if branch is not BranchMode.POSITIVE_ROOT:
         raise DomainError("elliptic representation requires the positive root")
+    # imported here so that importing the package does not load scipy
+    from scipy.special import ellipeinc
+
     wt = detuning(cfg)
     amp = math.hypot(wt, drive.j0)
     if amp == 0.0:
         return 0.0
     a = drive.j0 / amp
-    return (amp / drive.omega) * ellip_e_incomplete(EllipticArg(drive.omega * t, a))
+    return (amp / drive.omega) * float(ellipeinc(drive.omega * t, a * a))
 
 
 def resonant_amplitude(cfg: AtomConfig, drive: Drive) -> float:

@@ -17,10 +17,6 @@ class DegenerateFrameError(DressedAtomError):
     """The mixing angle is undefined (zero matrix up to tolerance)."""
 
 
-class IndeterminateAtZeroCoupling(DressedAtomError):
-    """The connection prefactor is 0/0 and the limit could not be resolved."""
-
-
 class DomainError(DressedAtomError):
     """Argument outside the mathematical domain of a special function."""
 

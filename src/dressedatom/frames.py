@@ -3,8 +3,8 @@
 Everything here is a pure function of (config, drive, time): detuning, the
 signed Rabi root, the mixing angle of the diagonalising rotation, the
 connection d(theta)/dt generated by that rotation's time dependence, the
-identity residuals the construction must satisfy, the centre-of-mass
-dispersion relation, and the transition current.
+identity residuals the construction must satisfy, and the transition
+current.
 
 Conventions (natural units, hbar = 1):
 
@@ -31,40 +31,14 @@ quotient forms d(cos theta)/dt / (-sin theta) = d(sin theta)/dt / cos theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import AtomConfig, BranchMode, Tolerances
 from .drives import Drive
-from .errors import DegenerateFrameError, ValidationError
+from .errors import DegenerateFrameError
 
 _DEFAULT_TOL = Tolerances()
-
-
-@dataclass(frozen=True)
-class FrameQuantities:
-    """Per-time snapshot of the dressed frame."""
-
-    t: float
-    omega_tilde: float
-    omega_r: float          # signed when branch tracking is on
-    cos_theta: float
-    sin_theta: float
-    dtheta_dt: float
-    branch_sign: int
-
-
-@dataclass(frozen=True)
-class DispersionInput:
-    k: float
-    m: float
-    e_bar: float
-    omega_drive: float
-
-    def __post_init__(self):
-        if not (self.m > 0):
-            raise ValidationError("mass must be positive")
 
 
 def detuning(cfg: AtomConfig) -> float:
@@ -78,25 +52,35 @@ def coupling(drive: Drive, t):
     return drive.j(t), drive.gamma(t), drive.dj(t), drive.dgamma(t)
 
 
+def radicand_zeros(cfg: AtomConfig, drive: Drive, t_end: float,
+                   tol: Tolerances = _DEFAULT_TOL) -> np.ndarray:
+    """The coupling zeros in (0, t_end] where the radicand
+    omega_tilde^2 + j^2 + g^2 can touch zero.
+
+    Empty unless the detuning is itself below the detection threshold
+    rad_eps relative to the problem scale: away from resonance the radicand
+    stays above omega_tilde^2 > 0.
+    """
+    wt = detuning(cfg)
+    scale = max(drive.coupling_scale(), abs(wt), 1e-300)
+    if wt * wt > tol.rad_eps * scale * scale:
+        return np.array([])
+    return np.asarray(drive.coupling_zero_times(0.0, t_end))
+
+
 def branch_sign(cfg: AtomConfig, drive: Drive, t, branch: BranchMode,
                 tol: Tolerances = _DEFAULT_TOL):
     """Sign s(t) of the Rabi root; flips at radicand zeros when smooth.
 
-    The radicand omega_tilde^2 + j^2 + g^2 can only touch zero if the
-    detuning is itself below the detection threshold, so away from exact
-    resonance both modes coincide.
+    The flips sit at the ``radicand_zeros``, so away from exact resonance
+    both modes coincide and the sign is the scalar 1.
     """
     t = np.asarray(t, dtype=float)
-    ones = np.ones(t.shape, dtype=int) if t.shape else np.int64(1)
-    if branch is BranchMode.POSITIVE_ROOT:
-        return ones
-    wt = detuning(cfg)
-    scale = max(drive.coupling_scale(), abs(wt), 1e-300)
-    if wt * wt > tol.rad_eps * scale * scale:
-        return ones
-    zeros = np.asarray(drive.coupling_zero_times(0.0, float(np.max(t)) if t.shape else float(t)))
+    if branch is BranchMode.POSITIVE_ROOT or t.size == 0:
+        return 1
+    zeros = radicand_zeros(cfg, drive, float(np.max(t)), tol)
     if len(zeros) == 0:
-        return ones
+        return 1
     counts = np.searchsorted(zeros, t, side="right")
     return np.where(counts % 2 == 0, 1, -1) if t.shape else (1 if counts % 2 == 0 else -1)
 
@@ -205,22 +189,6 @@ def _dtheta_bracket_form(cfg: AtomConfig, drive: Drive, t):
     return -(p / (wr * q)) * bracket
 
 
-def frame_quantities(cfg: AtomConfig, drive: Drive, t: float,
-                     branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-                     tol: Tolerances = _DEFAULT_TOL) -> FrameQuantities:
-    cth, sth = mixing_angle(cfg, drive, t, branch, tol)
-    s = int(branch_sign(cfg, drive, t, branch, tol))
-    return FrameQuantities(
-        t=float(t),
-        omega_tilde=detuning(cfg),
-        omega_r=float(rabi_frequency(cfg, drive, t, branch, tol)),
-        cos_theta=cth,
-        sin_theta=sth,
-        dtheta_dt=float(connection_dtheta(cfg, drive, t, branch, tol)),
-        branch_sign=s,
-    )
-
-
 def frame_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray,
                  branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
                  tol: Tolerances = _DEFAULT_TOL) -> dict:
@@ -282,11 +250,12 @@ def identity_residuals(cfg: AtomConfig, drive: Drive, t,
     q = q_of(t)
     u = u_of(t)
     n2 = n2_of(t)
-    lam = -0.5 * _fd4(n2_of, t, h) / n2
+    # rows where N^2 = 0 (no coupling and wt <= 0) come out as NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = -0.5 * _fd4(n2_of, t, h) / n2
+        n = np.sqrt(n2)
+        cth, sth = u / n, q / n
     r2 = q * (_fd4(q_of, t, h) + lam * q) + u * (_fd4(u_of, t, h) + lam * u)
-
-    n = np.sqrt(n2)
-    cth, sth = u / n, q / n
 
     def cth_of(s):
         return u_of(s) / np.sqrt(n2_of(s))
@@ -301,36 +270,6 @@ def identity_residuals(cfg: AtomConfig, drive: Drive, t,
     return r1, r2, r3
 
 
-def dispersion_omega(d: DispersionInput) -> float:
-    """The unique omega solving hbar^2 k^2/2m + hbar(Omega - omega) - Ebar = 0."""
-    return d.omega_drive + d.k * d.k / (2.0 * d.m) - d.e_bar
-
-
 def transition_current(c1, c2):
     """(i/2)(c1* c2 - c2* c1) = -Im(c1* c2): the stimulated-transition amplitude."""
     return -np.imag(np.conj(c1) * c2)
-
-
-def diagonalizer(cfg: AtomConfig, drive: Drive, t: float,
-                 tol: Tolerances = _DEFAULT_TOL) -> np.ndarray:
-    """Unitary W with W @ M @ W^H = diag(-|omega_r|, +|omega_r|).
-
-    M is the traceless coupling matrix [[-wt, j - i g], [j + i g, +wt]].
-    For g = 0 and j >= 0 this reduces to the real rotation
-    [[cos th, -sin th], [sin th, cos th]]; otherwise the coupling phase
-    dresses the off-diagonal entries.
-    """
-    wt = detuning(cfg)
-    j = float(drive.j(t))
-    g = float(drive.gamma(t))
-    q = math.hypot(j, g)
-    u = wt + math.hypot(wt, q)
-    n = math.hypot(u, q)
-    scale = max(drive.coupling_scale(), abs(wt), 1.0)
-    if n < tol.deg_eps * scale:
-        raise DegenerateFrameError(f"diagonalizer undefined at t={t}")
-    c, s = u / n, q / n
-    phase = math.atan2(g, j) if q > 0 else 0.0
-    e = complex(math.cos(phase), math.sin(phase))
-    # rows of W are the eigenvectors (u, -q e^{-i phi})/N and (q e^{i phi}, u)/N
-    return np.array([[c, -s * np.conj(e)], [s * e, c]], dtype=complex)

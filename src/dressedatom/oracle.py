@@ -154,6 +154,25 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
+def _step_matrices(generator, q, dt: float, eye: np.ndarray) -> np.ndarray:
+    """M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) for the steps of one chunk.
+
+    ``q`` holds the couplings at t_k and at the half points.  The sum is
+    taken in place, operand for operand as written, so the bits are those
+    of the plain expression while the scratch stays a few (2, 2, m) stacks,
+    all freed before the prefix product.
+    """
+    a0, ah = generator(q[:-1:2]), generator(q[1::2])
+    k2 = _matmul(ah, eye + 0.5 * dt * a0)
+    k3 = _matmul(ah, eye + 0.5 * dt * k2)
+    del ah
+    k4 = _matmul(generator(q[2::2]), eye + dt * k3)
+    s = np.add(a0, np.multiply(2.0, k2, out=k2), out=k2)
+    s = np.add(s, np.multiply(2.0, k3, out=k3), out=s)
+    s = np.add(s, k4, out=s)
+    return np.add(eye, np.multiply(dt / 6.0, s, out=s), out=s)
+
+
 def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
              dt: float, keep_every: int):
     """Fixed-grid RK4 on the frame Hamiltonian, ``_CHUNK`` steps at a time.
@@ -184,11 +203,7 @@ def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
         # coupling at t_k and the half points of this chunk's steps
         q = np.asarray(drive.frame_coupling((np.arange(2 * m + 1) + 2 * k0) * (0.5 * dt)),
                        dtype=float)
-        a0, ah, a1 = generator(q[:-1:2]), generator(q[1::2]), generator(q[2::2])
-        k2 = _matmul(ah, eye + 0.5 * dt * a0)
-        k3 = _matmul(ah, eye + 0.5 * dt * k2)
-        k4 = _matmul(a1, eye + dt * k3)
-        prod = eye + dt / 6.0 * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+        prod = _step_matrices(generator, q, dt, eye)
         # inclusive prefix product prod[:, :, i] = M_i ... M_0, by doubling
         d = 1
         while d < m:

@@ -360,6 +360,21 @@ _SWEEPABLE = ("j0", "omega", "e1", "e2", "gamma0", "t_end", "dt",
               "omega_tilde", "quad_tol")
 
 
+def _sweep_point(cfg: ScenarioConfig) -> tuple[list, dict]:
+    """The summary row of one sweep point, and its report; the point's
+    series are freed on return, before the next point runs."""
+    out, rep = run_scenario(cfg)
+    closed_p0 = out["compare"].column("closed_p0")
+    oracle_p0 = out["compare"].column("oracle_p0")
+    return [
+        rep["compare"]["MaxAbs"],
+        rep["compare"]["Rms"],
+        float(np.max(closed_p0)) if len(closed_p0) else 0.0,
+        float(np.max(oracle_p0)) if len(oracle_p0) else 0.0,
+        dominant_frequency(out["compare"].t, closed_p0),
+    ], rep
+
+
 def sweep(base: ScenarioConfig, axis: str, values) -> tuple[TimeSeries, list[dict]]:
     """Run the base scenario once per axis value; summarise each run.
 
@@ -376,18 +391,8 @@ def sweep(base: ScenarioConfig, axis: str, values) -> tuple[TimeSeries, list[dic
             cfg = replace(base, **{axis: float(v)})
         need = set(cfg.output_list()) | {"closed", "oracle", "compare"}
         cfg = replace(cfg, outputs=",".join(sorted(need)))
-        out, rep = run_scenario(cfg)
-        closed_p0 = out["compare"].column("closed_p0")
-        oracle_p0 = out["compare"].column("oracle_p0")
-        tgrid = out["compare"].t
-        rows.append([
-            float(v),
-            rep["compare"]["MaxAbs"],
-            rep["compare"]["Rms"],
-            float(np.max(closed_p0)) if len(closed_p0) else 0.0,
-            float(np.max(oracle_p0)) if len(oracle_p0) else 0.0,
-            dominant_frequency(tgrid, closed_p0),
-        ])
+        row, rep = _sweep_point(cfg)
+        rows.append([float(v)] + row)
         reports.append(rep)
     table = TimeSeries(
         [axis, "max_abs", "rms", "peak_closed_p0", "peak_oracle_p0",

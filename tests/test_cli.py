@@ -1,9 +1,17 @@
 """Command-line surface: subcommands, files, exit codes, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dressedatom
 from dressedatom.cli import main
 
 
@@ -110,6 +118,39 @@ def test_identities_subcommand(tmp_path, capsys):
     assert main(["identities", str(cfg)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["r1"] <= 1e-8 and out["r2"] <= 1e-8
+
+
+@pytest.mark.parametrize("doc", [
+    {"drive": "cosine", "omega_tilde": -0.3, "j0": 0.9, "omega": math.pi / 2,
+     "t_end": 2, "outputs": "identities"},
+    {"omega_tilde": -0.3, "j0": 0, "t_end": 2, "outputs": "identities"},
+], ids=["grid-point-on-coupling-zero", "zero-coupling"])
+def test_identities_at_negative_detuning(doc, tmp_path, capsys):
+    # wt + |omega_r| is 0 on a coupling zero when wt < 0: the literal eq24
+    # columns stay finite there, and N^2 = 0 rows of r2/r3 warn nothing
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    text = (out / "identities.csv").read_text()
+    header = text.splitlines()[0].split(",")
+    data = np.loadtxt(out / "identities.csv", delimiter=",", skiprows=1, ndmin=2)
+    for name in ("re_eq24", "im_eq24", "im_eq24_gap"):
+        assert np.all(np.isfinite(data[:, header.index(name)])), name
+
+
+def test_package_and_cli_import_no_scipy():
+    # run, sweep and identities never need scipy; a fresh interpreter shows
+    # what importing the package and the CLI loads
+    code = ("import sys, dressedatom, dressedatom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(dressedatom.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_subcommand(tmp_path, capsys):

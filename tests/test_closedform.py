@@ -320,10 +320,7 @@ def _literal_integrand_loop(cfg, drive, ts, tol=Tolerances()):
         wr = math.hypot(wt, j)
         if wr < tol.deg_eps * scale:
             raise DegenerateFrameError(f"radicand zero at t={t}")
-        u = wt + wr
-        if abs(u) < tol.deg_eps * scale and j == 0.0:
-            raise DegenerateFrameError(f"angle denominator vanishes at t={t}")
-        denom = wt + j * j / u
+        denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
         imag = -wt * (drive.j0 * drive.omega * math.sin(drive.omega * t)) / (2.0 * wr * denom)
         out.append(complex(wr, imag))
     return out
@@ -351,14 +348,10 @@ def test_literal_integrand_array_matches_scalar(wt, j0, omega, ts):
     arr = psi0_gamma_zero_integrand(cfg, drv, ts)
     one = [psi0_gamma_zero_integrand(cfg, drv, float(t)) for t in ts]
     assert all(type(v) is complex for v in one)
+    ref = _literal_integrand_loop(cfg, drv, ts)
     for part in ("real", "imag"):
         _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in one], 1e-15)
-    if wt >= 0.0:
-        # for wt < 0, u = wt + |omega_r| cancels near the coupling zeros, so
-        # one ulp of hypot is amplified; the reference is compared where it is not
-        ref = _literal_integrand_loop(cfg, drv, ts)
-        for part in ("real", "imag"):
-            _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in ref], 1e-15)
+        _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in ref], 1e-15)
 
 
 def test_literal_integrand_array_degenerate_raises_for_first_time():
@@ -369,12 +362,17 @@ def test_literal_integrand_array_degenerate_raises_for_first_time():
 
 
 def test_literal_integrand_degenerate_where_denominator_rounds_to_zero():
-    # wt < 0 and cos(W t) ~ 6e-17: wt + |omega_r| rounds to 0 with j != 0
+    # wt < 0 and cos(W t) ~ 6e-17: wt + |omega_r| rounds to 0 with j != 0,
+    # so the printed j^2/(wt + |omega_r|) must be taken as |omega_r| - wt
     cfg = cfg_wt(-0.3, j0=0.9, omega=math.pi / 2)
     drv = CosineDrive(0.9, math.pi / 2)
-    for t in (1.0, np.array([0.5, 1.0])):
-        with pytest.raises(DegenerateFrameError, match="denominator vanishes at t=1.0"):
-            psi0_gamma_zero_integrand(cfg, drv, t)
+    dth = float(connection_dtheta(cfg, drv, 1.0))
+    assert dth == pytest.approx(0.3 * 0.9 * (math.pi / 2) / (2 * 0.3 ** 2), rel=1e-12)
+    for val in (psi0_gamma_zero_integrand(cfg, drv, 1.0),
+                psi0_gamma_zero_integrand(cfg, drv, np.array([0.5, 1.0]))[1]):
+        assert math.isfinite(val.imag)
+        # the literal form matches the connection up to the envelope sign
+        assert abs(val.imag) == pytest.approx(abs(dth), rel=1e-12)
 
 
 @pytest.mark.parametrize("wt, omega", [(0.0, math.pi / 2), (0.4, 1.1), (0.05, 0.9)])

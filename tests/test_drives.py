@@ -1,4 +1,4 @@
-"""Drive signals: invariants of each kind and the tabulated machinery."""
+"""Drive signals: invariants of each kind."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressedatom import ConstantDrive, CosineDrive, RwaPairDrive, TabulatedDrive
+from dressedatom import ConstantDrive, CosineDrive, RwaPairDrive
 from dressedatom.errors import ValidationError
 
 
@@ -55,66 +55,3 @@ def test_negative_amplitude_rejected():
     with pytest.raises(ValidationError):
         RwaPairDrive(j0=-0.1, omega=1.0)
 
-
-# ------------------------------------------------------------- tabulated
-
-def _smooth_table(n=201, t_end=6.0):
-    ts = np.linspace(0.0, t_end, n)
-    j = 1.3 * np.cos(0.9 * ts) * np.exp(-0.05 * ts)
-    g = 0.4 * np.sin(0.7 * ts)
-    return ts, j, g
-
-
-def test_tabulated_requires_increasing_grid():
-    ts, j, g = _smooth_table()
-    bad = ts.copy()
-    bad[5] = bad[4]
-    with pytest.raises(ValidationError):
-        TabulatedDrive(bad, j, g)
-
-
-def test_tabulated_derivative_consistency():
-    ts, j, g = _smooth_table()
-    d = TabulatedDrive(ts, j, g, derivative_tol=1e-6)
-    # stored tables were built by the same stencil, so the gap is zero;
-    # a user-supplied analytic table must stay within the declared tol
-    assert d.derivative_consistency() == 0.0
-    dj = -1.3 * 0.9 * np.sin(0.9 * ts) * np.exp(-0.05 * ts) \
-        - 0.05 * 1.3 * np.cos(0.9 * ts) * np.exp(-0.05 * ts)
-    dg = 0.4 * 0.7 * np.cos(0.7 * ts)
-    d2 = TabulatedDrive(ts, j, g, dj_table=dj, dgamma_table=dg,
-                        derivative_tol=1e-6)
-    assert d2.derivative_consistency() <= d2.derivative_tol
-
-
-def test_tabulated_interpolation_accuracy():
-    ts, j, g = _smooth_table(n=401)
-    d = TabulatedDrive(ts, j, g)
-    probe = np.linspace(0.2, 5.8, 137)
-    truth = 1.3 * np.cos(0.9 * probe) * np.exp(-0.05 * probe)
-    assert np.max(np.abs(d.j(probe) - truth)) < 1e-6
-
-
-def test_tabulated_real_frame_coupling_keeps_sign():
-    ts = np.linspace(0, 6.0, 201)
-    j = np.cos(ts)
-    d = TabulatedDrive(ts, j, np.zeros_like(ts))
-    assert float(d.frame_coupling(3.0)) == pytest.approx(math.cos(3.0), abs=1e-8)
-
-
-def test_tabulated_drive_through_frame_functions():
-    # a table sampled from the analytic cosine must reproduce its frame
-    # quantities through the generic drive interface
-    from dressedatom import AtomConfig, BranchMode, connection_dtheta, rabi_frequency
-
-    cfg = AtomConfig.from_detuning(0.6, 1.2, omega_drive=1.1)
-    analytic = CosineDrive(1.2, 1.1)
-    grid = np.linspace(0.0, 8.0, 1601)
-    tab = TabulatedDrive(grid, 1.2 * np.cos(1.1 * grid), np.zeros_like(grid))
-    probe = np.linspace(0.3, 7.5, 57)
-    wr_a = rabi_frequency(cfg, analytic, probe, BranchMode.POSITIVE_ROOT)
-    wr_t = rabi_frequency(cfg, tab, probe, BranchMode.POSITIVE_ROOT)
-    assert np.max(np.abs(wr_a - wr_t)) < 1e-7
-    dth_a = connection_dtheta(cfg, analytic, probe)
-    dth_t = connection_dtheta(cfg, tab, probe)
-    assert np.max(np.abs(dth_a - dth_t)) < 1e-6

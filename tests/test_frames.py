@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedatom import (AtomConfig, BranchMode, ConstantDrive, CosineDrive,
-                         DispersionInput, RwaPairDrive, Tolerances,
-                         connection_dtheta, detuning, dispersion_omega,
+                         RwaPairDrive, Tolerances, connection_dtheta, detuning,
                          identity_residuals, mixing_angle, rabi_frequency,
                          transition_current)
 from dressedatom.errors import DegenerateFrameError
-from dressedatom.frames import (_dtheta_bracket_form, diagonalizer,
-                                frame_quantities, theta_of_t)
+from dressedatom.frames import _dtheta_bracket_form, theta_of_t
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
@@ -268,41 +266,7 @@ def test_identities_cosine_dense():
     assert np.nanmax(np.abs(r3)) <= 1e-8
 
 
-# ------------------------------------------------------------- diagonalizer
-
-def _traceless(cfg, drv, t):
-    wt = detuning(cfg)
-    j = float(drv.j(t))
-    g = float(drv.gamma(t))
-    return np.array([[-wt, j - 1j * g], [j + 1j * g, wt]])
-
-
-@pytest.mark.parametrize("wt,drv,t", [
-    (0.7, CosineDrive(1.3, 2.1), 0.3),       # real coupling, J > 0
-    (3.0, ConstantDrive(4.0), 1.0),          # 3-4-5
-    (0.6, RwaPairDrive(0.8, 1.3), 2.2),      # complex coupling
-    (0.4, ConstantDrive(0.5, 1.2), 0.0),     # constant connection
-])
-def test_diagonalizer_invariant(wt, drv, t):
-    cfg = cfg_wt(wt, j0=getattr(drv, "j0", 1.0), omega=getattr(drv, "omega", 1.0))
-    m = _traceless(cfg, drv, t)
-    w = diagonalizer(cfg, drv, t)
-    a = w @ m @ w.conj().T
-    wr = abs(rabi_frequency(cfg, drv, t, POSITIVE))
-    h_norm = np.linalg.norm(m)
-    assert abs(a[0, 1]) <= 1e-10 * h_norm
-    assert abs(a[1, 0]) <= 1e-10 * h_norm
-    assert a[0, 0].real == pytest.approx(-wr, abs=1e-10 * h_norm)
-    assert a[1, 1].real == pytest.approx(+wr, abs=1e-10 * h_norm)
-
-
-# ------------------------------------------------------ dispersion, current
-
-def test_dispersion_trivial():
-    assert dispersion_omega(DispersionInput(k=0, m=1, e_bar=0, omega_drive=1)) == 1.0
-    assert dispersion_omega(DispersionInput(k=0, m=1, e_bar=2, omega_drive=1)) == -1.0
-    assert dispersion_omega(DispersionInput(k=2, m=1, e_bar=0, omega_drive=0)) == 2.0
-
+# ----------------------------------------------------------------- current
 
 def test_current_examples():
     assert transition_current(1.0, 0.0) == 0.0
@@ -320,12 +284,3 @@ def test_current_global_phase_invariance(phi, c1, c2):
     after = transition_current(ph * c1, ph * c2)
     assert abs(before - after) <= 1e-14 * max(1.0, abs(c1) * abs(c2))
 
-
-def test_frame_quantities_snapshot():
-    cfg = cfg_wt(0.5, j0=1.0)
-    fq = frame_quantities(cfg, CosineDrive(1.0, 1.0), 0.3)
-    assert fq.omega_tilde == 0.5
-    assert fq.cos_theta ** 2 + fq.sin_theta ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert fq.branch_sign in (-1, 1)
-    assert fq.omega_r ** 2 == pytest.approx(
-        fq.omega_tilde ** 2 + float(CosineDrive(1.0, 1.0).j(0.3)) ** 2, rel=1e-12)
