@@ -1,4 +1,5 @@
-"""Carlson forms and E(phi, k) against quadrature of the defining integrals."""
+"""E(phi, k) as closedform.elliptic_phase evaluates it, against quadrature of
+the defining integral and the integral's own identities."""
 
 import math
 
@@ -8,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dressedatom import EllipticArg, carlson_rd, carlson_rf, ellip_e_incomplete
-from dressedatom.elliptic import complete_e
-from dressedatom.errors import DomainError
+from dressedatom import AtomConfig, CosineDrive, elliptic_phase
+
+
+def ellip_e(phi, k):
+    # with wt = sqrt(1 - k^2), j0 = k and W = 1 the prefactor is 1 and the
+    # modulus is k, so elliptic_phase(t = phi) is E(phi, k) itself
+    wt = math.sqrt(1.0 - k * k)
+    return elliptic_phase(AtomConfig.from_detuning(wt, k, omega_drive=1.0),
+                          CosineDrive(j0=k, omega=1.0), phi)
 
 
 def e_quadrature(phi, k):
@@ -20,122 +27,49 @@ def e_quadrature(phi, k):
                 limit=400, epsabs=1e-14, epsrel=1e-14, full_output=1)[0]
 
 
-# ---------------------------------------------------------------- carlson
-
-def test_rf_equal_arguments():
-    assert carlson_rf(1, 1, 1) == pytest.approx(1.0, rel=1e-13)
-    assert carlson_rf(4, 4, 4) == pytest.approx(0.5, rel=1e-13)
-
-
-def test_rf_quadrature_oracle():
-    # R_F(x,y,z) = (1/2) int_0^inf dt / sqrt((t+x)(t+y)(t+z))
-    x, y, z = 0.0, 1.0, 2.0
-    ref = 0.5 * quad(lambda t: ((t + x) * (t + y) * (t + z)) ** -0.5,
-                     0, np.inf, limit=800, epsabs=1e-13, epsrel=1e-13,
-                     full_output=1)[0]
-    assert carlson_rf(x, y, z) == pytest.approx(ref, rel=1e-10)
-
-
-def test_rf_domain():
-    with pytest.raises(DomainError):
-        carlson_rf(0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        carlson_rf(-1.0, 1.0, 1.0)
-
-
-def test_rd_equal_arguments():
-    assert carlson_rd(1, 1, 1) == pytest.approx(1.0, rel=1e-13)
-    assert carlson_rd(4, 4, 4) == pytest.approx(0.125, rel=1e-13)
-
-
-def test_rd_quadrature_oracle():
-    # R_D(x,y,z) = (3/2) int_0^inf dt / ((t+z) sqrt((t+x)(t+y)(t+z)))
-    x, y, z = 0.0, 2.0, 1.0
-    ref = 1.5 * quad(lambda t: 1.0 / ((t + z) * math.sqrt((t + x) * (t + y) * (t + z))),
-                     0, np.inf, limit=800, epsabs=1e-13, epsrel=1e-13)[0]
-    assert carlson_rd(x, y, z) == pytest.approx(ref, rel=1e-10)
-
-
-def test_rd_domain():
-    with pytest.raises(DomainError):
-        carlson_rd(0.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        carlson_rd(1.0, 1.0, 0.0)
-
-
-def test_carlson_against_scipy():
-    from scipy.special import elliprd, elliprf
-    rng = np.random.default_rng(3)
-    for _ in range(40):
-        x, y, z = rng.uniform(0.01, 8, size=3)
-        assert carlson_rf(x, y, z) == pytest.approx(elliprf(x, y, z), rel=1e-12)
-        assert carlson_rd(x, y, z) == pytest.approx(elliprd(x, y, z), rel=1e-12)
-
-
-# ------------------------------------------------------------- E(phi, k)
-
 def test_e_zero_modulus_is_identity():
     for phi in (0.3, 1.0, 2.5):
-        assert ellip_e_incomplete(EllipticArg(phi, 0.0)) == pytest.approx(phi, abs=1e-14)
+        assert ellip_e(phi, 0.0) == pytest.approx(phi, abs=1e-14)
 
 
 def test_e_complete_unit_modulus():
-    assert ellip_e_incomplete(EllipticArg(math.pi / 2, 1.0)) == 1.0
+    assert ellip_e(math.pi / 2, 1.0) == 1.0
 
 
 def test_e_quadrature_point():
-    got = ellip_e_incomplete(EllipticArg(1.0, 0.6))
-    assert abs(got - e_quadrature(1.0, 0.6)) <= 1e-11
+    assert abs(ellip_e(1.0, 0.6) - e_quadrature(1.0, 0.6)) <= 1e-11
 
 
 def test_e_unit_modulus_is_sine_in_first_quadrant():
     for phi in (0.2, 0.7, 1.2):
-        assert ellip_e_incomplete(EllipticArg(phi, 1.0)) == pytest.approx(
-            math.sin(phi), abs=1e-12)
+        assert ellip_e(phi, 1.0) == pytest.approx(math.sin(phi), abs=1e-12)
 
 
 def test_e_oddness():
     for k in (0.2, 0.8):
-        a = ellip_e_incomplete(EllipticArg(0.9, k))
-        b = ellip_e_incomplete(EllipticArg(-0.9, k))
-        assert a == pytest.approx(-b, rel=1e-14)
+        assert ellip_e(0.9, k) == pytest.approx(-ellip_e(-0.9, k), rel=1e-14)
 
 
 @pytest.mark.parametrize("k", [0.0, 0.3, 0.9])
 def test_e_additivity(k):
-    twoe = 2.0 * complete_e(k)
+    twoe = 2.0 * ellip_e(math.pi / 2, k)
     for phi in np.linspace(0.0, math.pi, 17):
-        a = ellip_e_incomplete(EllipticArg(phi + math.pi, k))
-        b = ellip_e_incomplete(EllipticArg(phi, k))
-        assert abs(a - b - twoe) <= 1e-12
+        assert abs(ellip_e(phi + math.pi, k) - ellip_e(phi, k) - twoe) <= 1e-12
 
 
 @given(st.floats(0.0, math.pi), st.floats(0.0, 0.999))
 @settings(max_examples=100, deadline=None)
 def test_e_oracle_equivalence(phi, k):
-    got = ellip_e_incomplete(EllipticArg(phi, k))
-    assert abs(got - e_quadrature(phi, k)) <= 1e-10
+    assert abs(ellip_e(phi, k) - e_quadrature(phi, k)) <= 1e-10
 
 
 @given(st.floats(0.01, 3.0), st.floats(0.01, 3.1), st.floats(0.0, 0.99))
 @settings(max_examples=60, deadline=None)
 def test_e_monotone_in_phi(phi1, dphi, k):
-    lo = ellip_e_incomplete(EllipticArg(phi1, k))
-    hi = ellip_e_incomplete(EllipticArg(phi1 + dphi, k))
-    assert hi > lo
-
-
-def test_domain_error_on_bad_modulus():
-    with pytest.raises(DomainError):
-        EllipticArg(1.0, 1.5)
-    with pytest.raises(DomainError):
-        EllipticArg(1.0, -0.1)
-    with pytest.raises(DomainError):
-        EllipticArg(math.inf, 0.5)
+    assert ellip_e(phi1 + dphi, k) > ellip_e(phi1, k)
 
 
 def test_unbounded_amplitude_reduction():
     # many periods out, the reduction must stay accurate
-    k = 0.7
-    phi = 37.5
-    assert abs(ellip_e_incomplete(EllipticArg(phi, k)) - e_quadrature(phi, k)) <= 1e-9
+    k, phi = 0.7, 37.5
+    assert abs(ellip_e(phi, k) - e_quadrature(phi, k)) <= 1e-9
