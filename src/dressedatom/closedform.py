@@ -37,8 +37,8 @@ from .config import AtomConfig, BranchMode, Tolerances
 from .drives import CosineDrive, Drive
 from .errors import (DegenerateFrameError, DomainError, QuadratureFailure,
                      RegimeMismatch)
-from .frames import (connection_dtheta, detuning, rabi_frequency,
-                     radicand_zeros, theta_of_t)
+from .frames import (connection_dtheta, degeneracy_floor, detuning,
+                     rabi_frequency, radicand_zeros, theta_of_t)
 
 _DEFAULT_TOL = Tolerances()
 
@@ -243,8 +243,7 @@ def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
     w = drive.omega
     j = drive.j0 * np.cos(w * t)
     wr = np.hypot(wt, j)
-    scale = max(drive.coupling_scale(), abs(wt), 1.0)
-    bad = wr < tol.deg_eps * scale
+    bad = wr < degeneracy_floor(cfg, drive, tol)
     if np.any(bad):
         raise DegenerateFrameError(f"radicand zero at t={t[bad].flat[0]}")
     # j^2 / (wt + |omega_r|) equals |omega_r| - wt; for wt < 0 the printed

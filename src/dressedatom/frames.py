@@ -103,19 +103,29 @@ def _angle_parts(cfg: AtomConfig, drive: Drive, t):
     return u, q, u * u + q * q
 
 
+def degeneracy_floor(cfg: AtomConfig, drive: Drive,
+                     tol: Tolerances = _DEFAULT_TOL) -> float:
+    """deg_eps times the problem scale max(coupling scale, |omega_tilde|, 1).
+
+    The one threshold below which the frame is degenerate: the mixing angle
+    is undefined where N falls below it, and the literal integrand where
+    |omega_r| does.
+    """
+    return tol.deg_eps * max(drive.coupling_scale(), abs(detuning(cfg)), 1.0)
+
+
 def mixing_angle(cfg: AtomConfig, drive: Drive, t: float,
                  branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
                  tol: Tolerances = _DEFAULT_TOL) -> tuple[float, float]:
     """(cos theta, sin theta) of the diagonalising rotation at one time.
 
-    Raises DegenerateFrameError when the normalisation N is below deg_eps
-    times the problem scale (the zero matrix is diagonalised by any angle);
+    Raises DegenerateFrameError when the normalisation N is below the
+    ``degeneracy_floor`` (the zero matrix is diagonalised by any angle);
     callers that need a series use ``mixing_angle_series`` which holds the
     last well-defined angle across such points.
     """
     u, q, n2 = _angle_parts(cfg, drive, t)
-    scale = max(drive.coupling_scale(), abs(detuning(cfg)), 1.0)
-    if n2 < (tol.deg_eps * scale) ** 2:
+    if n2 < degeneracy_floor(cfg, drive, tol) ** 2:
         raise DegenerateFrameError(f"mixing angle undefined at t={t}")
     n = math.sqrt(n2)
     return float(u / n), float(q / n)
@@ -128,8 +138,7 @@ def mixing_angle_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray,
     A degenerate first sample takes theta = 0.
     """
     u, q, n2 = _angle_parts(cfg, drive, ts)
-    scale = max(drive.coupling_scale(), abs(detuning(cfg)), 1.0)
-    good = n2 >= (tol.deg_eps * scale) ** 2
+    good = n2 >= degeneracy_floor(cfg, drive, tol) ** 2
     n = np.sqrt(np.where(good, n2, 1.0))
     cth = np.where(good, u / n, np.nan)
     sth = np.where(good, q / n, np.nan)

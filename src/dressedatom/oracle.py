@@ -9,7 +9,7 @@ with the coupling phase arg(J + i*Gamma), in which the coupling is the real
 q(t) = drive.frame_coupling(t) and the detuning is omega_tilde for every
 drive choice,
 
-    H_frame(t) = (Ebar12 - Omega/2) * I + [[+wt, q(t)], [q(t), -wt]].
+    H_frame(t) = off * I + [[+wt, q(t)], [q(t), -wt]],   off = Ebar12 - Omega/2.
 
 This is the frame the dressed construction diagonalises: for the
 rotating-pair drive it is constant (the Jaynes-Cummings point, solved
@@ -19,18 +19,38 @@ explicit e^{i Omega t} phases instead would double-count the recoil already
 folded into V2: the rotating frame of that matrix carries detuning
 omega_tilde - Omega/2, and neither exactness statement survives.
 
+The identity part off = Ebar12 - Omega/2 is a global phase, and it is
+applied exactly, as exp(-i off t) on the kept states; RK4 integrates only
+the traceless part -i (wt sigma_z + q sigma_x).  RK4 does not keep the
+norm of a pure phase (|R(iy)| = 1 - y^6/144 + ...), so integrating off
+too would let a common shift of e1 and e2 change the populations.  The
+dressed projection, the norm and the current are taken of the traceless
+states, so they do not see off at all.
+
 Fixed-step classic RK4 is used on purpose: the arithmetic is the same on
 every run, so the CSV output is byte-identical across runs.  The equation
 is linear, so one RK4 step is a fixed 2x2 matrix
-M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) built from -i H_frame at t_k,
-t_k + dt/2 and t_k + dt.  ``_rk4_run`` walks the grid in chunks of
-``_CHUNK`` steps: it builds the chunk's M_k in one vectorised pass, forms
-the inclusive prefix products M_k ... M_0 by doubling (Hillis-Steele,
-log2 of the chunk length passes; Blelloch, CMU-CS-90-190) and applies
-them to the state carried in from the previous chunk.  Scratch memory is
-one chunk, whatever t_end/dt; ``step_count`` caps t_end/dt at
-``MAX_STEPS``.  A Richardson step-halving estimate and the norm drift over
-every step are attached to every result.
+M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) built from the generator at t_k,
+t_k + dt/2 and t_k + dt.  The generator, every M_k and every product of
+them has the Cayley-Klein form [[a, b], [-b*, a*]] (Goldstein, Classical
+Mechanics, sec. 4.5), so a stack of them is stored as two complex arrays
+(a, b) and a product costs four complex multiplies.  Step matrices and
+their products are held as their deviation M - I from the identity, so
+that rounding does not add up step by step into a drift of the norm: the
+drift reports the integrator, not the arithmetic.  ``_rk4_run`` walks
+the grid in chunks of ``_CHUNK`` steps: it builds the chunk's M_k in one
+vectorised pass, forms the inclusive prefix products M_k ... M_0 by
+doubling (Hillis-Steele, log2 of the chunk length passes; Blelloch,
+CMU-CS-90-190) and applies them to the state carried in from the previous
+chunk.  When only the final state is wanted (the Richardson re-run), each
+chunk's M_k are reduced pairwise to their product instead, about m
+products rather than m log2 m; such a chunk takes 2 * ``_CHUNK`` steps,
+so a chunk of the half-step re-run spans the times of one main-run chunk.
+Scratch memory is one chunk, whatever t_end/dt; ``step_count`` caps
+t_end/dt at ``MAX_STEPS``.  A Richardson step-halving estimate and the
+norm drift of the main run are attached to every result; the drift covers
+every step, or only the chunk ends when the run keeps just its final
+state (output_stride >= t_end/dt).
 """
 
 from __future__ import annotations
@@ -49,9 +69,8 @@ from .series import TimeSeries
 
 _DEFAULT_TOL = Tolerances()
 MAX_STEPS = 10 ** 7  # ceiling on t_end/dt: a run stays minutes, not hours
-# RK4 steps per scan chunk: it sets the scratch memory of _rk4_run; 4096
-# steps raised the peak memory of a washout sweep by a quarter (3.2 to
-# 4.0 MiB) for no measurable speed-up
+# RK4 steps per scan chunk (a final-state reduction takes twice as many):
+# it sets the scratch memory of _rk4_run
 _CHUNK = 1024
 
 
@@ -78,18 +97,15 @@ class StepReport:
 @dataclass
 class PropagationResult:
     times: np.ndarray
-    c1: np.ndarray
+    c1: np.ndarray              # frame amplitudes, with the phase of the mean level
     c2: np.ndarray
     norm: np.ndarray
-    dressed_a_plus: np.ndarray
+    dressed_a_plus: np.ndarray  # dressed amplitudes, without that phase
     dressed_a_minus: np.ndarray
     psi0_oracle: np.ndarray
     psi1_oracle: np.ndarray
     current: np.ndarray
     step_report: StepReport
-
-    def state(self, i: int) -> StateVector:
-        return StateVector(complex(self.c1[i]), complex(self.c2[i]))
 
 
 def hamiltonian(cfg: AtomConfig, drive: Drive, t: float) -> np.ndarray:
@@ -124,15 +140,16 @@ def bare_state(index: int) -> StateVector:
     raise ValidationError("bare state index must be 1 or 2")
 
 
-def max_rabi(cfg: AtomConfig, drive: Drive) -> float:
-    wt = detuning(cfg)
-    return math.hypot(wt, drive.coupling_scale())
-
-
 def enforced_step_bound(cfg: AtomConfig, drive: Drive) -> float:
-    """dt must not exceed min(2 pi / Omega, 2 pi / max|omega_r|) / 200."""
+    """dt must not exceed min(2 pi / Omega, 2 pi / max|omega_r|) / 200.
+
+    The mean level off = Ebar12 - Omega/2 is left out, correctly: RK4 no
+    longer integrates it (its phase is applied exactly), so only Omega and
+    the Rabi root set how fast the integrated part turns.
+    """
     c = cfg.to_natural()
-    fastest = max(c.omega_drive, max_rabi(c, drive), 1e-300)
+    max_rabi = math.hypot(detuning(c), drive.coupling_scale())
+    fastest = max(c.omega_drive, max_rabi, 1e-300)
     return 2.0 * math.pi / fastest / 200.0
 
 
@@ -149,74 +166,111 @@ def step_count(t_end: float, dt: float) -> int:
     return max(1, round(n_steps))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products a_k b_k of 2x2 matrix stacks laid out as (2, 2, n)."""
-    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
+def _mul(a1, b1, a2, b2):
+    """(a, b) of the product [[a1, b1], [-b1*, a1*]] [[a2, b2], [-b2*, a2*]].
 
-
-def _step_matrices(generator, q, dt: float, eye: np.ndarray) -> np.ndarray:
-    """M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) for the steps of one chunk.
-
-    ``q`` holds the couplings at t_k and at the half points.  The sum is
-    taken in place, operand for operand as written, so the bits are those
-    of the plain expression while the scratch stays a few (2, 2, m) stacks,
-    all freed before the prefix product.
+    Works elementwise on stacks and on scalars alike.
     """
-    a0, ah = generator(q[:-1:2]), generator(q[1::2])
-    k2 = _matmul(ah, eye + 0.5 * dt * a0)
-    k3 = _matmul(ah, eye + 0.5 * dt * k2)
-    del ah
-    k4 = _matmul(generator(q[2::2]), eye + dt * k3)
-    s = np.add(a0, np.multiply(2.0, k2, out=k2), out=k2)
-    s = np.add(s, np.multiply(2.0, k3, out=k3), out=s)
-    s = np.add(s, k4, out=s)
-    return np.add(eye, np.multiply(dt / 6.0, s, out=s), out=s)
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _mul_dev(xa, xb, ya, yb):
+    """(I + X)(I + Y) - I = X + Y + XY, for X = (xa, xb) and Y = (ya, yb).
+
+    Step matrices and their products are held as their deviation from the
+    identity.  Each product then rounds relative to that deviation, so the
+    rounding of a ~1 diagonal does not add up over thousands of steps into
+    a drift of the norm.
+    """
+    pa, pb = _mul(xa, xb, ya, yb)
+    pa += xa
+    pa += ya
+    pb += xb
+    pb += yb
+    return pa, pb
+
+
+def _step_matrices(wt: float, q: np.ndarray, dt: float):
+    """M_k - I = dt/6 (K1 + 2 K2 + 2 K3 + K4) as (a, b), for one chunk's steps.
+
+    ``q`` holds the couplings at t_k and at the half points; the generator
+    at coupling q is -i (wt sigma_z + q sigma_x) = (a, b) = (-i wt, -i q).
+    The sum is taken in place, so the scratch stays a few length-m stacks.
+    """
+    h = 0.5 * dt
+    ga = -1j * wt
+    gb = -1j * q
+    g0, gh = gb[:-1:2], gb[1::2]
+    ka, kb = _mul(ga, gh, 1.0 + h * ga, h * g0)               # K2
+    sa, sb = 2.0 * ka, 2.0 * kb
+    ka, kb = _mul(ga, gh, 1.0 + h * ka, h * kb)               # K3
+    sa += 2.0 * ka
+    sb += 2.0 * kb
+    ka, kb = _mul(ga, gb[2::2], 1.0 + dt * ka, dt * kb)       # K4
+    sa += ka
+    sa += ga
+    sa *= dt / 6.0
+    sb += kb
+    sb += g0
+    sb *= dt / 6.0
+    return sa, sb
 
 
 def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
              dt: float, keep_every: int):
-    """Fixed-grid RK4 on the frame Hamiltonian, ``_CHUNK`` steps at a time.
+    """Fixed-grid RK4 on the traceless frame Hamiltonian, ``_CHUNK`` steps at a time.
 
-    Returns (c1, c2, drift): the states after steps 0, keep_every,
-    2*keep_every, ... and, last, after step n_steps; and the largest norm
-    drift over every step.
+    Returns (u1, u2, drift): the states after steps 0, keep_every,
+    2*keep_every, ... and, last, after step n_steps, without the phase of
+    the mean level; and the largest norm drift.  The drift covers every
+    step, except when only the final state is kept (keep_every >= n_steps):
+    then each chunk of 2 * _CHUNK step matrices is reduced to its product,
+    and the drift covers the states at chunk ends.
     """
-    c = cfg.to_natural()
-    wt = detuning(c)
-    off = 0.5 * (c.e1 + c.e2) - 0.5 * c.omega_drive
-    eye = np.eye(2)[:, :, None]
-
-    def generator(q):  # -i H_frame at the couplings q, as a (2, 2, len(q)) stack
-        g = np.empty((2, 2, len(q)), dtype=complex)
-        g[0, 0] = -1j * (off + wt)
-        g[1, 1] = -1j * (off - wt)
-        g[0, 1] = g[1, 0] = -1j * q
-        return g
-
+    wt = detuning(cfg)
+    final_only = keep_every >= n_steps
+    chunk = 2 * _CHUNK if final_only else _CHUNK
     rows = n_steps // keep_every + 1 + (n_steps % keep_every != 0)
     kept = np.empty((2, rows), dtype=complex)
-    state = np.array(c0, dtype=complex)
-    kept[:, 0] = state
+    u1, u2 = complex(c0[0]), complex(c0[1])
+    kept[:, 0] = u1, u2
     drift = 0.0
-    for k0 in range(0, n_steps, _CHUNK):
-        m = min(_CHUNK, n_steps - k0)
+    for k0 in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - k0)
         # coupling at t_k and the half points of this chunk's steps
         q = np.asarray(drive.frame_coupling((np.arange(2 * m + 1) + 2 * k0) * (0.5 * dt)),
                        dtype=float)
-        prod = _step_matrices(generator, q, dt, eye)
-        # inclusive prefix product prod[:, :, i] = M_i ... M_0, by doubling
+        a, b = _step_matrices(wt, q, dt)
+        if final_only:
+            # M_{m-1} ... M_0 - I by pairwise reduction
+            while len(a) > 1:
+                if len(a) % 2:  # fold the last matrix into the one before it
+                    a[-2], b[-2] = _mul_dev(a[-1], b[-1], a[-2], b[-2])
+                    a, b = a[:-1], b[:-1]
+                a, b = _mul_dev(a[1::2], b[1::2], a[::2], b[::2])
+            pa, pb = complex(a[0]), complex(b[0])
+            u1, u2 = (u1 + (pa * u1 + pb * u2),
+                      u2 + (pa.conjugate() * u2 - pb.conjugate() * u1))
+            drift = max(drift, abs(math.hypot(abs(u1), abs(u2)) - 1.0))
+            continue
+        # inclusive prefix products M_i ... M_0 - I by doubling
         d = 1
         while d < m:
-            prod[:, :, d:] = _matmul(prod[:, :, d:], prod[:, :, :-d])
+            a[d:], b[d:] = _mul_dev(a[d:], b[d:], a[:-d], b[:-d])
             d *= 2
-        states = prod[:, 0] * state[0] + prod[:, 1] * state[1]
-        norm = np.sqrt(np.abs(states[0]) ** 2 + np.abs(states[1]) ** 2)
+        s1, s2 = a * u1 + b * u2, np.conj(a) * u2 - np.conj(b) * u1
+        s1 += u1
+        s2 += u2
+        norm = np.sqrt(s1.real ** 2 + s1.imag ** 2 + s2.real ** 2 + s2.imag ** 2)
         drift = max(drift, float(np.max(np.abs(norm - 1.0))))
-        steps = np.arange(k0 + 1, k0 + m + 1)  # states[:, i] is after steps[i]
-        keep = steps % keep_every == 0
-        kept[:, steps[keep] // keep_every] = states[:, keep]
-        state = states[:, -1]
-    kept[:, -1] = state
+        # s[:, i] is the state after step k0 + 1 + i; keep every keep_every-th
+        first = -(k0 + 1) % keep_every
+        row = (k0 + 1 + first) // keep_every
+        k1, k2 = s1[first::keep_every], s2[first::keep_every]
+        kept[0, row:row + len(k1)] = k1
+        kept[1, row:row + len(k2)] = k2
+        u1, u2 = complex(s1[-1]), complex(s2[-1])
+    kept[:, -1] = u1, u2
     return kept[0], kept[1], drift
 
 
@@ -226,9 +280,11 @@ def propagate(cfg: AtomConfig, drive: Drive, c0: StateVector, t_end: float,
               tol: Tolerances = _DEFAULT_TOL) -> PropagationResult:
     """Propagate i dc/dt = H_frame(t) c on a fixed grid and dress the output.
 
-    The dressed projection recomputes theta(t) per output point from the
-    frame functions (single source of truth); psi0/psi1 are reported after
-    removal of the common dynamical phase exp(-i (Ebar12 - Omega/2) t).
+    RK4 integrates the traceless part; c1, c2 carry the exact phase
+    exp(-i (Ebar12 - Omega/2) t) of the mean level.  The dressed projection
+    recomputes theta(t) per output point from the frame functions (single
+    source of truth) and is taken of the traceless states, so psi0/psi1,
+    the norm and the current are free of that common phase.
     """
     if dt <= 0 or t_end <= 0:
         raise ValidationError("dt and t_end must be positive")
@@ -246,29 +302,27 @@ def propagate(cfg: AtomConfig, drive: Drive, c0: StateVector, t_end: float,
         raise ValidationError("initial state must be non-zero")
     c0v = c0v / nrm
 
-    c1, c2, drift = _rk4_run(cfg, drive, c0v, n_steps, dt, output_stride)
+    u1, u2, drift = _rk4_run(cfg, drive, c0v, n_steps, dt, output_stride)
     h1, h2, _ = _rk4_run(cfg, drive, c0v, 2 * n_steps, dt / 2.0, 2 * n_steps)
-    rich = (16.0 / 15.0) * math.hypot(abs(c1[-1] - h1[-1]), abs(c2[-1] - h2[-1]))
+    rich = (16.0 / 15.0) * math.hypot(abs(u1[-1] - h1[-1]), abs(u2[-1] - h2[-1]))
 
     idx = np.arange(0, n_steps + 1, output_stride)
     if idx[-1] != n_steps:
         idx = np.append(idx, n_steps)
     times = idx * dt
-    norm = np.sqrt(np.abs(c1) ** 2 + np.abs(c2) ** 2)
+    norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
 
     cth, sth = mixing_angle_series(cfg, drive, times, tol)
-    a_plus = cth * c1 + sth * c2
-    a_minus = -sth * c1 + cth * c2
+    a_plus = cth * u1 + sth * u2
+    a_minus = -sth * u1 + cth * u2
     c_nat = cfg.to_natural()
-    phase = np.exp(1j * (c_nat.e_bar - 0.5 * c_nat.omega_drive) * times)
-    psi0 = (a_plus - a_minus) / 2j * phase
-    psi1 = (a_plus + a_minus) / 2.0 * phase
+    phase = np.exp(-1j * (c_nat.e_bar - 0.5 * c_nat.omega_drive) * times)
 
     return PropagationResult(
-        times=times, c1=c1, c2=c2, norm=norm,
+        times=times, c1=u1 * phase, c2=u2 * phase, norm=norm,
         dressed_a_plus=a_plus, dressed_a_minus=a_minus,
-        psi0_oracle=psi0, psi1_oracle=psi1,
-        current=transition_current(c1, c2),
+        psi0_oracle=(a_plus - a_minus) / 2j, psi1_oracle=(a_plus + a_minus) / 2.0,
+        current=transition_current(u1, u2),
         step_report=StepReport(dt=dt, norm_drift=drift, richardson_error=rich,
                                norm_ok=drift <= tol.norm_tol),
     )

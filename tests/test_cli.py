@@ -99,6 +99,18 @@ def test_missed_norm_tolerance_warns(rwa_config, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("warning: norm drift")
 
 
+def test_shifted_mean_level_keeps_norm(tmp_path, capsys):
+    # e1 = 40 shifts both levels; the oracle applies that phase exactly,
+    # so the norm holds and nothing is printed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9,
+                               "t_end": 10, "outputs": "oracle", "e1": 40}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["norm_ok"] is True
+    assert capsys.readouterr().err == ""
+
+
 def test_numerical_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     # dt far above the enforced resolution bound

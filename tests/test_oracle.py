@@ -162,17 +162,24 @@ def test_resonance_equivalence_to_closed_form():
 # ------------------------------------------------------- chunked RK4 scan
 
 def _rk4_loop(cfg, drive, c0, n_steps, dt, keep_every):
-    """The scalar RK4 loop the chunked scan replaced: the reference."""
+    """The scalar RK4 loop the chunked scan replaced: the reference.
+
+    It integrates the traceless generator -i (wt sigma_z + q sigma_x) and
+    multiplies each kept row by the exact phase exp(-i off t) of the mean
+    level off = Ebar12 - Omega/2.
+    """
     c = cfg.to_natural()
     wt = detuning(c)
     off = 0.5 * (c.e1 + c.e2) - 0.5 * c.omega_drive
-    d1 = off + wt
-    d2 = off - wt
     grid = np.arange(2 * n_steps + 1) * (0.5 * dt)
     q = np.asarray(drive.frame_coupling(grid), dtype=float)
 
     def deriv(qv, a, b):
-        return -1j * (d1 * a + qv * b), -1j * (qv * a + d2 * b)
+        return -1j * (wt * a + qv * b), -1j * (qv * a - wt * b)
+
+    def phased(k, a, b):
+        ph = np.exp(-1j * off * (k * dt))
+        return a * ph, b * ph
 
     a, b = complex(c0[0]), complex(c0[1])
     kept = [(a, b)]
@@ -187,36 +194,76 @@ def _rk4_loop(cfg, drive, c0, n_steps, dt, keep_every):
         b = b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b)
         drift = max(drift, abs(math.sqrt(abs(a) ** 2 + abs(b) ** 2) - 1.0))
         if (k + 1) % keep_every == 0:
-            kept.append((a, b))
-    return kept, drift, (a, b)
+            kept.append(phased(k + 1, a, b))
+    return kept, drift, phased(n_steps, a, b)
 
 
 # edge cases: one step, keep_every beyond n_steps, just below, at and above
-# one chunk, keep_every not dividing n_steps, several chunks
-@example(wt=0.4, j0=1.2, omega=1.3, n_steps=1, keep_every=1, drive="cosine")
-@example(wt=0.4, j0=1.2, omega=1.3, n_steps=1, keep_every=5, drive="cosine")
-@example(wt=0.4, j0=1.2, omega=1.3, n_steps=_CHUNK - 1, keep_every=10, drive="cosine")
-@example(wt=0.4, j0=1.2, omega=1.3, n_steps=_CHUNK, keep_every=_CHUNK, drive="cosine")
-@example(wt=0.4, j0=1.2, omega=1.3, n_steps=_CHUNK + 1, keep_every=1, drive="cosine")
-@example(wt=0.4, j0=1.2, omega=1.3, n_steps=3 * _CHUNK + 17, keep_every=7, drive="cosine")
+# one chunk, keep_every not dividing n_steps, several chunks; a shifted
+# mean level (e1) exercises the exact phase
+@example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=1, keep_every=1, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=1, keep_every=5, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=_CHUNK - 1, keep_every=10, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=_CHUNK, keep_every=_CHUNK, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=_CHUNK + 1, keep_every=1, drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, e1=40.0, n_steps=3 * _CHUNK + 17, keep_every=7,
+         drive="cosine")
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0),
-       omega=st.floats(0.2, 3.0), n_steps=st.integers(1, 3 * _CHUNK + 100),
+       omega=st.floats(0.2, 3.0), e1=st.floats(-5.0, 5.0),
+       n_steps=st.integers(1, 3 * _CHUNK + 100),
        keep_every=st.integers(1, 400), drive=st.sampled_from(["cosine", "rwa"]))
-def test_rk4_scan_matches_loop(wt, j0, omega, n_steps, keep_every, drive):
-    cfg = cfg_wt(wt, j0=j0, omega=omega)
+def test_rk4_scan_matches_loop(wt, j0, omega, e1, n_steps, keep_every, drive):
+    cfg = AtomConfig.from_detuning(wt, j0, omega_drive=omega, e1=e1)
     drv = CosineDrive(j0, omega) if drive == "cosine" else RwaPairDrive(j0, omega)
-    dt = enforced_step_bound(cfg, drv) / 2
+    t_end = n_steps * (enforced_step_bound(cfg, drv) / 2)
     c0 = np.array([0.6, 0.8j])
-    kept, drift, final = _rk4_loop(cfg, drv, c0, n_steps, dt, keep_every)
+    res = propagate(cfg, drv, StateVector(*c0), t_end, t_end / n_steps, SMOOTH,
+                    output_stride=keep_every)
+    assert round(t_end / res.step_report.dt) == n_steps
+    kept, drift, final = _rk4_loop(cfg, drv, c0, n_steps, res.step_report.dt, keep_every)
     if n_steps % keep_every:
         kept.append(final)  # the last row is always the final state
     ref = np.array(kept)
-    c1, c2, scan_drift = _rk4_run(cfg, drv, c0, n_steps, dt, keep_every)
-    assert len(c1) == len(c2) == len(ref)
-    assert np.max(np.abs(c1 - ref[:, 0])) <= 1e-12
-    assert np.max(np.abs(c2 - ref[:, 1])) <= 1e-12
-    assert abs(scan_drift - drift) <= 1e-12
+    assert len(res.c1) == len(res.c2) == len(ref)
+    assert np.max(np.abs(res.c1 - ref[:, 0])) <= 1e-12
+    assert np.max(np.abs(res.c2 - ref[:, 1])) <= 1e-12
+    assert abs(res.step_report.norm_drift - drift) <= 1e-12
+
+
+@pytest.mark.parametrize("n_steps", [1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3 * _CHUNK + 17])
+def test_rk4_reduction_matches_scan(n_steps):
+    # keep_every >= n_steps keeps only the final state and reduces each
+    # chunk's step matrices instead of scanning them
+    cfg = cfg_wt(0.4, j0=1.2, omega=1.3)
+    drv = CosineDrive(1.2, 1.3)
+    dt = enforced_step_bound(cfg, drv) / 2
+    c0 = np.array([0.6, 0.8j])
+    s1, s2, _ = _rk4_run(cfg, drv, c0, n_steps, dt, 1)
+    r1, r2, _ = _rk4_run(cfg, drv, c0, n_steps, dt, n_steps)
+    assert len(r1) == len(r2) == 2
+    assert r1[0] == s1[0] and r2[0] == s2[0]
+    assert abs(r1[-1] - s1[-1]) <= 1e-14
+    assert abs(r2[-1] - s2[-1]) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shift=st.floats(-50.0, 50.0), wt=st.floats(-1.0, 1.0),
+       j0=st.floats(0.1, 1.5), drive=st.sampled_from(["cosine", "rwa"]))
+def test_common_level_shift_leaves_populations(shift, wt, j0, drive):
+    # a common shift of e1 and e2 is a global phase: RK4 never sees it
+    drv = CosineDrive(j0, 1.0) if drive == "cosine" else RwaPairDrive(j0, 1.0)
+    base = cfg_wt(wt, j0=j0)
+    shifted = AtomConfig(e1=base.e1 + shift, e2=base.e2 + shift,
+                         omega_drive=base.omega_drive, j0=j0)
+    dt = enforced_step_bound(base, drv) / 2
+    a, b = (propagate(c, drv, initial_state_for_psi_frame(c, drv), 4.0, dt, SMOOTH,
+                      output_stride=10) for c in (base, shifted))
+    p0a, p0b = (2.0 * np.abs(r.psi0_oracle) ** 2 for r in (a, b))
+    assert np.max(np.abs(p0a - p0b)) <= 1e-9
+    assert np.max(np.abs(a.norm - b.norm)) <= 1e-9
+    assert b.step_report.norm_ok
+    assert abs(a.step_report.norm_drift - b.step_report.norm_drift) <= 1e-12
 
 
 def test_rk4_scan_memory_does_not_grow_with_steps():
