@@ -37,20 +37,21 @@ Mechanics, sec. 4.5), so a stack of them is stored as two complex arrays
 (a, b) and a product costs four complex multiplies.  Step matrices and
 their products are held as their deviation M - I from the identity, so
 that rounding does not add up step by step into a drift of the norm: the
-drift reports the integrator, not the arithmetic.  ``_rk4_run`` walks
-the grid in chunks of ``_CHUNK`` steps: it builds the chunk's M_k in one
-vectorised pass, forms the inclusive prefix products M_k ... M_0 by
-doubling (Hillis-Steele, log2 of the chunk length passes; Blelloch,
-CMU-CS-90-190) and applies them to the state carried in from the previous
-chunk.  When only the final state is wanted (the Richardson re-run), each
-chunk's M_k are reduced pairwise to their product instead, about m
-products rather than m log2 m; such a chunk takes 2 * ``_CHUNK`` steps,
-so a chunk of the half-step re-run spans the times of one main-run chunk.
-Scratch memory is one chunk, whatever t_end/dt; ``step_count`` caps
-t_end/dt at ``MAX_STEPS``.  A Richardson step-halving estimate and the
-norm drift of the main run are attached to every result; the drift covers
-every step, or only the chunk ends when the run keeps just its final
-state (output_stride >= t_end/dt).
+drift reports the integrator, not the arithmetic.  ``_step_matrices``
+builds the M_k - I of a chunk in closed form, from real arrays.
+
+``_rk4_run`` walks the grid in chunks of at most ``_CHUNK`` steps, on one
+code path.  The steps up to each kept state form a group; a chunk holds
+whole groups, or ends at the next kept state.  Each group's M_k are reduced
+pairwise to their product, the group products are scanned by doubling
+(Hillis-Steele; Blelloch, CMU-CS-90-190) and applied to the state carried
+in.  Keeping every state is a plain prefix scan, and keeping only the last
+(the Richardson re-run) a plain reduction.  Scratch memory is one chunk,
+whatever t_end/dt; ``step_count`` caps t_end/dt at ``MAX_STEPS``.  A
+Richardson step-halving estimate and the norm drift of the main run are
+attached to every result.  det(M_k) scales the squared norm, so a running
+sum of log det(M_k) gives the drift after every step, whatever the output
+stride; the kept states are checked as well.
 """
 
 from __future__ import annotations
@@ -69,9 +70,8 @@ from .series import TimeSeries
 
 _DEFAULT_TOL = Tolerances()
 MAX_STEPS = 10 ** 7  # ceiling on t_end/dt: a run stays minutes, not hours
-# RK4 steps per scan chunk (a final-state reduction takes twice as many):
-# it sets the scratch memory of _rk4_run
-_CHUNK = 1024
+# RK4 steps per chunk: it sets the scratch memory of _rk4_run
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,6 @@ def step_count(t_end: float, dt: float) -> int:
     return max(1, round(n_steps))
 
 
-def _mul(a1, b1, a2, b2):
-    """(a, b) of the product [[a1, b1], [-b1*, a1*]] [[a2, b2], [-b2*, a2*]].
-
-    Works elementwise on stacks and on scalars alike.
-    """
-    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
-
-
 def _mul_dev(xa, xb, ya, yb):
     """(I + X)(I + Y) - I = X + Y + XY, for X = (xa, xb) and Y = (ya, yb).
 
@@ -182,7 +174,8 @@ def _mul_dev(xa, xb, ya, yb):
     rounding of a ~1 diagonal does not add up over thousands of steps into
     a drift of the norm.
     """
-    pa, pb = _mul(xa, xb, ya, yb)
+    pa = xa * ya - xb * np.conj(yb)
+    pb = xa * yb + xb * np.conj(ya)
     pa += xa
     pa += ya
     pb += xb
@@ -193,84 +186,91 @@ def _mul_dev(xa, xb, ya, yb):
 def _step_matrices(wt: float, q: np.ndarray, dt: float):
     """M_k - I = dt/6 (K1 + 2 K2 + 2 K3 + K4) as (a, b), for one chunk's steps.
 
-    ``q`` holds the couplings at t_k and at the half points; the generator
-    at coupling q is -i (wt sigma_z + q sigma_x) = (a, b) = (-i wt, -i q).
-    The sum is taken in place, so the scratch stays a few length-m stacks.
+    ``q`` holds the couplings at t_k and at the half points.  The generator
+    at coupling x is A_x = -i (wt sigma_z + x sigma_x); A_x^2 = -r_x I with
+    r_x = wt^2 + x^2, and A_x A_y = -(wt^2 + x y) I - i wt (y - x) sigma_y.
+    So the four stages multiply out to real closed forms in q0, qh, q1,
+    which are written into the real and imaginary parts of (a, b).
     """
     h = 0.5 * dt
-    ga = -1j * wt
-    gb = -1j * q
-    g0, gh = gb[:-1:2], gb[1::2]
-    ka, kb = _mul(ga, gh, 1.0 + h * ga, h * g0)               # K2
-    sa, sb = 2.0 * ka, 2.0 * kb
-    ka, kb = _mul(ga, gh, 1.0 + h * ka, h * kb)               # K3
-    sa += 2.0 * ka
-    sb += 2.0 * kb
-    ka, kb = _mul(ga, gb[2::2], 1.0 + dt * ka, dt * kb)       # K4
-    sa += ka
-    sa += ga
-    sa *= dt / 6.0
-    sb += kb
-    sb += g0
-    sb *= dt / 6.0
-    return sa, sb
+    q0, qh, q1 = q[:-1:2], q[1::2], q[2::2]
+    r = wt * wt + qh * qh
+    hr = h * h * r
+    s = q0 + q1
+    a = np.empty(len(qh), dtype=complex)
+    b = np.empty(len(qh), dtype=complex)
+    a.real = (-dt * h / 3.0) * (r * (1.0 - h * h * (wt * wt + q0 * q1))
+                                + qh * s + 2.0 * wt * wt)
+    a.imag = (-dt * wt) * (1.0 - (2.0 / 3.0) * hr)
+    b.real = (-dt * h * wt / 3.0) * (q0 - q1) * (1.0 - hr)
+    b.imag = (-dt / 6.0) * (s * (1.0 - 2.0 * hr) + 4.0 * qh)
+    return a, b
 
 
 def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
              dt: float, keep_every: int):
-    """Fixed-grid RK4 on the traceless frame Hamiltonian, ``_CHUNK`` steps at a time.
+    """Fixed-grid RK4 on the traceless frame Hamiltonian, one chunk at a time.
 
     Returns (u1, u2, drift): the states after steps 0, keep_every,
     2*keep_every, ... and, last, after step n_steps, without the phase of
-    the mean level; and the largest norm drift.  The drift covers every
-    step, except when only the final state is kept (keep_every >= n_steps):
-    then each chunk of 2 * _CHUNK step matrices is reduced to its product,
-    and the drift covers the states at chunk ends.
+    the mean level; and the largest norm drift over every step.  The
+    g = min(keep_every, n_steps) steps up to a kept state form a group.
+    Each group's M_k are reduced pairwise to one product (the last, partial
+    group is padded with exact identities), and the group products are
+    scanned by doubling and applied to the carried state: g = 1 is a plain
+    scan and g = n_steps a plain reduction.  The drift sums log det(M_k),
+    det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and checks the kept states.
     """
     wt = detuning(cfg)
-    final_only = keep_every >= n_steps
-    chunk = 2 * _CHUNK if final_only else _CHUNK
-    rows = n_steps // keep_every + 1 + (n_steps % keep_every != 0)
-    kept = np.empty((2, rows), dtype=complex)
+    g = min(keep_every, n_steps)
+    kept = np.empty((2, -(-n_steps // g) + 1), dtype=complex)
     u1, u2 = complex(c0[0]), complex(c0[1])
     kept[:, 0] = u1, u2
-    drift = 0.0
-    for k0 in range(0, n_steps, chunk):
-        m = min(chunk, n_steps - k0)
+    logdet = drift = 0.0
+    k0 = 0
+    while k0 < n_steps:
+        # a chunk ends at its last kept step, or after _CHUNK steps of a
+        # group longer than that
+        k1 = k0 + _CHUNK - (k0 + _CHUNK) % g
+        k1 = min(k1 if k1 > k0 else k0 + _CHUNK, n_steps)
+        m, w = k1 - k0, min(g, k1 - k0)
+        groups = -(-m // w)
         # coupling at t_k and the half points of this chunk's steps
         q = np.asarray(drive.frame_coupling((np.arange(2 * m + 1) + 2 * k0) * (0.5 * dt)),
                        dtype=float)
         a, b = _step_matrices(wt, q, dt)
-        if final_only:
-            # M_{m-1} ... M_0 - I by pairwise reduction
-            while len(a) > 1:
-                if len(a) % 2:  # fold the last matrix into the one before it
-                    a[-2], b[-2] = _mul_dev(a[-1], b[-1], a[-2], b[-2])
-                    a, b = a[:-1], b[:-1]
-                a, b = _mul_dev(a[1::2], b[1::2], a[::2], b[::2])
-            pa, pb = complex(a[0]), complex(b[0])
-            u1, u2 = (u1 + (pa * u1 + pb * u2),
-                      u2 + (pa.conjugate() * u2 - pb.conjugate() * u1))
-            drift = max(drift, abs(math.hypot(abs(u1), abs(u2)) - 1.0))
-            continue
-        # inclusive prefix products M_i ... M_0 - I by doubling
+        run = np.cumsum(np.log1p((a.real + 2.0) * a.real + a.imag ** 2
+                                 + b.real ** 2 + b.imag ** 2))
+        run += logdet
+        logdet = float(run[-1])
+        # |norm - 1| = |expm1(run / 2)| after every step; expm1 is monotonic
+        drift = max(drift, -math.expm1(0.5 * run.min()), math.expm1(0.5 * run.max()))
+        if groups * w > m:
+            a, b = (np.concatenate([x, np.zeros(groups * w - m, dtype=complex)])
+                    for x in (a, b))
+        if groups > 1:  # one group stays one-dimensional, where numpy is faster
+            a, b = a.reshape(groups, w), b.reshape(groups, w)
+        while a.shape[-1] > 1:  # group products M_{(j+1)w-1} ... M_{jw} - I
+            if a.shape[-1] % 2:  # fold the last matrix into the one before it
+                a[..., -2], b[..., -2] = _mul_dev(a[..., -1], b[..., -1],
+                                                  a[..., -2], b[..., -2])
+                a, b = a[..., :-1], b[..., :-1]
+            a, b = _mul_dev(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
+        a, b = a.reshape(groups), b.reshape(groups)
         d = 1
-        while d < m:
+        while d < groups:  # inclusive prefix products of the group products
             a[d:], b[d:] = _mul_dev(a[d:], b[d:], a[:-d], b[:-d])
             d *= 2
-        s1, s2 = a * u1 + b * u2, np.conj(a) * u2 - np.conj(b) * u1
-        s1 += u1
-        s2 += u2
+        s1 = a * u1 + b * u2 + u1
+        s2 = np.conj(a) * u2 - np.conj(b) * u1 + u2
         norm = np.sqrt(s1.real ** 2 + s1.imag ** 2 + s2.real ** 2 + s2.imag ** 2)
         drift = max(drift, float(np.max(np.abs(norm - 1.0))))
-        # s[:, i] is the state after step k0 + 1 + i; keep every keep_every-th
-        first = -(k0 + 1) % keep_every
-        row = (k0 + 1 + first) // keep_every
-        k1, k2 = s1[first::keep_every], s2[first::keep_every]
-        kept[0, row:row + len(k1)] = k1
-        kept[1, row:row + len(k2)] = k2
+        # the group ending at step e is row ceil(e / g); a chunk that stops
+        # short of its group's end writes a row the group's last chunk overwrites
+        row = -(-(k0 + w) // g)
+        kept[:, row:row + groups] = s1, s2
         u1, u2 = complex(s1[-1]), complex(s2[-1])
-    kept[:, -1] = u1, u2
+        k0 = k1
     return kept[0], kept[1], drift
 
 
