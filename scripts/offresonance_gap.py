@@ -14,26 +14,23 @@ from pathlib import Path
 
 import numpy as np
 
-from dressedatom import (AtomConfig, BranchMode, CosineDrive,
+from dressedatom import (CosineDrive, Model, dressed_series,
                          initial_state_for_psi_frame, propagate)
-from dressedatom.closedform import dressed_series
 from dressedatom.oracle import enforced_step_bound
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("offres_out")
 OUT.mkdir(parents=True, exist_ok=True)
 
-SMOOTH = BranchMode.SMOOTH_CONTINUATION
 J0, OMEGA = 1.0, 1.0
 T_END = 20.0
 
 rows = []
 for wt in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
-    cfg = AtomConfig.from_detuning(wt, J0, omega_drive=OMEGA)
-    drive = CosineDrive(J0, OMEGA)
-    dt = enforced_step_bound(cfg, drive) / 2
-    c0 = initial_state_for_psi_frame(cfg, drive)
-    res = propagate(cfg, drive, c0, T_END, dt, SMOOTH, output_stride=10)
-    closed = dressed_series(cfg, drive, res.times, SMOOTH)
+    model = Model.of(CosineDrive(J0, OMEGA), wt)
+    dt = enforced_step_bound(model) / 2
+    res = propagate(model, initial_state_for_psi_frame(model), T_END, dt,
+                    output_stride=10)
+    closed = dressed_series(model, res.times)
     p0_oracle = 2.0 * np.abs(res.psi0_oracle) ** 2
     gap = np.abs(closed["p0_raw"] - p0_oracle)
     rows.append((wt, float(np.max(gap)), float(np.sqrt(np.mean(gap ** 2)))))

@@ -2,36 +2,35 @@
 
 Library layout:
 
-    config      AtomConfig, BranchMode, Tolerances
+    config      Model (detuning, mean level, drive, branch, tolerances,
+                compiled once), BranchMode, Tolerances
     drives      CosineDrive, RwaPairDrive, ConstantDrive
-    frames      detuning, Rabi root, mixing angle, connection, identities
-    closedform  phase integral Z(t), dressed solution, elliptic phase, limits
+    frames      Rabi root, mixing angle, connection, identities
+    closedform  phase integral Z(t), dressed series, elliptic phase
     oracle      direct RK4 integration, dressed projection, comparisons
     scenario    JSON config surface, runs, sweeps, CSV series
     acceptance  the acceptance-criteria suite (also via `dressedatom accept`)
 """
 
-from .config import AtomConfig, BranchMode, Tolerances
+from .config import BranchMode, Model, Tolerances
 from .drives import ConstantDrive, CosineDrive, RwaPairDrive
-from .frames import (connection_dtheta, detuning, identity_residuals,
-                     mixing_angle, rabi_frequency, transition_current)
-from .closedform import (DressedSolution, Regime, dressed_solution,
-                         elliptic_phase, limit_form,
-                         phase_integral, psi0_gamma_zero_integrand)
+from .frames import (connection_dtheta, identity_residuals, mixing_angle,
+                     rabi_frequency, transition_current)
+from .closedform import (dressed_series, elliptic_phase, phase_series,
+                         psi0_gamma_zero_integrand)
 from .oracle import (PropagationResult, StateVector, compare,
-                     current_dynamics_check, hamiltonian,
-                     initial_state_for_psi_frame, propagate)
+                     current_dynamics_check, initial_state_for_psi_frame,
+                     propagate)
 from .scenario import ScenarioConfig, parse_config, run_scenario, serialize_config, sweep
 
 __all__ = [
-    "AtomConfig", "BranchMode", "Tolerances",
+    "Model", "BranchMode", "Tolerances",
     "CosineDrive", "RwaPairDrive", "ConstantDrive",
-    "detuning", "rabi_frequency", "mixing_angle", "connection_dtheta",
+    "rabi_frequency", "mixing_angle", "connection_dtheta",
     "identity_residuals", "transition_current",
-    "DressedSolution", "Regime",
-    "phase_integral", "dressed_solution", "psi0_gamma_zero_integrand",
-    "elliptic_phase", "limit_form",
-    "StateVector", "PropagationResult", "hamiltonian",
+    "phase_series", "dressed_series", "psi0_gamma_zero_integrand",
+    "elliptic_phase",
+    "StateVector", "PropagationResult",
     "initial_state_for_psi_frame", "propagate", "compare",
     "current_dynamics_check",
     "ScenarioConfig", "parse_config", "serialize_config", "run_scenario",

@@ -21,18 +21,14 @@ from scipy.special import ellipeinc
 
 from .closedform import (dressed_series, elliptic_phase, phase_series,
                          resonant_amplitude)
-from .config import AtomConfig, BranchMode, Tolerances
+from .config import BranchMode, Model
 from .drives import ConstantDrive, CosineDrive, RwaPairDrive
 from .errors import DressedAtomError
-from .frames import (connection_dtheta, detuning, identity_residuals,
-                     mixing_angle_series, rabi_frequency)
+from .frames import (connection_dtheta, identity_residuals, mixing_angle_series,
+                     near_coupling_zero, rabi_frequency)
 from .oracle import (current_dynamics_check, enforced_step_bound,
                      initial_state_for_psi_frame, propagate)
 from .scenario import dominant_frequency
-
-_TOLS = Tolerances()
-_SMOOTH = BranchMode.SMOOTH_CONTINUATION
-_POSITIVE = BranchMode.POSITIVE_ROOT
 
 
 @dataclass
@@ -48,30 +44,21 @@ class CriterionResult:
         return f"[{mark}] C{self.cid:02d} {self.title}: {self.detail} ({self.elapsed:.2f}s)"
 
 
-def _cfg(wt: float, j0: float, omega: float) -> AtomConfig:
-    return AtomConfig.from_detuning(wt, j0, omega_drive=omega)
-
-
 def _identity_setups():
     return [
-        ("cosine-a", _cfg(0.7, 1.3, 2.1), CosineDrive(1.3, 2.1)),
-        ("cosine-b", _cfg(0.3, 0.5, 1.0), CosineDrive(0.5, 1.0)),
-        ("cosine-c", _cfg(1.5, 2.0, 0.8), CosineDrive(2.0, 0.8)),
-        ("constant", _cfg(0.4, 1.0, 1.0), ConstantDrive(1.0, 0.6)),
-        ("rwa", _cfg(0.6, 0.8, 1.3), RwaPairDrive(0.8, 1.3)),
+        ("cosine-a", Model.of(CosineDrive(1.3, 2.1), 0.7)),
+        ("cosine-b", Model.of(CosineDrive(0.5, 1.0), 0.3)),
+        ("cosine-c", Model.of(CosineDrive(2.0, 0.8), 1.5)),
+        ("constant", Model.of(ConstantDrive(1.0, 0.6), 0.4)),
+        ("rwa", Model.of(RwaPairDrive(0.8, 1.3), 0.6)),
     ]
 
 
-def _sample_times(drive, n: int, t_end: float = 10.0) -> np.ndarray:
-    """Uniform samples, dropping any whose FD stencil straddles a coupling
-    zero (|J| has a kink there; the identities assume a differentiable
-    envelope)."""
+def _sample_times(model: Model, n: int, t_end: float = 10.0) -> np.ndarray:
+    """Uniform samples, dropping those near a coupling zero (|J| has a kink
+    there; the identities assume a differentiable envelope)."""
     ts = np.linspace(0.02, t_end, n)
-    zeros = np.asarray(drive.coupling_zero_times(0.0, t_end + 1.0))
-    if len(zeros):
-        dist = np.min(np.abs(ts[:, None] - zeros[None, :]), axis=1)
-        ts = ts[dist > 5.0 * _TOLS.fd_step]
-    return ts
+    return ts[~near_coupling_zero(model, ts)]
 
 
 def criterion_1(fast: bool = False) -> CriterionResult:
@@ -79,10 +66,10 @@ def criterion_1(fast: bool = False) -> CriterionResult:
     t0 = time.perf_counter()
     n = 200 if fast else 1000
     worst = 0.0
-    for name, cfg, drive in _identity_setups():
-        ts = _sample_times(drive, n)
-        r1, r2, _ = identity_residuals(cfg, drive, ts, _SMOOTH, _TOLS)
-        wr2 = rabi_frequency(cfg, drive, ts, _POSITIVE, _TOLS) ** 2
+    for name, model in _identity_setups():
+        ts = _sample_times(model, n)
+        r1, r2, _ = identity_residuals(model, ts)
+        wr2 = rabi_frequency(model, ts) ** 2
         bound = 1e-8 * np.maximum(1.0, wr2)
         worst = max(worst, float(np.max(np.abs(r1) / bound)),
                     float(np.max(np.abs(r2) / bound)))
@@ -98,28 +85,28 @@ def criterion_2(fast: bool = False) -> CriterionResult:
     agree pairwise to 1e-7 relative wherever |sin th cos th| > 1e-3."""
     t0 = time.perf_counter()
     n = 200 if fast else 1000
-    h = _TOLS.fd_step
     worst = 0.0
-    for name, cfg, drive in _identity_setups():
-        ts = _sample_times(drive, n)
+    for name, model in _identity_setups():
+        ts = _sample_times(model, n)
+        h = model.tol.fd_step
 
         def cth_of(s):
-            c, _ = mixing_angle_series(cfg, drive, np.atleast_1d(s), _TOLS)
+            c, _ = mixing_angle_series(model, np.atleast_1d(s))
             return c
 
         def sth_of(s):
-            _, si = mixing_angle_series(cfg, drive, np.atleast_1d(s), _TOLS)
+            _, si = mixing_angle_series(model, np.atleast_1d(s))
             return si
 
         w = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
         off = (-2.0, -1.0, 1.0, 2.0)
         dc = sum(wi * cth_of(ts + oi * h) for wi, oi in zip(w, off)) / h
         ds = sum(wi * sth_of(ts + oi * h) for wi, oi in zip(w, off)) / h
-        cth, sth = mixing_angle_series(cfg, drive, ts, _TOLS)
+        cth, sth = mixing_angle_series(model, ts)
         mask = np.abs(sth * cth) > 1e-3
         q1 = dc[mask] / (-sth[mask])
         q2 = ds[mask] / cth[mask]
-        q3 = np.asarray(connection_dtheta(cfg, drive, ts, _SMOOTH, _TOLS))[mask]
+        q3 = np.asarray(connection_dtheta(model, ts))[mask]
         # a relative comparison needs a nonzero value: points where every
         # form sits below the finite-difference noise floor (the identically
         # vanishing connections, covered at 1e-12 absolute by criterion 3)
@@ -142,13 +129,13 @@ def criterion_3(fast: bool = False) -> CriterionResult:
     t0 = time.perf_counter()
     ts = np.linspace(0.0, 20.0, 501 if fast else 2001)
     cases = [
-        ("constant", _cfg(0.3, 1.0, 1.0), ConstantDrive(1.0, 0.7)),
-        ("rwa", _cfg(0.6, 0.8, 1.3), RwaPairDrive(0.8, 1.3)),
-        ("cosine-resonant", _cfg(0.0, 1.0, 1.0), CosineDrive(1.0, 1.0)),
+        ("constant", Model.of(ConstantDrive(1.0, 0.7), 0.3)),
+        ("rwa", Model.of(RwaPairDrive(0.8, 1.3), 0.6)),
+        ("cosine-resonant", Model.of(CosineDrive(1.0, 1.0), 0.0)),
     ]
     worst = 0.0
-    for name, cfg, drive in cases:
-        dth = np.abs(connection_dtheta(cfg, drive, ts, _SMOOTH, _TOLS))
+    for name, model in cases:
+        dth = np.abs(connection_dtheta(model, ts))
         worst = max(worst, float(np.max(dth)))
     elapsed = time.perf_counter() - t0
     return CriterionResult(3, "connection vanishing set", worst <= 1e-12,
@@ -159,16 +146,13 @@ _RWA_CONFIGS = ((0.0, 1.0), (0.6, 0.8), (3.0, 4.0))
 
 
 def _rwa_run(wt: float, j0: float, dt_scale: float = 0.5, stride: int = 10):
-    omega = 1.0
-    cfg = _cfg(wt, j0, omega)
-    drive = RwaPairDrive(j0, omega)
+    model = Model.of(RwaPairDrive(j0, 1.0), wt)
     wr = math.hypot(wt, j0)
     t_end = 20.0 * math.pi / wr
-    dt = enforced_step_bound(cfg, drive) * dt_scale
-    c0 = initial_state_for_psi_frame(cfg, drive, _SMOOTH, _TOLS)
-    res = propagate(cfg, drive, c0, t_end, dt, _SMOOTH, output_stride=stride,
-                    tol=_TOLS)
-    return cfg, drive, wr, res
+    dt = enforced_step_bound(model) * dt_scale
+    res = propagate(model, initial_state_for_psi_frame(model), t_end, dt,
+                    output_stride=stride)
+    return model, wr, res
 
 
 def criterion_4(fast: bool = False, drifts: list | None = None) -> CriterionResult:
@@ -177,11 +161,10 @@ def criterion_4(fast: bool = False, drifts: list | None = None) -> CriterionResu
     worst = 0.0
     configs = _RWA_CONFIGS[:1] if fast else _RWA_CONFIGS
     for wt, j0 in configs:
-        cfg, drive, wr, res = _rwa_run(wt, j0)
+        model, wr, res = _rwa_run(wt, j0)
         if drifts is not None:
             drifts.append(res.step_report.norm_drift)
-        closed = dressed_series(cfg, drive, res.times, _SMOOTH,
-                                _TOLS.quad_tol, _TOLS)
+        closed = dressed_series(model, res.times)
         gap = np.abs(np.abs(closed["psi0"]) -
                      math.sqrt(2.0) * np.abs(res.psi0_oracle))
         worst = max(worst, float(np.max(gap)))
@@ -193,23 +176,22 @@ def criterion_4(fast: bool = False, drifts: list | None = None) -> CriterionResu
 
 
 def _resonant_cosine_run(fast: bool = False, stride: int = 10):
-    cfg = _cfg(0.0, 1.0, 1.0)
-    drive = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.0)
     t_end = (4.0 if fast else 10.0) * 2.0 * math.pi
-    dt = enforced_step_bound(cfg, drive) * 0.5
-    c0 = initial_state_for_psi_frame(cfg, drive, _SMOOTH, _TOLS)
-    res = propagate(cfg, drive, c0, t_end, dt, _SMOOTH, output_stride=stride,
-                    tol=_TOLS)
-    return cfg, drive, res
+    dt = enforced_step_bound(model) * 0.5
+    res = propagate(model, initial_state_for_psi_frame(model), t_end, dt,
+                    output_stride=stride)
+    return model, res
 
 
 def criterion_5(fast: bool = False, drifts: list | None = None) -> CriterionResult:
     """Resonance limit: phase (j0/W) sin(W t) and the forced population law."""
     t0 = time.perf_counter()
-    cfg, drive, res = _resonant_cosine_run(fast)
+    model, res = _resonant_cosine_run(fast)
+    drive = model.drive
     if drifts is not None:
         drifts.append(res.step_report.norm_drift)
-    z = phase_series(cfg, drive, res.times, _SMOOTH, _TOLS.quad_tol, _TOLS)
+    z = phase_series(model, res.times)
     beta = (drive.j0 / drive.omega) * np.sin(drive.omega * res.times)
     phase_gap = float(np.max(np.abs(z.real - beta)))
     pop_gap = float(np.max(np.abs(2.0 * np.abs(res.psi0_oracle) ** 2
@@ -224,11 +206,9 @@ def criterion_5(fast: bool = False, drifts: list | None = None) -> CriterionResu
 def criterion_6(fast: bool = False) -> CriterionResult:
     """Washout: far off resonance the phase is omega_tilde * t to 0.1%."""
     t0 = time.perf_counter()
-    cfg = _cfg(50.0, 0.1, 1.0)
-    drive = CosineDrive(0.1, 1.0)
+    wt = 50.0
     ts = np.linspace(0.05, 2.0 * math.pi, 101 if fast else 401)
-    z = phase_series(cfg, drive, ts, _SMOOTH, _TOLS.quad_tol, _TOLS)
-    wt = detuning(cfg)
+    z = phase_series(Model.of(CosineDrive(0.1, 1.0), wt), ts)
     rel = np.abs(z.real - wt * ts) / (wt * ts)
     worst = float(np.max(rel))
     elapsed = time.perf_counter() - t0
@@ -250,14 +230,15 @@ def criterion_7(fast: bool = False) -> CriterionResult:
     literal_worst = 0.0
     for wt in wts:
         for j0 in j0s:
-            cfg = _cfg(wt, j0, omega)
-            drive = CosineDrive(j0, omega)
-            amp = resonant_amplitude(cfg, drive)
+            model = Model.of(CosineDrive(j0, omega), wt,
+                             branch=BranchMode.POSITIVE_ROOT)
+            drive = model.drive
+            amp = resonant_amplitude(model)
             for t in tss:
                 ref = quad(lambda s: math.hypot(wt, j0 * math.cos(omega * s)),
                            0.0, t, limit=400, epsabs=1e-13, epsrel=1e-13,
                            points=list(drive.coupling_zero_times(0.0, t)) or None)[0]
-                worst = max(worst, abs(elliptic_phase(cfg, drive, t) - ref))
+                worst = max(worst, abs(elliptic_phase(model, t) - ref))
                 if amp > 0:
                     lit = (j0 * omega / amp) * ellipeinc(omega * t, amp * amp)
                     literal_worst = max(literal_worst,
@@ -276,7 +257,7 @@ def criterion_8(fast: bool = False, drifts: list | None = None) -> CriterionResu
     wt, j0 = _RWA_CONFIGS[0]
     errs = []
     for scale in (0.5, 0.25):
-        cfg, drive, wr, res = _rwa_run(wt, j0, dt_scale=scale, stride=1)
+        model, wr, res = _rwa_run(wt, j0, dt_scale=scale, stride=1)
         target = np.abs(np.sin(wr * res.times)) / math.sqrt(2.0)
         errs.append(float(np.max(np.abs(np.abs(res.psi0_oracle) - target))))
         if drifts is not None:
@@ -293,15 +274,15 @@ def criterion_8(fast: bool = False, drifts: list | None = None) -> CriterionResu
 def criterion_9(fast: bool = False, drifts: list | None = None) -> CriterionResult:
     """Current dynamics follow the harmonic of twice the accumulated phase."""
     t0 = time.perf_counter()
-    cfg, drive, wr, res = _rwa_run(0.6, 0.8, stride=5)
+    model, wr, res = _rwa_run(0.6, 0.8, stride=5)
     if drifts is not None:
         drifts.append(res.step_report.norm_drift)
-    fit_rwa = current_dynamics_check(res, cfg, drive, _SMOOTH, _TOLS)
+    fit_rwa = current_dynamics_check(res, model)
 
-    cfg2, drive2, res2 = _resonant_cosine_run(fast, stride=5)
+    model2, res2 = _resonant_cosine_run(fast, stride=5)
     if drifts is not None:
         drifts.append(res2.step_report.norm_drift)
-    fit_cos = current_dynamics_check(res2, cfg2, drive2, _SMOOTH, _TOLS)
+    fit_cos = current_dynamics_check(res2, model2)
     elapsed = time.perf_counter() - t0
     passed = abs(fit_rwa.correlation) >= 0.999 and abs(fit_cos.correlation) >= 0.99
     return CriterionResult(
@@ -329,20 +310,19 @@ def criterion_10(fast: bool = False) -> CriterionResult:
     t0 = time.perf_counter()
     omega = 1.0
     j0 = 1e-3
-    cfg = _cfg(0.5 * j0, j0, omega)
-    drive = CosineDrive(j0, omega)
+    model = Model.of(CosineDrive(j0, omega), 0.5 * j0)
     t_span = 10.0 * 2.0 * math.pi / omega
 
     n = 1024 if fast else 4096
     ts = np.linspace(0.0, t_span, n, endpoint=False)
-    wr = np.abs(rabi_frequency(cfg, drive, ts, _POSITIVE, _TOLS))
+    wr = np.abs(rabi_frequency(model, ts))
     fpeak = dominant_frequency(ts, wr)
     # one bin is omega/10 wide; the cos^2 line sits exactly on bin 20
     fft_ok = abs(fpeak - 2.0 * omega) < 1e-6
 
     m = 512 if fast else 2048
     ts2 = np.linspace(0.0, t_span, m)
-    closed = dressed_series(cfg, drive, ts2, _SMOOTH, _TOLS.quad_tol, _TOLS)
+    closed = dressed_series(model, ts2)
     rho = _autocorr_biased(closed["p0_raw"])
     interior = rho[1:-1]
     peaks = interior[(interior > rho[:-2]) & (interior > rho[2:])]
@@ -362,16 +342,14 @@ def criterion_11(fast: bool = False, drifts: list | None = None) -> CriterionRes
     unproven off resonance and this number is the measurement of it.
     """
     t0 = time.perf_counter()
-    cfg = _cfg(0.5, 1.0, 1.0)
-    drive = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
     t_end = 10.0 if fast else 20.0
-    dt = enforced_step_bound(cfg, drive) * 0.5
-    c0 = initial_state_for_psi_frame(cfg, drive, _SMOOTH, _TOLS)
-    res = propagate(cfg, drive, c0, t_end, dt, _SMOOTH, output_stride=10,
-                    tol=_TOLS)
+    dt = enforced_step_bound(model) * 0.5
+    res = propagate(model, initial_state_for_psi_frame(model), t_end, dt,
+                    output_stride=10)
     if drifts is not None:
         drifts.append(res.step_report.norm_drift)
-    closed = dressed_series(cfg, drive, res.times, _SMOOTH, _TOLS.quad_tol, _TOLS)
+    closed = dressed_series(model, res.times)
     p0_oracle = 2.0 * np.abs(res.psi0_oracle) ** 2
     gap_raw = float(np.max(np.abs(closed["p0_raw"] - p0_oracle)))
     denom = p0_oracle + 2.0 * np.abs(res.psi1_oracle) ** 2

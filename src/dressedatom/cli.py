@@ -19,12 +19,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
-                     ParseError, QuadratureFailure, RegimeMismatch,
-                     StepTooLarge, UnknownAxis, ValidationError)
+                     ParseError, QuadratureFailure, StepTooLarge, UnknownAxis,
+                     ValidationError)
 from .scenario import parse_config, run_scenario, serialize_config, sweep
 
-_USER_ERRORS = (ParseError, ValidationError, UnknownAxis, RegimeMismatch,
-                DomainError)
+_USER_ERRORS = (ParseError, ValidationError, UnknownAxis, DomainError)
 _NUMERIC_ERRORS = (QuadratureFailure, StepTooLarge, InsufficientSpan)
 
 

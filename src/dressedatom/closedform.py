@@ -16,7 +16,7 @@ a Gauss-Legendre n/2n pair, whose difference is the error estimate, and
 only the panels that miss their share of the tolerance are bisected.  The
 imaginary part uses the exact shortcut theta(t) - theta(0), valid whenever
 the angle path is continuous on [0, t] (the positive-root angle is; the
-same quadrature of the connection is the cross-check).
+tests check it against a quadrature of the connection).
 
 For the cosine drive the real part also has the closed elliptic form
 (sqrt(wt^2 + j0^2)/W) * E(W t, A) with A = j0/sqrt(wt^2 + j0^2).  Note the
@@ -26,21 +26,14 @@ gets quoted is evaluated by the acceptance suite for the record, never used.
 
 from __future__ import annotations
 
-import cmath
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AtomConfig, BranchMode, Tolerances
-from .drives import CosineDrive, Drive
-from .errors import (DegenerateFrameError, DomainError, QuadratureFailure,
-                     RegimeMismatch)
-from .frames import (connection_dtheta, degeneracy_floor, detuning,
-                     rabi_frequency, radicand_zeros, theta_of_t)
-
-_DEFAULT_TOL = Tolerances()
+from .config import BranchMode, Model
+from .drives import CosineDrive
+from .errors import DegenerateFrameError, DomainError, QuadratureFailure
+from .frames import rabi_frequency, radicand_zeros, theta_of_t
 
 # Gauss-Legendre pair for the panel error estimate (G_n against G_2n)
 _GL_N = 7
@@ -48,24 +41,6 @@ _GL_X_N, _GL_WEIGHTS_N = np.polynomial.legendre.leggauss(_GL_N)
 _GL_X_2N, _GL_WEIGHTS_2N = np.polynomial.legendre.leggauss(2 * _GL_N)
 _GL_NODES = np.concatenate([_GL_X_N, _GL_X_2N])
 _BLOCK = 512  # segments per block and panels per integrand call
-
-
-class Regime(enum.Enum):
-    RESONANT = "resonant"
-    FAR_DETUNED = "far_detuned"
-
-
-@dataclass(frozen=True)
-class DressedSolution:
-    t: float
-    phase: complex          # Z(t)
-    psi_plus: complex
-    psi_minus: complex
-    psi0: complex
-    psi1: complex
-    p0_raw: float
-    p1_raw: float
-    p0_norm: float
 
 
 def _panel_pair(f, a: np.ndarray, b: np.ndarray):
@@ -150,73 +125,27 @@ def _segment_integrals(f, ts: np.ndarray, pins, seg_tol: float,
     return out
 
 
-def phase_integral(cfg: AtomConfig, drive: Drive, t: float, branch: BranchMode,
-                   tol: float = _DEFAULT_TOL.quad_tol,
-                   tols: Tolerances = _DEFAULT_TOL) -> complex:
-    """Z(t) with absolute error <= tol on each part (t >= 0)."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    return complex(phase_series(cfg, drive, np.array([float(t)]), branch, tol, tols)[0])
-
-
-def connection_phase_quadrature(cfg: AtomConfig, drive: Drive, t: float,
-                                branch: BranchMode,
-                                tol: float = _DEFAULT_TOL.quad_tol,
-                                tols: Tolerances = _DEFAULT_TOL) -> float:
-    """int_0^t dtheta/dt dt' by quadrature; cross-check for the shortcut.
-
-    The connection jumps at every coupling zero (sign of the envelope
-    derivative), so those are always pinned.
-    """
-    return float(_segment_integrals(
-        lambda s: connection_dtheta(cfg, drive, s, branch, tols),
-        np.array([0.0, t]), drive.coupling_zero_times(0.0, t), tol,
-        tols.quad_limit)[0])
-
-
-def phase_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray, branch: BranchMode,
-                 tol: float = _DEFAULT_TOL.quad_tol,
-                 tols: Tolerances = _DEFAULT_TOL) -> np.ndarray:
-    """Z on a non-decreasing grid starting at ts[0] >= 0, by cumulative segments."""
+def phase_series(model: Model, ts: np.ndarray) -> np.ndarray:
+    """Z on a non-decreasing grid starting at ts[0] >= 0, by cumulative
+    segments; each part within the model's quad_tol."""
     ts = np.asarray(ts, dtype=float)
     if ts[0] < 0:
         raise DomainError("phase integral defined for t >= 0")
     if np.any(np.diff(ts) < 0):
         raise DomainError("phase_series needs a non-decreasing grid")
-    seg_tol = max(tol / len(ts), 1e-14)
+    seg_tol = max(model.tol.quad_tol / len(ts), 1e-14)
     grid = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
-    segs = _segment_integrals(lambda s: rabi_frequency(cfg, drive, s, branch, tols),
-                              grid, radicand_zeros(cfg, drive, float(ts[-1]), tols),
-                              seg_tol, tols.quad_limit)
+    segs = _segment_integrals(lambda s: rabi_frequency(model, s),
+                              grid, radicand_zeros(model, float(ts[-1])),
+                              seg_tol, model.tol.quad_limit)
     re = np.concatenate([[0.0], np.cumsum(segs)])[len(grid) - len(ts):]
-    im = theta_of_t(cfg, drive, ts) - theta_of_t(cfg, drive, 0.0)
+    im = theta_of_t(model, ts) - theta_of_t(model, 0.0)
     return re + 1j * np.asarray(im)
 
 
-def _solution_from_phase(t: float, z: complex) -> DressedSolution:
-    psi_plus = cmath.exp(-1j * z)
-    psi_minus = cmath.exp(1j * z)
-    psi0 = (psi_plus - psi_minus) / 2j
-    psi1 = (psi_plus + psi_minus) / 2.0
-    p0 = abs(psi0) ** 2
-    p1 = abs(psi1) ** 2
-    return DressedSolution(t=t, phase=z, psi_plus=psi_plus, psi_minus=psi_minus,
-                           psi0=psi0, psi1=psi1, p0_raw=p0, p1_raw=p1,
-                           p0_norm=p0 / (p0 + p1))
-
-
-def dressed_solution(cfg: AtomConfig, drive: Drive, t: float, branch: BranchMode,
-                     tol: float = _DEFAULT_TOL.quad_tol,
-                     tols: Tolerances = _DEFAULT_TOL) -> DressedSolution:
-    """Evaluate the closed-form dressed state at time t (psi0(0) = 0 exactly)."""
-    return _solution_from_phase(float(t),
-                                phase_integral(cfg, drive, t, branch, tol, tols))
-
-
-def dressed_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray, branch: BranchMode,
-                   tol: float = _DEFAULT_TOL.quad_tol,
-                   tols: Tolerances = _DEFAULT_TOL) -> dict:
-    z = phase_series(cfg, drive, ts, branch, tol, tols)
+def dressed_series(model: Model, ts: np.ndarray) -> dict:
+    """The closed-form dressed state on a grid (psi0(0) = 0 exactly)."""
+    z = phase_series(model, ts)
     psi0 = -np.sin(z)
     psi1 = np.cos(z)
     p0 = np.abs(psi0) ** 2
@@ -225,8 +154,7 @@ def dressed_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray, branch: Branch
             "psi1": psi1, "p0_raw": p0, "p1_raw": p1, "p0_norm": p0 / (p0 + p1)}
 
 
-def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
-                              tol: Tolerances = _DEFAULT_TOL):
+def psi0_gamma_zero_integrand(model: Model, t):
     """The printed integrand of the zero-connection solution, taken literally.
 
     Cross-check surface: the real part must be |omega_r| and the imaginary
@@ -236,14 +164,15 @@ def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
     array; a radicand zero anywhere raises for the first such time.  The
     printed form uses the positive root, so it takes no branch mode.
     """
+    drive = model.drive
     if not isinstance(drive, CosineDrive):
         raise DomainError("literal integrand is defined for the cosine drive only")
     t = np.asarray(t, dtype=float)
-    wt = detuning(cfg)
+    wt = model.omega_tilde
     w = drive.omega
     j = drive.j0 * np.cos(w * t)
     wr = np.hypot(wt, j)
-    bad = wr < degeneracy_floor(cfg, drive, tol)
+    bad = wr < model.deg_floor
     if np.any(bad):
         raise DegenerateFrameError(f"radicand zero at t={t[bad].flat[0]}")
     # j^2 / (wt + |omega_r|) equals |omega_r| - wt; for wt < 0 the printed
@@ -258,49 +187,30 @@ def psi0_gamma_zero_integrand(cfg: AtomConfig, drive: Drive, t,
     return out
 
 
-def elliptic_phase(cfg: AtomConfig, drive: Drive, t: float,
-                   branch: BranchMode = BranchMode.POSITIVE_ROOT) -> float:
+def elliptic_phase(model: Model, t: float) -> float:
     """int_0^t |omega_r| dt' in closed form for the cosine drive.
 
     Equals (sqrt(wt^2 + j0^2)/W) * E(W t, A) with the resonant amplitude
     A = j0 / sqrt(wt^2 + j0^2).  The positive-root branch is required: the
     elliptic representation encodes the |.| root.
     """
+    drive = model.drive
     if not isinstance(drive, CosineDrive):
         raise DomainError("elliptic representation requires the cosine drive")
-    if branch is not BranchMode.POSITIVE_ROOT:
+    if model.branch is not BranchMode.POSITIVE_ROOT:
         raise DomainError("elliptic representation requires the positive root")
     # imported here so that importing the package does not load scipy
     from scipy.special import ellipeinc
 
-    wt = detuning(cfg)
-    amp = math.hypot(wt, drive.j0)
+    amp = math.hypot(model.omega_tilde, drive.j0)
     if amp == 0.0:
         return 0.0
     a = drive.j0 / amp
     return (amp / drive.omega) * float(ellipeinc(drive.omega * t, a * a))
 
 
-def resonant_amplitude(cfg: AtomConfig, drive: Drive) -> float:
+def resonant_amplitude(model: Model) -> float:
     """A = j0 / sqrt(wt^2 + j0^2), the modulus of the elliptic phase."""
-    wt = detuning(cfg)
-    amp = math.hypot(wt, drive.j0)
-    return drive.j0 / amp if amp > 0 else 0.0
-
-
-def limit_form(cfg: AtomConfig, drive: Drive, regime: Regime, t: float) -> float:
-    """Asymptotic |psi0|: resonance keeps the drive's own modulation, while
-    far off resonance the level spacing washes it out to |sin(wt * t)|."""
-    if not isinstance(drive, CosineDrive):
-        raise DomainError("limit forms are stated for the cosine drive")
-    wt = detuning(cfg)
-    j0, w = drive.j0, drive.omega
-    if regime is Regime.RESONANT:
-        if abs(wt) > 0.01 * j0:
-            raise RegimeMismatch(f"|detuning|={abs(wt)} exceeds 0.01*j0={0.01 * j0}")
-        return abs(math.sin((j0 / w) * math.sin(w * t)))
-    if regime is Regime.FAR_DETUNED:
-        if abs(wt) < 100.0 * j0:
-            raise RegimeMismatch(f"|detuning|={abs(wt)} below 100*j0={100.0 * j0}")
-        return abs(math.sin(wt * t))
-    raise DomainError(f"unknown regime {regime}")
+    j0 = model.drive.j0
+    amp = math.hypot(model.omega_tilde, j0)
+    return j0 / amp if amp > 0 else 0.0

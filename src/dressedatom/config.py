@@ -1,17 +1,21 @@
-"""Model configuration: level energies, drive frequency, branch policy, tolerances.
+"""The model, compiled once: detuning, mean level, drive, branch and tolerances.
 
-All internal arithmetic uses natural units (hbar = 1): every stored energy is
-an angular frequency.  ``AtomConfig.hbar`` exists only so that inputs quoted
-in other unit systems can be converted once, at the boundary, via
-``to_natural()``.
+All arithmetic uses natural units (hbar = 1): every stored energy is an
+angular frequency.  ``scenario.ScenarioConfig.model`` converts the config's
+energies at the boundary; library callers build a ``Model`` with
+``Model.of``.  Building a model checks it once, so that nothing downstream
+meets a non-finite detuning or an overflowing radicand, and evaluates the
+two thresholds every frame function shares: the degeneracy floor and
+whether the Rabi radicand can touch zero.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
+from .drives import Drive
 from .errors import ValidationError
 
 
@@ -50,51 +54,58 @@ class Tolerances:
 
 
 @dataclass(frozen=True)
-class AtomConfig:
-    """Fixed parameters of the two-level model.
+class Model:
+    """The driven two-level atom in natural units.
 
-    e1, e2       bare level energies (angular frequency once hbar = 1)
-    omega_drive  angular frequency of the sinusoidal source, > 0
-    j0           drive amplitude, >= 0
-    hbar         action scale for input conversion; 1 internally
+    omega_tilde  detuning ((e2 - e1) - Omega)/2
+    off          mean level (e1 + e2)/2 - Omega/2, a global phase
+    omega        drive angular frequency Omega, > 0
+    drive        the coupling pair (J(t), Gamma(t))
+    branch       sign policy of the Rabi root
+    tol          numerical policy
+
+    Derived once, when the model is built:
+
+    deg_floor    deg_eps times the problem scale max(coupling scale,
+                 |omega_tilde|, 1): the mixing angle is undefined where N
+                 falls below it, and the literal integrand where |omega_r| does
+    crossing     whether the radicand omega_tilde^2 + j^2 + g^2 can touch
+                 zero: the detuning is within rad_eps of zero relative to the
+                 problem scale, so the coupling zeros are dressed-level
+                 crossings
     """
 
-    e1: float = 0.0
-    e2: float = 2.0
-    omega_drive: float = 1.0
-    j0: float = 1.0
-    hbar: float = 1.0
+    omega_tilde: float
+    off: float
+    omega: float
+    drive: Drive
+    branch: BranchMode = BranchMode.SMOOTH_CONTINUATION
+    tol: Tolerances = Tolerances()
+    deg_floor: float = field(init=False, repr=False)
+    crossing: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (self.omega_drive > 0):
-            raise ValidationError("omega_drive must be positive")
-        if self.j0 < 0:
-            raise ValidationError("j0 must be non-negative")
-        if not (self.hbar > 0):
-            raise ValidationError("hbar must be positive")
-        v2 = self.e2 - self.hbar * self.omega_drive
-        if not math.isfinite(v2):
-            raise ValidationError("recoil-shifted level e2 - hbar*omega is not finite")
-
-    def to_natural(self) -> "AtomConfig":
-        """Return an equivalent config with hbar = 1 (energies rescaled)."""
-        if self.hbar == 1.0:
-            return self
-        h = self.hbar
-        return replace(self, e1=self.e1 / h, e2=self.e2 / h,
-                       j0=self.j0 / h, hbar=1.0)
-
-    @property
-    def e_bar(self) -> float:
-        """Mean level energy (E1 + E2)/2."""
-        return 0.5 * (self.e1 + self.e2)
+        wt, scale = self.omega_tilde, self.drive.coupling_scale()
+        if not (math.isfinite(wt) and math.isfinite(self.off)):
+            raise ValidationError("detuning and mean level must be finite")
+        if not math.isfinite(wt * wt + scale * scale):
+            raise ValidationError("radicand bound omega_tilde^2 + coupling^2 "
+                                  "overflows the float range")
+        if not (self.omega > 0 and math.isfinite(self.omega * self.omega)):
+            raise ValidationError("omega must be positive, and omega^2 finite")
+        self.tol.validate()
+        ref = max(scale, abs(wt), 1e-300)
+        object.__setattr__(self, "deg_floor",
+                           self.tol.deg_eps * max(scale, abs(wt), 1.0))
+        object.__setattr__(self, "crossing",
+                           not wt * wt > self.tol.rad_eps * ref * ref)
 
     @classmethod
-    def from_detuning(cls, omega_tilde: float, j0: float,
-                      omega_drive: float = 1.0, e1: float = 0.0) -> "AtomConfig":
-        """Build a config with a prescribed detuning.
-
-        Inverts omega_tilde = ((e2 - e1) - omega_drive)/2 for e2.
-        """
-        e2 = e1 + 2.0 * omega_tilde + omega_drive
-        return cls(e1=e1, e2=e2, omega_drive=omega_drive, j0=j0)
+    def of(cls, drive: Drive, omega_tilde: float, off: float = 0.0,
+           branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
+           tol: Tolerances = Tolerances()) -> "Model":
+        """A model with a prescribed detuning; Omega is the drive's own
+        frequency (1 for the constant drive)."""
+        return cls(omega_tilde=omega_tilde, off=off,
+                   omega=getattr(drive, "omega", 1.0), drive=drive,
+                   branch=branch, tol=tol)

@@ -25,16 +25,8 @@ class QuadratureFailure(DressedAtomError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
-class RegimeMismatch(DressedAtomError):
-    """Asymptotic form requested outside its validity window."""
-
-
 class StepTooLarge(DressedAtomError):
     """Integrator step exceeds the enforced resolution bound."""
-
-
-class GridMismatch(DressedAtomError):
-    """Two time series do not share an identical time grid."""
 
 
 class InsufficientSpan(DressedAtomError):

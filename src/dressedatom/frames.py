@@ -1,10 +1,11 @@
 """Instantaneous dressed-frame quantities of the driven two-level atom.
 
-Everything here is a pure function of (config, drive, time): detuning, the
-signed Rabi root, the mixing angle of the diagonalising rotation, the
-connection d(theta)/dt generated by that rotation's time dependence, the
-identity residuals the construction must satisfy, and the transition
-current.
+Everything here is a pure function of (model, time): the signed Rabi root,
+the mixing angle of the diagonalising rotation, the connection d(theta)/dt
+generated by that rotation's time dependence, the identity residuals the
+construction must satisfy, and the transition current.  The detuning, the
+degeneracy floor and the branch decision come from the ``config.Model``,
+which evaluates them once.
 
 Conventions (natural units, hbar = 1):
 
@@ -22,10 +23,10 @@ The connection is evaluated in the reduced, numerically stable form
 
     dtheta/dt = omega_tilde * (j j' + g g') / (sqrt(j^2+g^2) * 2 omega_r^2)
 
-which is algebraically equivalent to the bracketed two-factor form (see
-``_dtheta_bracket_form``) up to overall sign; the reduced form is the one
-that agrees with the finite-difference derivative of theta(t) and with both
-quotient forms d(cos theta)/dt / (-sin theta) = d(sin theta)/dt / cos theta.
+which is algebraically equivalent to the bracketed two-factor form up to
+overall sign; the reduced form is the one that agrees with the
+finite-difference derivative of theta(t) and with both quotient forms
+d(cos theta)/dt / (-sin theta) = d(sin theta)/dt / cos theta.
 """
 
 from __future__ import annotations
@@ -34,17 +35,9 @@ import math
 
 import numpy as np
 
-from .config import AtomConfig, BranchMode, Tolerances
+from .config import BranchMode, Model
 from .drives import Drive
 from .errors import DegenerateFrameError
-
-_DEFAULT_TOL = Tolerances()
-
-
-def detuning(cfg: AtomConfig) -> float:
-    """omega_tilde = ((e2 - e1)/hbar - omega_drive) / 2, sign preserved."""
-    c = cfg.to_natural()
-    return 0.5 * ((c.e2 - c.e1) - c.omega_drive)
 
 
 def coupling(drive: Drive, t):
@@ -52,93 +45,73 @@ def coupling(drive: Drive, t):
     return drive.j(t), drive.gamma(t), drive.dj(t), drive.dgamma(t)
 
 
-def radicand_zeros(cfg: AtomConfig, drive: Drive, t_end: float,
-                   tol: Tolerances = _DEFAULT_TOL) -> np.ndarray:
+def radicand_zeros(model: Model, t_end: float) -> np.ndarray:
     """The coupling zeros in (0, t_end] where the radicand
     omega_tilde^2 + j^2 + g^2 can touch zero.
 
-    Empty unless the detuning is itself below the detection threshold
-    rad_eps relative to the problem scale: away from resonance the radicand
-    stays above omega_tilde^2 > 0.
+    Empty unless the model is at a ``crossing``: away from resonance the
+    radicand stays above omega_tilde^2 > 0.
     """
-    wt = detuning(cfg)
-    scale = max(drive.coupling_scale(), abs(wt), 1e-300)
-    if wt * wt > tol.rad_eps * scale * scale:
+    if not model.crossing:
         return np.array([])
-    return np.asarray(drive.coupling_zero_times(0.0, t_end))
+    return np.asarray(model.drive.coupling_zero_times(0.0, t_end))
 
 
-def branch_sign(cfg: AtomConfig, drive: Drive, t, branch: BranchMode,
-                tol: Tolerances = _DEFAULT_TOL):
+def branch_sign(model: Model, t):
     """Sign s(t) of the Rabi root; flips at radicand zeros when smooth.
 
     The flips sit at the ``radicand_zeros``, so away from exact resonance
     both modes coincide and the sign is the scalar 1.
     """
     t = np.asarray(t, dtype=float)
-    if branch is BranchMode.POSITIVE_ROOT or t.size == 0:
+    if model.branch is BranchMode.POSITIVE_ROOT or t.size == 0:
         return 1
-    zeros = radicand_zeros(cfg, drive, float(np.max(t)), tol)
+    zeros = radicand_zeros(model, float(np.max(t)))
     if len(zeros) == 0:
         return 1
     counts = np.searchsorted(zeros, t, side="right")
     return np.where(counts % 2 == 0, 1, -1) if t.shape else (1 if counts % 2 == 0 else -1)
 
 
-def rabi_frequency(cfg: AtomConfig, drive: Drive, t, branch: BranchMode,
-                   tol: Tolerances = _DEFAULT_TOL):
+def rabi_frequency(model: Model, t):
     """omega_r(t) = s(t) sqrt(omega_tilde^2 + j^2 + g^2)."""
-    wt = detuning(cfg)
-    j, g = drive.j(t), drive.gamma(t)
+    wt = model.omega_tilde
+    j, g = model.drive.j(t), model.drive.gamma(t)
     root = np.sqrt(wt * wt + j * j + g * g)
-    return branch_sign(cfg, drive, t, branch, tol) * root
+    return branch_sign(model, t) * root
 
 
-def _angle_parts(cfg: AtomConfig, drive: Drive, t):
+def _angle_parts(model: Model, t):
     """(u, q, N^2) with u = omega_tilde + |omega_r| and q = sqrt(j^2+g^2)."""
-    wt = detuning(cfg)
-    j, g = drive.j(t), drive.gamma(t)
+    wt = model.omega_tilde
+    j, g = model.drive.j(t), model.drive.gamma(t)
     q = np.hypot(j, g)
     u = wt + np.sqrt(wt * wt + q * q)
     return u, q, u * u + q * q
 
 
-def degeneracy_floor(cfg: AtomConfig, drive: Drive,
-                     tol: Tolerances = _DEFAULT_TOL) -> float:
-    """deg_eps times the problem scale max(coupling scale, |omega_tilde|, 1).
-
-    The one threshold below which the frame is degenerate: the mixing angle
-    is undefined where N falls below it, and the literal integrand where
-    |omega_r| does.
-    """
-    return tol.deg_eps * max(drive.coupling_scale(), abs(detuning(cfg)), 1.0)
-
-
-def mixing_angle(cfg: AtomConfig, drive: Drive, t: float,
-                 branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-                 tol: Tolerances = _DEFAULT_TOL) -> tuple[float, float]:
+def mixing_angle(model: Model, t: float) -> tuple[float, float]:
     """(cos theta, sin theta) of the diagonalising rotation at one time.
 
     Raises DegenerateFrameError when the normalisation N is below the
-    ``degeneracy_floor`` (the zero matrix is diagonalised by any angle);
+    model's ``deg_floor`` (the zero matrix is diagonalised by any angle);
     callers that need a series use ``mixing_angle_series`` which holds the
     last well-defined angle across such points.
     """
-    u, q, n2 = _angle_parts(cfg, drive, t)
-    if n2 < degeneracy_floor(cfg, drive, tol) ** 2:
+    u, q, n2 = _angle_parts(model, t)
+    if n2 < model.deg_floor * model.deg_floor:
         raise DegenerateFrameError(f"mixing angle undefined at t={t}")
     n = math.sqrt(n2)
     return float(u / n), float(q / n)
 
 
-def mixing_angle_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray,
-                        tol: Tolerances = _DEFAULT_TOL):
+def mixing_angle_series(model: Model, ts: np.ndarray):
     """(cos theta, sin theta) arrays with carry-forward across degeneracies.
 
     A degenerate first sample takes theta = 0.
     """
-    u, q, n2 = _angle_parts(cfg, drive, ts)
-    good = n2 >= degeneracy_floor(cfg, drive, tol) ** 2
+    u, q, n2 = _angle_parts(model, ts)
+    good = n2 >= model.deg_floor * model.deg_floor
     n = np.sqrt(np.where(good, n2, 1.0))
     cth = np.where(good, u / n, np.nan)
     sth = np.where(good, q / n, np.nan)
@@ -150,16 +123,13 @@ def mixing_angle_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray,
     return cth, sth
 
 
-def theta_of_t(cfg: AtomConfig, drive: Drive, t,
-               tol: Tolerances = _DEFAULT_TOL):
+def theta_of_t(model: Model, t):
     """theta(t) = atan2(sin theta, cos theta) in [0, pi], positive root."""
-    u, q, n2 = _angle_parts(cfg, drive, t)
+    u, q, n2 = _angle_parts(model, t)
     return np.arctan2(q, u)
 
 
-def connection_dtheta(cfg: AtomConfig, drive: Drive, t,
-                      branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-                      tol: Tolerances = _DEFAULT_TOL):
+def connection_dtheta(model: Model, t):
     """The connection d(theta)/dt generated by the rotating frame.
 
     Vanishes identically when j^2 + g^2 is constant (constant and
@@ -167,8 +137,8 @@ def connection_dtheta(cfg: AtomConfig, drive: Drive, t,
     coupling zeros the prefactor (j j' + g g')/q is resolved by its
     one-sided limit sqrt(j'^2 + g'^2).
     """
-    wt = detuning(cfg)
-    j, g, dj, dg = coupling(drive, t)
+    wt = model.omega_tilde
+    j, g, dj, dg = coupling(model.drive, t)
     q2 = j * j + g * g
     q = np.sqrt(q2)
     p = j * dj + g * dg
@@ -180,36 +150,44 @@ def connection_dtheta(cfg: AtomConfig, drive: Drive, t,
     return np.where(wr2 > 0, out, 0.0)
 
 
-def _dtheta_bracket_form(cfg: AtomConfig, drive: Drive, t):
-    """Two-factor form of the connection (sign already corrected).
-
-    dtheta/dt = -[(j j' + g g')/(omega_r q)] *
-                 [1 - (wt + omega_r)(wt + 2 omega_r) / ((wt + omega_r)^2 + q^2)]
-
-    Singular at coupling zeros; kept for cross-checks only.
-    """
-    wt = detuning(cfg)
-    j, g, dj, dg = coupling(drive, t)
-    q = np.hypot(j, g)
-    wr = np.sqrt(wt * wt + q * q)
-    u = wt + wr
-    p = j * dj + g * dg
-    bracket = 1.0 - u * (wt + 2.0 * wr) / (u * u + q * q)
-    return -(p / (wr * q)) * bracket
-
-
-def frame_series(cfg: AtomConfig, drive: Drive, ts: np.ndarray,
-                 branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-                 tol: Tolerances = _DEFAULT_TOL) -> dict:
+def frame_series(model: Model, ts: np.ndarray) -> dict:
     """Vectorised frame snapshot over a time grid (carry-forward angles)."""
-    cth, sth = mixing_angle_series(cfg, drive, ts, tol)
+    cth, sth = mixing_angle_series(model, ts)
     return {
         "t": np.asarray(ts, dtype=float),
-        "omega_r": rabi_frequency(cfg, drive, ts, branch, tol),
+        "omega_r": rabi_frequency(model, ts),
         "cos_theta": cth,
         "sin_theta": sth,
-        "dtheta_dt": connection_dtheta(cfg, drive, ts, branch, tol),
+        "dtheta_dt": connection_dtheta(model, ts),
     }
+
+
+def _nearest_distance(ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """min over zeros of |t - zero| for every t; ``zeros`` sorted.
+
+    Only the zeros just below and just above each t can be nearest, so the
+    memory is O(len(ts)), not O(len(ts) * len(zeros)).
+    """
+    i = np.searchsorted(zeros, ts)
+    below = zeros[np.maximum(i - 1, 0)]
+    above = zeros[np.minimum(i, len(zeros) - 1)]
+    return np.minimum(np.abs(ts - below), np.abs(ts - above))
+
+
+def near_coupling_zero(model: Model, ts: np.ndarray) -> np.ndarray:
+    """True for the times within 5 fd_step of a coupling zero.
+
+    The identities differentiate the coupling envelope |J|, which has a
+    kink at every coupling zero; a finite-difference stencil that reaches
+    one does not measure the construction.
+    """
+    ts = np.asarray(ts, dtype=float)
+    reach = 5.0 * model.tol.fd_step
+    zeros = np.asarray(model.drive.coupling_zero_times(
+        0.0, float(np.max(ts, initial=0.0)) + reach))
+    if len(zeros) == 0:
+        return np.zeros(ts.shape, dtype=bool)
+    return _nearest_distance(ts, zeros) <= reach
 
 
 def _fd4(fn, t, h):
@@ -219,9 +197,7 @@ def _fd4(fn, t, h):
     return (8.0 * inner - outer) / (12.0 * h)
 
 
-def identity_residuals(cfg: AtomConfig, drive: Drive, t,
-                       branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-                       tol: Tolerances = _DEFAULT_TOL):
+def identity_residuals(model: Model, t):
     """Residuals of the three construction identities, each analytically zero.
 
     r1 = omega_r * d(omega_r)/dt - (j j' + g g')
@@ -229,12 +205,15 @@ def identity_residuals(cfg: AtomConfig, drive: Drive, t,
     r3 = d(cos th)/dt / (-sin th) - d(sin th)/dt / cos th
          (NaN where |sin th cos th| <= 1e-3: both quotients blow up there)
 
-    Outer time derivatives are 4th-order finite differences -- the
-    independent route -- while the drive derivatives are analytic.
+    r2 and r3 differentiate the coupling envelope, so they are NaN as well
+    on the times ``near_coupling_zero``.  Outer time derivatives are
+    4th-order finite differences -- the independent route -- while the
+    drive derivatives are analytic.
     """
     t = np.asarray(t, dtype=float)
-    h = tol.fd_step
-    wt = detuning(cfg)
+    h = model.tol.fd_step
+    wt = model.omega_tilde
+    drive = model.drive
     j, g, dj, dg = coupling(drive, t)
     p = j * dj + g * dg
 
@@ -276,7 +255,8 @@ def identity_residuals(cfg: AtomConfig, drive: Drive, t,
     with np.errstate(divide="ignore", invalid="ignore"):
         r3 = _fd4(cth_of, t, h) / (-sth) - _fd4(sth_of, t, h) / cth
     r3 = np.where(mask, r3, np.nan)
-    return r1, r2, r3
+    kink = near_coupling_zero(model, t)
+    return r1, np.where(kink, np.nan, r2), np.where(kink, np.nan, r3)
 
 
 def transition_current(c1, c2):

@@ -1,15 +1,15 @@
 """Brute-force ground truth: direct integration of the two-level dynamics.
 
-``hamiltonian`` returns the bare-basis operator exactly as the model states
-it: H = [[V1, J + i*Gamma], [J - i*Gamma, V2]] with V1 = E1 and the
-recoil-shifted V2 = E2 - hbar*Omega.
-
-``propagate`` integrates in the *connection frame*: the gauge co-rotating
+The model states the bare-basis operator H = [[V1, J + i*Gamma],
+[J - i*Gamma, V2]] with V1 = E1 and the recoil-shifted V2 = E2 - hbar*Omega.
+``propagate`` integrates it in the *connection frame*: the gauge co-rotating
 with the coupling phase arg(J + i*Gamma), in which the coupling is the real
 q(t) = drive.frame_coupling(t) and the detuning is omega_tilde for every
 drive choice,
 
-    H_frame(t) = off * I + [[+wt, q(t)], [q(t), -wt]],   off = Ebar12 - Omega/2.
+    H_frame(t) = off * I + [[+wt, q(t)], [q(t), -wt]],   off = Ebar12 - Omega/2,
+
+with wt and off taken from the ``config.Model``.
 
 This is the frame the dressed construction diagonalises: for the
 rotating-pair drive it is constant (the Jaynes-Cummings point, solved
@@ -61,14 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import AtomConfig, BranchMode, Tolerances
-from .drives import Drive
-from .errors import GridMismatch, InsufficientSpan, StepTooLarge, ValidationError
-from .frames import (detuning, mixing_angle, mixing_angle_series,
-                     rabi_frequency, transition_current)
-from .series import TimeSeries
+from .config import Model
+from .errors import InsufficientSpan, StepTooLarge, ValidationError
+from .frames import (mixing_angle, mixing_angle_series, rabi_frequency,
+                     transition_current)
 
-_DEFAULT_TOL = Tolerances()
 MAX_STEPS = 10 ** 7  # ceiling on t_end/dt: a run stays minutes, not hours
 # RK4 steps per chunk: it sets the scratch memory of _rk4_run
 _CHUNK = 4096
@@ -108,25 +105,13 @@ class PropagationResult:
     step_report: StepReport
 
 
-def hamiltonian(cfg: AtomConfig, drive: Drive, t: float) -> np.ndarray:
-    """Bare-basis H(t) = [[V1, J+iG], [J-iG, V2]], V2 recoil-shifted."""
-    c = cfg.to_natural()
-    j = float(drive.j(t))
-    g = float(drive.gamma(t))
-    v1 = c.e1
-    v2 = c.e2 - c.omega_drive
-    return np.array([[v1, j + 1j * g], [j - 1j * g, v2]], dtype=complex)
-
-
-def initial_state_for_psi_frame(cfg: AtomConfig, drive: Drive,
-                                branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-                                tol: Tolerances = _DEFAULT_TOL) -> StateVector:
+def initial_state_for_psi_frame(model: Model) -> StateVector:
     """Unit-norm state whose dressed amplitudes are a+ = a- = 1/sqrt(2).
 
     c(0) = U^-1(theta(0)) (1, 1)^T / sqrt(2); the occupied-state projection
     psi1 starts at 1/sqrt(2) and psi0 at exactly zero.
     """
-    cth, sth = mixing_angle(cfg, drive, 0.0, branch, tol)
+    cth, sth = mixing_angle(model, 0.0)
     inv = 1.0 / math.sqrt(2.0)
     return StateVector(complex((cth - sth) * inv), complex((sth + cth) * inv))
 
@@ -140,16 +125,15 @@ def bare_state(index: int) -> StateVector:
     raise ValidationError("bare state index must be 1 or 2")
 
 
-def enforced_step_bound(cfg: AtomConfig, drive: Drive) -> float:
+def enforced_step_bound(model: Model) -> float:
     """dt must not exceed min(2 pi / Omega, 2 pi / max|omega_r|) / 200.
 
     The mean level off = Ebar12 - Omega/2 is left out, correctly: RK4 no
     longer integrates it (its phase is applied exactly), so only Omega and
     the Rabi root set how fast the integrated part turns.
     """
-    c = cfg.to_natural()
-    max_rabi = math.hypot(detuning(c), drive.coupling_scale())
-    fastest = max(c.omega_drive, max_rabi, 1e-300)
+    max_rabi = math.hypot(model.omega_tilde, model.drive.coupling_scale())
+    fastest = max(model.omega, max_rabi, 1e-300)
     return 2.0 * math.pi / fastest / 200.0
 
 
@@ -164,6 +148,16 @@ def step_count(t_end: float, dt: float) -> int:
         raise ValidationError(f"t_end/dt = {n_steps:.3e} steps exceeds the ceiling "
                               f"of {MAX_STEPS:.0e} steps")
     return max(1, round(n_steps))
+
+
+def output_grid(t_end: float, dt: float, stride: int) -> np.ndarray:
+    """The times of the kept states: every ``stride``-th step of the
+    ``step_count`` grid, which lands exactly on t_end, and always the last."""
+    n_steps = step_count(t_end, dt)
+    idx = np.arange(0, n_steps + 1, stride)
+    if idx[-1] != n_steps:
+        idx = np.append(idx, n_steps)
+    return idx * (t_end / n_steps)
 
 
 def _mul_dev(xa, xb, ya, yb):
@@ -207,8 +201,8 @@ def _step_matrices(wt: float, q: np.ndarray, dt: float):
     return a, b
 
 
-def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
-             dt: float, keep_every: int):
+def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
+             keep_every: int):
     """Fixed-grid RK4 on the traceless frame Hamiltonian, one chunk at a time.
 
     Returns (u1, u2, drift): the states after steps 0, keep_every,
@@ -221,7 +215,7 @@ def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
     scan and g = n_steps a plain reduction.  The drift sums log det(M_k),
     det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and checks the kept states.
     """
-    wt = detuning(cfg)
+    wt = model.omega_tilde
     g = min(keep_every, n_steps)
     kept = np.empty((2, -(-n_steps // g) + 1), dtype=complex)
     u1, u2 = complex(c0[0]), complex(c0[1])
@@ -236,8 +230,8 @@ def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
         m, w = k1 - k0, min(g, k1 - k0)
         groups = -(-m // w)
         # coupling at t_k and the half points of this chunk's steps
-        q = np.asarray(drive.frame_coupling((np.arange(2 * m + 1) + 2 * k0) * (0.5 * dt)),
-                       dtype=float)
+        q = np.asarray(model.drive.frame_coupling(
+            (np.arange(2 * m + 1) + 2 * k0) * (0.5 * dt)), dtype=float)
         a, b = _step_matrices(wt, q, dt)
         run = np.cumsum(np.log1p((a.real + 2.0) * a.real + a.imag ** 2
                                  + b.real ** 2 + b.imag ** 2))
@@ -274,10 +268,8 @@ def _rk4_run(cfg: AtomConfig, drive: Drive, c0: np.ndarray, n_steps: int,
     return kept[0], kept[1], drift
 
 
-def propagate(cfg: AtomConfig, drive: Drive, c0: StateVector, t_end: float,
-              dt: float, branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-              output_stride: int = 1,
-              tol: Tolerances = _DEFAULT_TOL) -> PropagationResult:
+def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
+              output_stride: int = 1) -> PropagationResult:
     """Propagate i dc/dt = H_frame(t) c on a fixed grid and dress the output.
 
     RK4 integrates the traceless part; c1, c2 carry the exact phase
@@ -288,12 +280,13 @@ def propagate(cfg: AtomConfig, drive: Drive, c0: StateVector, t_end: float,
     """
     if dt <= 0 or t_end <= 0:
         raise ValidationError("dt and t_end must be positive")
-    bound = enforced_step_bound(cfg, drive)
+    bound = enforced_step_bound(model)
     if dt > bound * (1.0 + 1e-12):
         raise StepTooLarge(f"dt={dt:.3e} exceeds the enforced bound {bound:.3e}")
     if output_stride < 1:
         raise ValidationError("output_stride must be >= 1")
 
+    times = output_grid(t_end, dt, output_stride)
     n_steps = step_count(t_end, dt)
     dt = t_end / n_steps  # land exactly on t_end
     c0v = np.array([c0.c1, c0.c2], dtype=complex)
@@ -302,21 +295,16 @@ def propagate(cfg: AtomConfig, drive: Drive, c0: StateVector, t_end: float,
         raise ValidationError("initial state must be non-zero")
     c0v = c0v / nrm
 
-    u1, u2, drift = _rk4_run(cfg, drive, c0v, n_steps, dt, output_stride)
-    h1, h2, _ = _rk4_run(cfg, drive, c0v, 2 * n_steps, dt / 2.0, 2 * n_steps)
+    u1, u2, drift = _rk4_run(model, c0v, n_steps, dt, output_stride)
+    h1, h2, _ = _rk4_run(model, c0v, 2 * n_steps, dt / 2.0, 2 * n_steps)
     rich = (16.0 / 15.0) * math.hypot(abs(u1[-1] - h1[-1]), abs(u2[-1] - h2[-1]))
 
-    idx = np.arange(0, n_steps + 1, output_stride)
-    if idx[-1] != n_steps:
-        idx = np.append(idx, n_steps)
-    times = idx * dt
     norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
 
-    cth, sth = mixing_angle_series(cfg, drive, times, tol)
+    cth, sth = mixing_angle_series(model, times)
     a_plus = cth * u1 + sth * u2
     a_minus = -sth * u1 + cth * u2
-    c_nat = cfg.to_natural()
-    phase = np.exp(-1j * (c_nat.e_bar - 0.5 * c_nat.omega_drive) * times)
+    phase = np.exp(-1j * model.off * times)
 
     return PropagationResult(
         times=times, c1=u1 * phase, c2=u2 * phase, norm=norm,
@@ -324,7 +312,7 @@ def propagate(cfg: AtomConfig, drive: Drive, c0: StateVector, t_end: float,
         psi0_oracle=(a_plus - a_minus) / 2j, psi1_oracle=(a_plus + a_minus) / 2.0,
         current=transition_current(u1, u2),
         step_report=StepReport(dt=dt, norm_drift=drift, richardson_error=rich,
-                               norm_ok=drift <= tol.norm_tol),
+                               norm_ok=drift <= model.tol.norm_tol),
     )
 
 
@@ -335,29 +323,23 @@ class ComparisonReport:
     phase_slip: float
 
 
-def compare(closed: TimeSeries, oracle: TimeSeries) -> ComparisonReport:
-    """Agreement metrics between closed-form and oracle |psi0|^2 series.
+def compare(closed_psi0: np.ndarray, oracle_psi0: np.ndarray) -> ComparisonReport:
+    """Agreement metrics between closed-form and oracle psi0 on one grid.
 
-    Both series must carry a ``p0`` column on identical grids; the phase
-    slip additionally needs re_psi0/im_psi0 columns and accumulates the
-    argument difference where both |psi0| > 0.1.
+    MaxAbs and Rms compare |psi0|^2.  The phase slip is the change, from
+    the first to the last row where both |psi0| > 0.1, of the unwrapped
+    argument of closed_psi0 * conj(oracle_psi0).  Unwrapping the difference,
+    not each phase on its own, keeps the exact pi jumps at the zeros of
+    psi0, which both series share, out of it.
     """
-    if closed.data.shape[0] != oracle.data.shape[0] or \
-            not np.array_equal(closed.t, oracle.t):
-        raise GridMismatch("time grids differ")
-    dp = closed.column("p0") - oracle.column("p0")
+    dp = np.abs(closed_psi0) ** 2 - np.abs(oracle_psi0) ** 2
     max_abs = float(np.max(np.abs(dp))) if len(dp) else 0.0
     rms = float(np.sqrt(np.mean(dp ** 2))) if len(dp) else 0.0
-
+    ok = (np.abs(closed_psi0) > 0.1) & (np.abs(oracle_psi0) > 0.1)
     phase_slip = 0.0
-    if all(s.has_column("re_psi0") and s.has_column("im_psi0")
-           for s in (closed, oracle)) and len(dp):
-        pc = closed.column("re_psi0") + 1j * closed.column("im_psi0")
-        po = oracle.column("re_psi0") + 1j * oracle.column("im_psi0")
-        ok = (np.abs(pc) > 0.1) & (np.abs(po) > 0.1)
-        if ok.any():
-            dphi = np.unwrap(np.angle(pc[ok])) - np.unwrap(np.angle(po[ok]))
-            phase_slip = float(dphi[-1] - dphi[0])
+    if ok.any():
+        dphi = np.unwrap(np.angle(closed_psi0[ok] * np.conj(oracle_psi0[ok])))
+        phase_slip = float(dphi[-1] - dphi[0])
     return ComparisonReport(max_abs=max_abs, rms=rms, phase_slip=phase_slip)
 
 
@@ -369,10 +351,8 @@ class CurrentFitReport:
     n_periods: float
 
 
-def current_dynamics_check(result: PropagationResult, cfg: AtomConfig,
-                           drive: Drive,
-                           branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-                           tol: Tolerances = _DEFAULT_TOL) -> CurrentFitReport:
+def current_dynamics_check(result: PropagationResult,
+                           model: Model) -> CurrentFitReport:
     """Fit d(current)/dt against the harmonic of twice the accumulated phase.
 
     The model is current ~ A sin(2 int omega_r dt' + phi0) + const, fitted in
@@ -383,7 +363,7 @@ def current_dynamics_check(result: PropagationResult, cfg: AtomConfig,
     ts = result.times
     if len(ts) < 16:
         raise InsufficientSpan("too few output points for a fit")
-    wr = rabi_frequency(cfg, drive, ts, branch, tol)
+    wr = rabi_frequency(model, ts)
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (wr[1:] + wr[:-1]) * np.diff(ts))])
     # span measured against the unsigned phase: at resonance the signed
     # integral oscillates around zero while cycles keep accumulating

@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import closedform, frames, oracle
-from .config import AtomConfig, BranchMode, Tolerances
-from .drives import ConstantDrive, CosineDrive, Drive, RwaPairDrive
+from .config import BranchMode, Model, Tolerances
+from .drives import ConstantDrive, CosineDrive, RwaPairDrive
 from .errors import DressedAtomError, ParseError, UnknownAxis, ValidationError
 from .series import TimeSeries
 
@@ -71,8 +71,6 @@ class ScenarioConfig:
             raise ValidationError(f"initial_state must be one of {_INITIAL_STATES}")
         if self.j0 < 0:
             raise ValidationError("j0 must be non-negative (j0 >= 0)")
-        if self.omega <= 0:
-            raise ValidationError("omega must be positive")
         if self.hbar <= 0:
             raise ValidationError("hbar must be positive")
         if self.t_end < 0:
@@ -86,30 +84,32 @@ class ScenarioConfig:
         for kind in self.output_list():
             if kind not in _OUTPUT_KINDS:
                 raise ValidationError(f"unknown output kind {kind!r}")
-        self.tolerances().validate()
+        self.model()
 
     def output_list(self) -> list[str]:
         return [k.strip() for k in self.outputs.split(",") if k.strip()]
 
-    def atom_config(self) -> AtomConfig:
-        return AtomConfig(e1=self.e1, e2=self.e2, omega_drive=self.omega,
-                          j0=self.j0, hbar=self.hbar).to_natural()
+    def model(self) -> Model:
+        """The model in natural units: energies and couplings divided by hbar.
 
-    def drive_signal(self) -> Drive:
-        cfg = self.atom_config()
+        Raises ValidationError when a derived value is not finite.
+        """
+        h = self.hbar
+        if not math.isfinite(self.e2 - h * self.omega):
+            raise ValidationError("recoil-shifted level e2 - hbar*omega is not finite")
+        e1, e2, j0 = self.e1 / h, self.e2 / h, self.j0 / h
         if self.drive == "cosine":
-            return CosineDrive(j0=cfg.j0, omega=cfg.omega_drive)
-        if self.drive == "rwa":
-            return RwaPairDrive(j0=cfg.j0, omega=cfg.omega_drive)
-        return ConstantDrive(j0=cfg.j0, gamma0=self.gamma0 / self.hbar)
-
-    def branch_mode(self) -> BranchMode:
-        return _BRANCHES[self.branch]
-
-    def tolerances(self) -> Tolerances:
-        return Tolerances(deg_eps=self.deg_eps, rad_eps=self.rad_eps,
-                          quad_tol=self.quad_tol, norm_tol=self.norm_tol,
-                          fd_step=self.fd_step)
+            drive = CosineDrive(j0=j0, omega=self.omega)
+        elif self.drive == "rwa":
+            drive = RwaPairDrive(j0=j0, omega=self.omega)
+        else:
+            drive = ConstantDrive(j0=j0, gamma0=self.gamma0 / h)
+        return Model(omega_tilde=0.5 * ((e2 - e1) - self.omega),
+                     off=0.5 * (e1 + e2) - 0.5 * self.omega, omega=self.omega,
+                     drive=drive, branch=_BRANCHES[self.branch],
+                     tol=Tolerances(deg_eps=self.deg_eps, rad_eps=self.rad_eps,
+                                    quad_tol=self.quad_tol, norm_tol=self.norm_tol,
+                                    fd_step=self.fd_step))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
@@ -176,31 +176,9 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _output_grid(cfg: ScenarioConfig) -> np.ndarray:
-    n_steps = oracle.step_count(cfg.t_end, cfg.dt)
-    dt = cfg.t_end / n_steps
-    idx = np.arange(0, n_steps + 1, cfg.output_stride)
-    if idx[-1] != n_steps:
-        idx = np.append(idx, n_steps)
-    return idx * dt
-
-
-def _nearest_distance(ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """min over zeros of |t - zero| for every t; ``zeros`` sorted.
-
-    Only the zeros just below and just above each t can be nearest, so the
-    memory is O(len(ts)), not O(len(ts) * len(zeros)).
-    """
-    i = np.searchsorted(zeros, ts)
-    below = zeros[np.maximum(i - 1, 0)]
-    above = zeros[np.minimum(i, len(zeros) - 1)]
-    return np.minimum(np.abs(ts - below), np.abs(ts - above))
-
-
-def _initial_state(cfg: ScenarioConfig, atom: AtomConfig, drv: Drive):
+def _initial_state(cfg: ScenarioConfig, model: Model):
     if cfg.initial_state == "dressed":
-        return oracle.initial_state_for_psi_frame(atom, drv, cfg.branch_mode(),
-                                                  cfg.tolerances())
+        return oracle.initial_state_for_psi_frame(model)
     return oracle.bare_state(1 if cfg.initial_state == "bare1" else 2)
 
 
@@ -211,13 +189,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
     quadrature, and 17-significant-digit CSV serialisation.
     """
     cfg.validate()
-    atom = cfg.atom_config()
-    drv = cfg.drive_signal()
-    branch = cfg.branch_mode()
-    tols = cfg.tolerances()
+    model = cfg.model()
     wanted = cfg.output_list()
     report: dict = {
-        "detuning": frames.detuning(atom),
+        "detuning": model.omega_tilde,
         "population_convention":
             "closed p0_raw uses psi_bar=1; oracle p0 rescaled by 2 to match",
     }
@@ -241,24 +216,22 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         report["empty"] = True
         return out, report
 
-    ts = _output_grid(cfg)
+    ts = oracle.output_grid(cfg.t_end, cfg.dt, cfg.output_stride)
 
     closed = None
     if {"closed", "compare"} & set(wanted):
-        closed = closedform.dressed_series(atom, drv, ts, branch,
-                                           tols.quad_tol, tols)
+        closed = closedform.dressed_series(model, ts)
 
     prop = None
     if {"oracle", "compare", "current"} & set(wanted):
-        c0 = _initial_state(cfg, atom, drv)
-        prop = oracle.propagate(atom, drv, c0, cfg.t_end, cfg.dt, branch,
-                                output_stride=cfg.output_stride, tol=tols)
+        prop = oracle.propagate(model, _initial_state(cfg, model), cfg.t_end,
+                                cfg.dt, output_stride=cfg.output_stride)
         report["norm_drift"] = prop.step_report.norm_drift
         report["richardson_error"] = prop.step_report.richardson_error
         report["norm_ok"] = prop.step_report.norm_ok
 
     if "frame" in wanted:
-        fr = frames.frame_series(atom, drv, ts, branch, tols)
+        fr = frames.frame_series(model, ts)
         out["frame"] = TimeSeries(schemas["frame"], np.column_stack(
             [fr["t"], fr["omega_r"], fr["cos_theta"], fr["sin_theta"],
              fr["dtheta_dt"]]))
@@ -275,42 +248,27 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
              prop.c2.imag, prop.norm, p0o, prop.current]))
 
     if "compare" in wanted:
-        closed_cmp = TimeSeries(
-            ["t", "p0", "re_psi0", "im_psi0"],
-            np.column_stack([ts, closed["p0_raw"], closed["psi0"].real,
-                             closed["psi0"].imag]))
         psi0_scaled = math.sqrt(2.0) * prop.psi0_oracle
-        oracle_cmp = TimeSeries(
-            ["t", "p0", "re_psi0", "im_psi0"],
-            np.column_stack([prop.times, np.abs(psi0_scaled) ** 2,
-                             psi0_scaled.real, psi0_scaled.imag]))
-        rep = oracle.compare(closed_cmp, oracle_cmp)
+        rep = oracle.compare(closed["psi0"], psi0_scaled)
         report["compare"] = {"MaxAbs": rep.max_abs, "Rms": rep.rms,
                              "PhaseSlip": rep.phase_slip}
-        diff = closed_cmp.column("p0") - oracle_cmp.column("p0")
+        oracle_p0 = np.abs(psi0_scaled) ** 2
         out["compare"] = TimeSeries(schemas["compare"], np.column_stack(
-            [ts, closed_cmp.column("p0"), oracle_cmp.column("p0"),
-             np.abs(diff)]))
+            [ts, closed["p0_raw"], oracle_p0,
+             np.abs(closed["p0_raw"] - oracle_p0)]))
 
     if "identities" in wanted:
-        r1, r2, r3 = frames.identity_residuals(atom, drv, ts, branch, tols)
-        # r2/r3 differentiate the coupling envelope |J|, which has a kink at
-        # every coupling zero; rows whose stencil straddles one are reported
-        # as NaN (the identities presume a differentiable envelope there)
-        zeros = np.asarray(drv.coupling_zero_times(0.0, float(ts[-1]) + 1.0))
-        if len(zeros) and len(ts):
-            straddle = _nearest_distance(ts, zeros) <= 5.0 * tols.fd_step
-            r2 = np.where(straddle, np.nan, r2)
-            r3 = np.where(straddle, np.nan, r3)
+        r1, r2, r3 = frames.identity_residuals(model, ts)
         cols = [ts, r1, r2, r3]
         if cfg.drive == "cosine":
             re24 = np.full(len(ts), np.nan)
             im24 = np.full(len(ts), np.nan)
-            ok = np.abs(frames.rabi_frequency(
-                atom, drv, ts, BranchMode.POSITIVE_ROOT, tols)) > 1e-9
-            eq24 = closedform.psi0_gamma_zero_integrand(atom, drv, ts[ok])
+            # the printed form takes the positive root
+            positive = replace(model, branch=BranchMode.POSITIVE_ROOT)
+            ok = frames.rabi_frequency(positive, ts) > 1e-9
+            eq24 = closedform.psi0_gamma_zero_integrand(model, ts[ok])
             re24[ok], im24[ok] = eq24.real, eq24.imag
-            dth = frames.connection_dtheta(atom, drv, ts, branch, tols)
+            dth = frames.connection_dtheta(model, ts)
             cols += [re24, im24, np.abs(im24 - dth)]
         out["identities"] = TimeSeries(schemas["identities"], np.column_stack(cols))
 
@@ -327,7 +285,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         out["current"] = TimeSeries(schemas["current"], np.column_stack(
             [prop.times, prop.current, dcur]))
         try:
-            fit = oracle.current_dynamics_check(prop, atom, drv, branch, tols)
+            fit = oracle.current_dynamics_check(prop, model)
             report["current_fit"] = {"status": fit.status,
                                      "correlation": fit.correlation,
                                      "amplitude": fit.amplitude,

@@ -46,9 +46,6 @@ class TimeSeries:
             raise ValidationError(f"series has no column {name!r}") from None
         return self.data[:, idx]
 
-    def has_column(self, name: str) -> bool:
-        return name in self.columns
-
     def to_csv(self) -> str:
         row = ",".join(["%.17g"] * len(self.columns)) + "\n"
         parts = [",".join(self.columns) + "\n"]

@@ -89,6 +89,26 @@ def test_step_count_ceiling_is_a_validation_error(doc, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"j0": 1e200, "outputs": "frame", "t_end": 1},
+    {"omega_tilde": 1e200, "j0": 1, "outputs": "frame", "t_end": 1},
+    {"j0": 1e155, "outputs": "closed", "t_end": 1},
+    {"e1": 1.7e308, "e2": -1.7e308},
+], ids=["coupling-squared", "detuning-squared", "radicand-sum", "level-difference"])
+def test_overflowing_model_is_a_validation_error(doc, tmp_path, capsys):
+    # each value parses, but a derived one overflows the float range: the
+    # model rejects it before any array is computed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missed_norm_tolerance_warns(rwa_config, tmp_path, capsys):
     doc = json.loads(rwa_config.read_text())
     rwa_config.write_text(json.dumps(dict(doc, norm_tol=1e-15)))

@@ -11,33 +11,49 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipeinc
 
-from dressedatom import (AtomConfig, BranchMode, ConstantDrive, CosineDrive,
-                         Regime, RwaPairDrive, Tolerances, dressed_solution,
-                         elliptic_phase, limit_form, phase_integral,
+from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
+                         RwaPairDrive, Tolerances, elliptic_phase,
                          psi0_gamma_zero_integrand)
-from dressedatom.closedform import (connection_phase_quadrature, dressed_series,
-                                    phase_series)
-from dressedatom.errors import (DegenerateFrameError, DomainError, QuadratureFailure,
-                               RegimeMismatch)
-from dressedatom.frames import connection_dtheta, detuning, rabi_frequency
+from dressedatom.closedform import _segment_integrals, dressed_series, phase_series
+from dressedatom.errors import DegenerateFrameError, DomainError, QuadratureFailure
+from dressedatom.frames import connection_dtheta, rabi_frequency
 from dressedatom.scenario import dominant_frequency, parse_config, run_scenario
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
 
 
-def cfg_wt(wt, j0=1.0, omega=1.0):
-    return AtomConfig.from_detuning(wt, j0, omega_drive=omega)
+def phase_at(model, t):
+    """Z(t) as a complex: phase_series on a one-point grid."""
+    return complex(phase_series(model, np.array([float(t)]))[0])
 
 
-def riemann_phase(cfg, drive, t, branch, n=10_000_000):
+def dressed_at(model, t):
+    """The dressed state at one time: dressed_series on a one-point grid."""
+    return {k: v[0] for k, v in dressed_series(model, np.array([float(t)])).items()}
+
+
+def connection_phase_quadrature(model, t):
+    """int_0^t dtheta/dt dt' by quadrature: the reference for the shortcut
+    theta(t) - theta(0).
+
+    The connection jumps at every coupling zero (sign of the envelope
+    derivative), so those are always pinned.
+    """
+    return float(_segment_integrals(
+        lambda s: connection_dtheta(model, s), np.array([0.0, t]),
+        model.drive.coupling_zero_times(0.0, t), model.tol.quad_tol,
+        model.tol.quad_limit)[0])
+
+
+def riemann_phase(model, t, n=10_000_000):
     """Brute-force midpoint-rule oracle for both parts of Z(t).
 
     Cells are aligned to the coupling zeros, where the connection integrand
     has a jump (the |J| kink); a cell straddling the jump would cost ~dt/2
     of spurious error on the imaginary part.
     """
-    edges = [0.0] + [float(z) for z in drive.coupling_zero_times(0.0, t)] + [t]
+    edges = [0.0] + [float(z) for z in model.drive.coupling_zero_times(0.0, t)] + [t]
     re = im = 0.0
     chunk = 1_000_000
     for a, b in zip(edges[:-1], edges[1:]):
@@ -48,8 +64,8 @@ def riemann_phase(cfg, drive, t, branch, n=10_000_000):
         while done < m_total:
             m = min(chunk, m_total - done)
             ts = a + (done + np.arange(m) + 0.5) * dt
-            re += float(np.sum(rabi_frequency(cfg, drive, ts, branch))) * dt
-            im += float(np.sum(connection_dtheta(cfg, drive, ts, branch))) * dt
+            re += float(np.sum(rabi_frequency(model, ts))) * dt
+            im += float(np.sum(connection_dtheta(model, ts))) * dt
             done += m
     return complex(re, im)
 
@@ -57,47 +73,42 @@ def riemann_phase(cfg, drive, t, branch, n=10_000_000):
 # ------------------------------------------------------------ phase integral
 
 def test_phase_rwa_345():
-    cfg = cfg_wt(0.6, j0=0.8, omega=1.0)
-    z = phase_integral(cfg, RwaPairDrive(0.8, 1.0), 2.0, SMOOTH)
+    z = phase_at(Model.of(RwaPairDrive(0.8, 1.0), 0.6), 2.0)
     assert z.real == pytest.approx(2.0, abs=1e-12)
     assert z.imag == pytest.approx(0.0, abs=1e-14)
 
 
 def test_phase_resonant_cosine_antiderivative():
-    cfg = cfg_wt(0.0, j0=1.3, omega=0.9)
-    drv = CosineDrive(1.3, 0.9)
+    model = Model.of(CosineDrive(1.3, 0.9), 0.0)
     for t in (0.5, 2.0, 5.5, 9.0):
-        z = phase_integral(cfg, drv, t, SMOOTH)
+        z = phase_at(model, t)
         assert z.real == pytest.approx((1.3 / 0.9) * math.sin(0.9 * t), abs=1e-10)
         assert z.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_against_dense_riemann_oracle():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
-    z = phase_integral(cfg, drv, 3.0, SMOOTH)
-    ref = riemann_phase(cfg, drv, 3.0, SMOOTH)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
+    z = phase_at(model, 3.0)
+    ref = riemann_phase(model, 3.0)
     assert abs(z.real - ref.real) <= 1e-8
     assert abs(z.imag - ref.imag) <= 1e-8
 
 
 @pytest.mark.parametrize("wt", [0.5, 1.7, -0.4])
 def test_imaginary_shortcut_matches_quadrature(wt):
-    cfg = cfg_wt(wt, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), wt)
     for t in (0.7, 2.0, 4.9):
-        z = phase_integral(cfg, drv, t, SMOOTH)
-        ref = connection_phase_quadrature(cfg, drv, t, SMOOTH)
+        z = phase_at(model, t)
+        ref = connection_phase_quadrature(model, t)
         assert abs(z.imag - ref) <= 1e-9
 
 
 def test_phase_series_matches_pointwise():
-    cfg = cfg_wt(0.8, j0=1.2, omega=1.4)
-    drv = CosineDrive(1.2, 1.4)
+    model = Model.of(CosineDrive(1.2, 1.4), 0.8)
     ts = np.linspace(0.0, 6.0, 25)
-    zs = phase_series(cfg, drv, ts, SMOOTH)
+    zs = phase_series(model, ts)
     for i in (3, 11, 24):
-        z = phase_integral(cfg, drv, float(ts[i]), SMOOTH)
+        z = phase_at(model, ts[i])
         assert abs(zs[i] - z) <= 1e-9
 
 
@@ -105,38 +116,38 @@ def test_phase_series_matches_pointwise():
 def test_phase_series_offset_and_multi_block_grids(start, n):
     # a grid not starting at 0 integrates [0, ts[0]] first; 1500 points
     # span several evaluation blocks
-    cfg = cfg_wt(0.8, j0=1.2, omega=1.4)
-    drv = CosineDrive(1.2, 1.4)
+    model = Model.of(CosineDrive(1.2, 1.4), 0.8)
     ts = np.linspace(start, 6.0, n)
-    zs = phase_series(cfg, drv, ts, SMOOTH)
+    zs = phase_series(model, ts)
     for i in (0, 3, n // 2, n - 1):
-        z = phase_integral(cfg, drv, float(ts[i]), SMOOTH)
+        z = phase_at(model, ts[i])
         assert abs(zs[i] - z) <= 1e-9
 
 
 def test_phase_quadrature_failure_on_tiny_budget():
-    from dressedatom import Tolerances
-    from dressedatom.errors import QuadratureFailure
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
-    tols = Tolerances(quad_limit=8)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5,
+                     tol=Tolerances(quad_tol=1e-12, quad_limit=8))
     with pytest.raises(QuadratureFailure):
-        phase_integral(cfg, drv, 2000.0, SMOOTH, tol=1e-12, tols=tols)
+        phase_at(model, 2000.0)
 
 
 def test_phase_nonfinite_integrand_raises():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    with pytest.raises(QuadratureFailure):
-        phase_integral(cfg, CosineDrive(math.nan, 1.0), 2.0, SMOOTH)
+    # the model rejects a NaN coupling before any integrand sees it; the
+    # quadrature still reports a non-finite integrand as a failure
+    from dressedatom.errors import ValidationError
+    with pytest.raises(ValidationError):
+        Model.of(CosineDrive(math.nan, 1.0), 0.5)
+    with pytest.raises(QuadratureFailure, match="not finite"):
+        _segment_integrals(lambda s: np.where(s > 1.0, np.nan, 1.0),
+                           np.array([0.0, 2.0]), np.array([]), 1e-10, 2 ** 15)
 
 
 def test_phase_series_rejects_bad_grid():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
     with pytest.raises(DomainError):
-        phase_series(cfg, drv, np.array([0.0, 2.0, 1.0]), SMOOTH)
+        phase_series(model, np.array([0.0, 2.0, 1.0]))
     with pytest.raises(DomainError):
-        phase_series(cfg, drv, np.array([-1.0, 1.0]), SMOOTH)
+        phase_series(model, np.array([-1.0, 1.0]))
 
 
 # Exactness over random parameters; derandomized so the suite is repeatable.
@@ -150,9 +161,8 @@ _N = st.integers(2, 40)
 @given(wt=st.floats(-2.0, 2.0), j0=_J0, omega=_OMEGA, t=_T, n=_N)
 @_PROPERTY
 def test_positive_branch_cosine_is_elliptic(wt, j0, omega, t, n):
-    cfg = cfg_wt(wt, j0=j0, omega=omega)
     ts = np.linspace(0.0, t, n)
-    z = phase_series(cfg, CosineDrive(j0, omega), ts, POSITIVE)
+    z = phase_series(Model.of(CosineDrive(j0, omega), wt, branch=POSITIVE), ts)
     amp = math.hypot(wt, j0)
     ref = (amp / omega) * ellipeinc(omega * ts, (j0 / amp) ** 2)
     assert np.max(np.abs(z.real - ref)) <= 1e-9
@@ -161,9 +171,8 @@ def test_positive_branch_cosine_is_elliptic(wt, j0, omega, t, n):
 @given(j0=_J0, omega=_OMEGA, t=_T, n=_N)
 @_PROPERTY
 def test_resonant_cosine_population_is_exact(j0, omega, t, n):
-    cfg = cfg_wt(0.0, j0=j0, omega=omega)
     ts = np.linspace(0.0, t, n)
-    out = dressed_series(cfg, CosineDrive(j0, omega), ts, SMOOTH)
+    out = dressed_series(Model.of(CosineDrive(j0, omega), 0.0), ts)
     ref = np.sin((j0 / omega) * np.sin(omega * ts)) ** 2
     assert np.max(np.abs(out["p0_raw"] - ref)) <= 1e-9
 
@@ -171,9 +180,8 @@ def test_resonant_cosine_population_is_exact(j0, omega, t, n):
 @given(wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0), omega=_OMEGA, t=_T, n=_N)
 @_PROPERTY
 def test_rotating_pair_phase_is_linear(wt, j0, omega, t, n):
-    cfg = cfg_wt(wt, j0=j0, omega=omega)
     ts = np.linspace(0.0, t, n)
-    z = phase_series(cfg, RwaPairDrive(j0, omega), ts, SMOOTH)
+    z = phase_series(Model.of(RwaPairDrive(j0, omega), wt), ts)
     assert np.max(np.abs(z.real - math.hypot(wt, j0) * ts)) <= 1e-9
 
 
@@ -183,12 +191,11 @@ def test_phase_series_across_zeros_near_rad_eps(factor):
     # (unpinned: a kink of width ~wt at every zero) the radicand threshold
     j0, omega = 0.1, 1.0
     wt = factor * math.sqrt(Tolerances().rad_eps) * j0
-    cfg = cfg_wt(wt, j0=j0, omega=omega)
     drv = CosineDrive(j0, omega)
     ts = np.arange(0.0, 4.0 * math.pi, 0.0031)  # straddles four zeros
     amp = math.hypot(wt, j0)
-    pos = phase_series(cfg, drv, ts, POSITIVE).real
-    smooth = phase_series(cfg, drv, ts, SMOOTH).real
+    pos = phase_series(Model.of(drv, wt, branch=POSITIVE), ts).real
+    smooth = phase_series(Model.of(drv, wt), ts).real
     ref = (amp / omega) * ellipeinc(omega * ts, (j0 / amp) ** 2)
     assert np.max(np.abs(pos - ref)) <= 1e-9
     if factor > 1.0:
@@ -203,47 +210,41 @@ def test_boundary_condition_every_drive():
     drvs = [CosineDrive(1.0, 1.0), RwaPairDrive(0.7, 1.3), ConstantDrive(0.5, 0.2)]
     for wt in (0.0, 0.6):
         for drv in drvs:
-            cfg = cfg_wt(wt, j0=getattr(drv, "j0", 1.0),
-                         omega=getattr(drv, "omega", 1.0))
-            sol = dressed_solution(cfg, drv, 0.0, SMOOTH)
-            assert sol.psi0 == 0.0
-            assert sol.psi1 == 1.0
+            sol = dressed_at(Model.of(drv, wt), 0.0)
+            assert sol["psi0"] == 0.0
+            assert sol["psi1"] == 1.0
 
 
 def test_rwa_quarter_period():
-    cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
-    sol = dressed_solution(cfg, RwaPairDrive(1.0, 1.0), math.pi / 2, SMOOTH)
-    assert abs(sol.psi0) == pytest.approx(1.0, abs=1e-12)
-    assert abs(sol.psi1) <= 1e-12
+    sol = dressed_at(Model.of(RwaPairDrive(1.0, 1.0), 0.0), math.pi / 2)
+    assert abs(sol["psi0"]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(sol["psi1"]) <= 1e-12
 
 
 def test_rwa_reduction_no_error_growth():
-    cfg = cfg_wt(0.6, j0=0.8, omega=1.0)
-    drv = RwaPairDrive(0.8, 1.0)
     ts = np.linspace(0.0, 60.0, 301)
-    out = dressed_series(cfg, drv, ts, SMOOTH)
+    out = dressed_series(Model.of(RwaPairDrive(0.8, 1.0), 0.6), ts)
     # hypot(cos, sin) is 1 only to the last ulp, so allow machine noise
     assert np.max(np.abs(out["phase"].imag)) <= 1e-14
     assert np.max(np.abs(out["p0_raw"] - np.sin(1.0 * ts) ** 2)) <= 1e-10
 
 
 def test_p0_matches_riemann_oracle():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
-    sol = dressed_solution(cfg, drv, 2.0, SMOOTH)
-    zref = riemann_phase(cfg, drv, 2.0, SMOOTH, n=2_000_000)
-    assert abs(sol.p0_raw - abs(cmath.sin(zref)) ** 2) <= 1e-7
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
+    sol = dressed_at(model, 2.0)
+    zref = riemann_phase(model, 2.0, n=2_000_000)
+    assert abs(sol["p0_raw"] - abs(cmath.sin(zref)) ** 2) <= 1e-7
 
 
 def test_dressed_pair_consistency():
-    cfg = cfg_wt(0.7, j0=1.1, omega=1.2)
-    sol = dressed_solution(cfg, CosineDrive(1.1, 1.2), 2.3, SMOOTH)
-    z = sol.phase
-    assert sol.psi_plus == pytest.approx(cmath.exp(-1j * z), rel=1e-14)
-    assert sol.psi_minus == pytest.approx(cmath.exp(1j * z), rel=1e-14)
-    assert sol.psi0 == pytest.approx((sol.psi_plus - sol.psi_minus) / 2j, rel=1e-14)
-    assert sol.psi1 == pytest.approx((sol.psi_plus + sol.psi_minus) / 2, rel=1e-14)
-    assert sol.p0_norm == pytest.approx(sol.p0_raw / (sol.p0_raw + sol.p1_raw))
+    sol = dressed_at(Model.of(CosineDrive(1.1, 1.2), 0.7), 2.3)
+    z = sol["phase"]
+    psi_plus, psi_minus = cmath.exp(-1j * z), cmath.exp(1j * z)
+    assert sol["psi0"] == pytest.approx((psi_plus - psi_minus) / 2j, rel=1e-14)
+    assert sol["psi1"] == pytest.approx((psi_plus + psi_minus) / 2, rel=1e-14)
+    assert sol["p0_raw"] == pytest.approx(abs(sol["psi0"]) ** 2, rel=1e-14)
+    assert sol["p1_raw"] == pytest.approx(abs(sol["psi1"]) ** 2, rel=1e-14)
+    assert sol["p0_norm"] == pytest.approx(sol["p0_raw"] / (sol["p0_raw"] + sol["p1_raw"]))
 
 
 def test_pythagorean_closure():
@@ -251,21 +252,19 @@ def test_pythagorean_closure():
     for _ in range(25):
         wt = rng.uniform(-1.5, 1.5)
         j0 = rng.uniform(0.2, 2.0)
-        cfg = cfg_wt(wt, j0=j0, omega=1.1)
-        sol = dressed_solution(cfg, CosineDrive(j0, 1.1), rng.uniform(0.1, 8), SMOOTH)
-        lhs = abs(sol.psi0) ** 2 + abs(sol.psi1) ** 2
-        assert abs(lhs - math.cosh(2.0 * sol.phase.imag)) <= 1e-12
+        sol = dressed_at(Model.of(CosineDrive(j0, 1.1), wt), rng.uniform(0.1, 8))
+        lhs = abs(sol["psi0"]) ** 2 + abs(sol["psi1"]) ** 2
+        assert abs(lhs - math.cosh(2.0 * sol["phase"].imag)) <= 1e-12
         assert lhs >= 1.0 - 1e-12
-        assert 0.0 <= sol.p0_norm <= 1.0
+        assert 0.0 <= sol["p0_norm"] <= 1.0
 
 
 # ------------------------------------------------- literal printed integrand
 
 def test_literal_integrand_resonance():
-    cfg = cfg_wt(0.0, j0=1.2, omega=1.0)
-    drv = CosineDrive(1.2, 1.0)
+    model = Model.of(CosineDrive(1.2, 1.0), 0.0)
     for t in (0.4, 2.8):
-        val = psi0_gamma_zero_integrand(cfg, drv, t)
+        val = psi0_gamma_zero_integrand(model, t)
         assert val.imag == 0.0
         assert val.real == pytest.approx(1.2 * abs(math.cos(t)), rel=1e-12)
 
@@ -274,51 +273,46 @@ def test_literal_integrand_at_coupling_zero():
     # cos(W t) = 0 with nonzero detuning: real part |wt|, imaginary part
     # -+ j0 W / (2 wt) evaluated literally
     wt, j0, omega = 0.8, 1.1, 1.0
-    cfg = cfg_wt(wt, j0=j0, omega=omega)
-    drv = CosineDrive(j0, omega)
+    model = Model.of(CosineDrive(j0, omega), wt)
     t = math.pi / 2
-    val = psi0_gamma_zero_integrand(cfg, drv, t)
+    val = psi0_gamma_zero_integrand(model, t)
     assert val.real == pytest.approx(abs(wt), rel=1e-9)
     assert val.imag == pytest.approx(-j0 * omega * math.sin(omega * t) / (2 * wt),
                                      rel=1e-9)
 
 
 def test_literal_integrand_imag_matches_connection():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
-    val = psi0_gamma_zero_integrand(cfg, drv, 0.3)
-    dth = float(connection_dtheta(cfg, drv, 0.3))
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
+    val = psi0_gamma_zero_integrand(model, 0.3)
+    dth = float(connection_dtheta(model, 0.3))
     assert abs(val.imag - dth) <= 1e-9
     # where the cosine is negative the literal form loses the envelope sign
     t2 = 2.0
-    val2 = psi0_gamma_zero_integrand(cfg, drv, t2)
-    dth2 = float(connection_dtheta(cfg, drv, t2))
+    val2 = psi0_gamma_zero_integrand(model, t2)
+    dth2 = float(connection_dtheta(model, t2))
     assert abs(val2.imag + dth2) <= 1e-9
 
 
 def test_literal_integrand_wrong_drive():
-    cfg = cfg_wt(0.5)
     with pytest.raises(DomainError):
-        psi0_gamma_zero_integrand(cfg, RwaPairDrive(1.0, 1.0), 0.3)
+        psi0_gamma_zero_integrand(Model.of(RwaPairDrive(1.0, 1.0), 0.5), 0.3)
 
 
 def test_literal_integrand_degenerate_at_radicand_zero():
-    from dressedatom.errors import DegenerateFrameError
-    cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
     with pytest.raises(DegenerateFrameError):
-        psi0_gamma_zero_integrand(cfg, CosineDrive(1.0, 1.0), math.pi / 2)
+        psi0_gamma_zero_integrand(Model.of(CosineDrive(1.0, 1.0), 0.0), math.pi / 2)
 
 
-def _literal_integrand_loop(cfg, drive, ts, tol=Tolerances()):
+def _literal_integrand_loop(model, ts):
     """psi0_gamma_zero_integrand one time at a time with the math module:
     the reference for its array form."""
-    wt = detuning(cfg)
+    wt, drive = model.omega_tilde, model.drive
     scale = max(drive.coupling_scale(), abs(wt), 1.0)
     out = []
     for t in ts:
         j = drive.j0 * math.cos(drive.omega * t)
         wr = math.hypot(wt, j)
-        if wr < tol.deg_eps * scale:
+        if wr < model.tol.deg_eps * scale:
             raise DegenerateFrameError(f"radicand zero at t={t}")
         denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
         imag = -wt * (drive.j0 * drive.omega * math.sin(drive.omega * t)) / (2.0 * wr * denom)
@@ -340,36 +334,33 @@ def _assert_same_parts(a, b, rtol):
        ts=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=60))
 @example(wt=0.0, j0=1.2, omega=1.0, ts=[0.0, 0.4, 2.8, 4.0, 7.0])
 def test_literal_integrand_array_matches_scalar(wt, j0, omega, ts):
-    cfg = cfg_wt(wt, j0=j0, omega=omega)
-    drv = CosineDrive(j0, omega)
+    model = Model.of(CosineDrive(j0, omega), wt)
     ts = np.array(ts)
     wr = np.hypot(wt, j0 * np.cos(omega * ts))
     assume(np.all(wr > 1e-6))
-    arr = psi0_gamma_zero_integrand(cfg, drv, ts)
-    one = [psi0_gamma_zero_integrand(cfg, drv, float(t)) for t in ts]
+    arr = psi0_gamma_zero_integrand(model, ts)
+    one = [psi0_gamma_zero_integrand(model, float(t)) for t in ts]
     assert all(type(v) is complex for v in one)
-    ref = _literal_integrand_loop(cfg, drv, ts)
+    ref = _literal_integrand_loop(model, ts)
     for part in ("real", "imag"):
         _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in one], 1e-15)
         _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in ref], 1e-15)
 
 
 def test_literal_integrand_array_degenerate_raises_for_first_time():
-    cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
     with pytest.raises(DegenerateFrameError, match=f"t={math.pi / 2}"):
-        psi0_gamma_zero_integrand(cfg, CosineDrive(1.0, 1.0),
+        psi0_gamma_zero_integrand(Model.of(CosineDrive(1.0, 1.0), 0.0),
                                   np.array([0.3, math.pi / 2, 1.5 * math.pi]))
 
 
 def test_literal_integrand_degenerate_where_denominator_rounds_to_zero():
     # wt < 0 and cos(W t) ~ 6e-17: wt + |omega_r| rounds to 0 with j != 0,
     # so the printed j^2/(wt + |omega_r|) must be taken as |omega_r| - wt
-    cfg = cfg_wt(-0.3, j0=0.9, omega=math.pi / 2)
-    drv = CosineDrive(0.9, math.pi / 2)
-    dth = float(connection_dtheta(cfg, drv, 1.0))
+    model = Model.of(CosineDrive(0.9, math.pi / 2), -0.3)
+    dth = float(connection_dtheta(model, 1.0))
     assert dth == pytest.approx(0.3 * 0.9 * (math.pi / 2) / (2 * 0.3 ** 2), rel=1e-12)
-    for val in (psi0_gamma_zero_integrand(cfg, drv, 1.0),
-                psi0_gamma_zero_integrand(cfg, drv, np.array([0.5, 1.0]))[1]):
+    for val in (psi0_gamma_zero_integrand(model, 1.0),
+                psi0_gamma_zero_integrand(model, np.array([0.5, 1.0]))[1]):
         assert math.isfinite(val.imag)
         # the literal form matches the connection up to the envelope sign
         assert abs(val.imag) == pytest.approx(abs(dth), rel=1e-12)
@@ -383,12 +374,12 @@ def test_identities_eq24_columns_match_row_loop(wt, omega):
         "t_end": 4.0, "dt": 1e-3, "output_stride": 5, "outputs": "identities"}))
     series, _ = run_scenario(cfg)
     ident = series["identities"]
-    atom, drv, tols = cfg.atom_config(), cfg.drive_signal(), cfg.tolerances()
+    model = cfg.model()
     ts = ident.t
-    ref = np.array([_literal_integrand_loop(atom, drv, [t], tols)[0]
-                    if abs(rabi_frequency(atom, drv, t, POSITIVE, tols)) > 1e-9
+    ref = np.array([_literal_integrand_loop(model, [t])[0]
+                    if abs(rabi_frequency(model, t)) > 1e-9
                     else complex(np.nan, np.nan) for t in ts])
-    gap = np.abs(ref.imag - connection_dtheta(atom, drv, ts, SMOOTH, tols))
+    gap = np.abs(ref.imag - connection_dtheta(model, ts))
     _assert_same_parts(ident.column("re_eq24"), ref.real, 1e-15)
     _assert_same_parts(ident.column("im_eq24"), ref.imag, 1e-15)
     _assert_same_parts(ident.column("im_eq24_gap"), gap, 1e-15)
@@ -400,95 +391,105 @@ def test_identities_eq24_columns_match_row_loop(wt, omega):
 
 # ------------------------------------------------------------ elliptic phase
 
+def _elliptic_model(wt, j0, omega=1.0):
+    return Model.of(CosineDrive(j0, omega), wt, branch=POSITIVE)
+
+
 def test_elliptic_phase_resonance_first_quadrant():
-    cfg = cfg_wt(0.0, j0=1.4, omega=1.0)
-    drv = CosineDrive(1.4, 1.0)
+    model = _elliptic_model(0.0, 1.4)
     for t in (0.2, 0.8, 1.4):
-        assert elliptic_phase(cfg, drv, t) == pytest.approx(
-            1.4 * math.sin(t), abs=1e-12)
+        assert elliptic_phase(model, t) == pytest.approx(1.4 * math.sin(t), abs=1e-12)
 
 
 def test_elliptic_phase_zero_coupling():
-    cfg = cfg_wt(0.7, j0=0.0, omega=1.0)
-    drv = CosineDrive(0.0, 1.0)
-    assert elliptic_phase(cfg, drv, 3.0) == pytest.approx(0.7 * 3.0, rel=1e-12)
+    assert elliptic_phase(_elliptic_model(0.7, 0.0), 3.0) == pytest.approx(
+        0.7 * 3.0, rel=1e-12)
 
 
 def test_elliptic_phase_resonance_multi_quadrant():
     # unit modulus across many quadrants: E(W t, 1) folds through 2E(1) = 2
-    cfg = cfg_wt(0.0, j0=1.3, omega=1.0)
-    drv = CosineDrive(1.3, 1.0)
+    model = _elliptic_model(0.0, 1.3)
     for t in (2.0, 7.0, 11.5):
         ref = quad(lambda s: abs(1.3 * math.cos(s)), 0, t,
-                   points=list(drv.coupling_zero_times(0, t)), limit=300)[0]
-        assert elliptic_phase(cfg, drv, t) == pytest.approx(ref, abs=1e-12)
+                   points=list(model.drive.coupling_zero_times(0, t)), limit=300)[0]
+        assert elliptic_phase(model, t) == pytest.approx(ref, abs=1e-12)
 
 
 def test_elliptic_phase_quadrature():
     wt, j0, omega = 0.5, 1.0, 1.0
-    cfg = cfg_wt(wt, j0=j0, omega=omega)
-    drv = CosineDrive(j0, omega)
+    model = _elliptic_model(wt, j0, omega)
     ref = quad(lambda s: math.hypot(wt, j0 * math.cos(omega * s)), 0, 2.0,
-               points=list(drv.coupling_zero_times(0, 2.0)), limit=200,
+               points=list(model.drive.coupling_zero_times(0, 2.0)), limit=200,
                epsabs=1e-13)[0]
-    assert abs(elliptic_phase(cfg, drv, 2.0) - ref) <= 1e-9
+    assert abs(elliptic_phase(model, 2.0) - ref) <= 1e-9
 
 
 def test_elliptic_equivalence_with_positive_root_phase():
     for wt in (0.3, 1.2):
         for j0 in (0.5, 2.0):
-            cfg = cfg_wt(wt, j0=j0, omega=1.3)
-            drv = CosineDrive(j0, 1.3)
+            model = _elliptic_model(wt, j0, 1.3)
             for t in (0.9, 3.3, 6.1):
-                z = phase_integral(cfg, drv, t, POSITIVE)
-                assert abs(elliptic_phase(cfg, drv, t) - z.real) <= 1e-9
+                z = phase_at(model, t)
+                assert abs(elliptic_phase(model, t) - z.real) <= 1e-9
 
 
 def test_elliptic_phase_domain():
-    cfg = cfg_wt(0.5)
     with pytest.raises(DomainError):
-        elliptic_phase(cfg, RwaPairDrive(1.0, 1.0), 1.0)
+        elliptic_phase(Model.of(RwaPairDrive(1.0, 1.0), 0.5, branch=POSITIVE), 1.0)
     with pytest.raises(DomainError):
-        elliptic_phase(cfg, CosineDrive(1.0, 1.0), 1.0, branch=SMOOTH)
+        elliptic_phase(Model.of(CosineDrive(1.0, 1.0), 0.5, branch=SMOOTH), 1.0)
 
 
 # ---------------------------------------------------------------- limit forms
 
+class RegimeMismatch(ValueError):
+    """An asymptotic form asked for outside its validity window."""
+
+
+def limit_form(model, regime, t):
+    """Asymptotic |psi0| for the cosine drive: resonance keeps the drive's
+    own modulation, while far off resonance the level spacing washes it out
+    to |sin(wt * t)|."""
+    wt, j0, w = model.omega_tilde, model.drive.j0, model.drive.omega
+    if regime == "resonant":
+        if abs(wt) > 0.01 * j0:
+            raise RegimeMismatch(f"|detuning|={abs(wt)} exceeds 0.01*j0={0.01 * j0}")
+        return abs(math.sin((j0 / w) * math.sin(w * t)))
+    if abs(wt) < 100.0 * j0:
+        raise RegimeMismatch(f"|detuning|={abs(wt)} below 100*j0={100.0 * j0}")
+    return abs(math.sin(wt * t))
+
+
 def test_limit_resonant_zero_at_full_period():
-    cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
-    got = limit_form(cfg, CosineDrive(1.0, 1.0), Regime.RESONANT, math.pi)
+    got = limit_form(Model.of(CosineDrive(1.0, 1.0), 0.0), "resonant", math.pi)
     assert got == pytest.approx(0.0, abs=1e-15)  # sin(pi) at machine precision
 
 
 def test_limit_far_detuned_quarter_period():
-    cfg = cfg_wt(50.0, j0=0.1, omega=1.0)
-    got = limit_form(cfg, CosineDrive(0.1, 1.0), Regime.FAR_DETUNED, math.pi / 100)
+    got = limit_form(Model.of(CosineDrive(0.1, 1.0), 50.0), "far_detuned", math.pi / 100)
     assert got == pytest.approx(1.0)
 
 
 def test_limit_resonant_against_full_solution():
-    cfg = cfg_wt(0.001, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
-    lf = limit_form(cfg, drv, Regime.RESONANT, 1.2)
-    sol = dressed_solution(cfg, drv, 1.2, SMOOTH)
-    assert abs(lf ** 2 - sol.p0_raw) <= 1e-4
+    model = Model.of(CosineDrive(1.0, 1.0), 0.001)
+    lf = limit_form(model, "resonant", 1.2)
+    assert abs(lf ** 2 - dressed_at(model, 1.2)["p0_raw"]) <= 1e-4
 
 
 def test_limit_regime_mismatch():
-    cfg = cfg_wt(0.5, j0=1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
     with pytest.raises(RegimeMismatch):
-        limit_form(cfg, CosineDrive(1.0, 1.0), Regime.RESONANT, 1.0)
+        limit_form(model, "resonant", 1.0)
     with pytest.raises(RegimeMismatch):
-        limit_form(cfg, CosineDrive(1.0, 1.0), Regime.FAR_DETUNED, 1.0)
+        limit_form(model, "far_detuned", 1.0)
 
 
 # -------------------------------------------------------------- periodicity
 
 def test_abs_rabi_fft_peak_at_twice_drive():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5, branch=POSITIVE)
     n = 2048
     span = 8 * math.pi  # exactly 8 periods of |omega_r|
     ts = np.linspace(0.0, span, n, endpoint=False)
-    wr = np.abs(rabi_frequency(cfg, drv, ts, POSITIVE))
+    wr = np.abs(rabi_frequency(model, ts))
     assert dominant_frequency(ts, wr) == pytest.approx(2.0, abs=1e-9)

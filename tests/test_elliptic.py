@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dressedatom import AtomConfig, CosineDrive, elliptic_phase
+from dressedatom import BranchMode, CosineDrive, Model, elliptic_phase
 
 
 def ellip_e(phi, k):
     # with wt = sqrt(1 - k^2), j0 = k and W = 1 the prefactor is 1 and the
     # modulus is k, so elliptic_phase(t = phi) is E(phi, k) itself
     wt = math.sqrt(1.0 - k * k)
-    return elliptic_phase(AtomConfig.from_detuning(wt, k, omega_drive=1.0),
-                          CosineDrive(j0=k, omega=1.0), phi)
+    return elliptic_phase(Model.of(CosineDrive(j0=k, omega=1.0), wt,
+                                   branch=BranchMode.POSITIVE_ROOT), phi)
 
 
 def e_quadrature(phi, k):

@@ -7,32 +7,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dressedatom import (AtomConfig, BranchMode, ConstantDrive, CosineDrive,
-                         RwaPairDrive, Tolerances, connection_dtheta, detuning,
-                         identity_residuals, mixing_angle, rabi_frequency,
-                         transition_current)
-from dressedatom.errors import DegenerateFrameError
-from dressedatom.frames import _dtheta_bracket_form, theta_of_t
+from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
+                         RwaPairDrive, ScenarioConfig, Tolerances,
+                         connection_dtheta, identity_residuals, mixing_angle,
+                         rabi_frequency, transition_current)
+from dressedatom.errors import DegenerateFrameError, ValidationError
+from dressedatom.frames import _nearest_distance, near_coupling_zero, theta_of_t
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
 
 
-def cfg_wt(wt, j0=1.0, omega=1.0):
-    return AtomConfig.from_detuning(wt, j0, omega_drive=omega)
+def _dtheta_bracket_form(model, t):
+    """Two-factor form of the connection (sign already corrected).
+
+    dtheta/dt = -[(j j' + g g')/(omega_r q)] *
+                 [1 - (wt + omega_r)(wt + 2 omega_r) / ((wt + omega_r)^2 + q^2)]
+
+    Singular at coupling zeros: the reference for the reduced form.
+    """
+    wt, drive = model.omega_tilde, model.drive
+    j, g, dj, dg = drive.j(t), drive.gamma(t), drive.dj(t), drive.dgamma(t)
+    q = np.hypot(j, g)
+    wr = np.sqrt(wt * wt + q * q)
+    u = wt + wr
+    p = j * dj + g * dg
+    bracket = 1.0 - u * (wt + 2.0 * wr) / (u * u + q * q)
+    return -(p / (wr * q)) * bracket
 
 
-# ------------------------------------------------------------------ config
+# ------------------------------------------------------------------- model
 
-def test_atom_config_invariants():
-    with pytest.raises(Exception, match="omega_drive"):
-        AtomConfig(omega_drive=0.0)
-    with pytest.raises(Exception, match="j0"):
-        AtomConfig(j0=-0.5)
-    with pytest.raises(Exception, match="hbar"):
-        AtomConfig(hbar=0.0)
+def test_model_invariants():
+    with pytest.raises(ValidationError, match="omega"):
+        Model(omega_tilde=0.5, off=0.0, omega=0.0, drive=ConstantDrive(1.0))
+    with pytest.raises(ValidationError, match="j0"):
+        CosineDrive(j0=-0.5, omega=1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        Model.of(CosineDrive(1.0, 1.0), math.inf)
+    with pytest.raises(ValidationError, match="overflows"):
+        Model.of(CosineDrive(1e200, 1.0), 0.5)
+    with pytest.raises(ValidationError, match="tolerance"):
+        Model.of(CosineDrive(1.0, 1.0), 0.5, tol=Tolerances(deg_eps=0.0))
     # recoil-shifted level may have any sign
-    AtomConfig(e1=0.0, e2=0.1, omega_drive=5.0)
+    ScenarioConfig(e1=0.0, e2=0.1, omega=5.0).model()
+
+
+def test_model_thresholds():
+    model = Model.of(CosineDrive(2.0, 1.0), 0.5)
+    assert model.deg_floor == 1e-12 * 2.0
+    assert not model.crossing
+    assert Model.of(CosineDrive(2.0, 1.0), 1e-7).crossing
+    assert not Model.of(CosineDrive(2.0, 1.0), 1e-5).crossing
+    # no coupling: only an exact zero detuning lets the radicand vanish
+    assert Model.of(ConstantDrive(0.0), 0.0).crossing
+    assert not Model.of(ConstantDrive(0.0), 1e-100).crossing
 
 
 def test_tolerances_validation():
@@ -43,45 +72,49 @@ def test_tolerances_validation():
 
 # ---------------------------------------------------------------- detuning
 
+def _model(**kw):
+    return ScenarioConfig(**kw).model()
+
+
 def test_detuning_resonance():
-    assert detuning(AtomConfig(e1=0, e2=2, omega_drive=2, j0=1)) == 0.0
+    assert _model(e1=0, e2=2, omega=2, j0=1).omega_tilde == 0.0
 
 
 def test_detuning_positive():
-    assert detuning(AtomConfig(e1=0, e2=3, omega_drive=2, j0=1)) == 0.5
+    assert _model(e1=0, e2=3, omega=2, j0=1).omega_tilde == 0.5
 
 
 def test_detuning_degenerate_levels():
-    assert detuning(AtomConfig(e1=1, e2=1, omega_drive=2, j0=1)) == -1.0
+    assert _model(e1=1, e2=1, omega=2, j0=1).omega_tilde == -1.0
 
 
 def test_detuning_hbar_conversion():
-    a = AtomConfig(e1=0, e2=6, omega_drive=2, j0=1, hbar=2.0)
-    assert detuning(a) == pytest.approx((6 / 2 - 2) / 2)
+    m = _model(e1=0, e2=6, omega=2, j0=1, hbar=2.0)
+    assert m.omega_tilde == pytest.approx((6 / 2 - 2) / 2)
+    assert m.off == pytest.approx(6 / 4 - 1)
+    assert m.drive.j0 == 0.5
 
 
 # ---------------------------------------------------------- rabi frequency
 
 def test_rabi_single_term():
-    cfg = cfg_wt(0.0, j0=1.0)
-    drv = ConstantDrive(1.0)
-    assert rabi_frequency(cfg, drv, 0.0, POSITIVE) == pytest.approx(1.0)
+    model = Model.of(ConstantDrive(1.0), 0.0, branch=POSITIVE)
+    assert rabi_frequency(model, 0.0) == pytest.approx(1.0)
 
 
 def test_rabi_345():
-    cfg = cfg_wt(3.0, j0=4.0)
-    drv = ConstantDrive(4.0)
-    assert rabi_frequency(cfg, drv, 0.0, POSITIVE) == pytest.approx(5.0)
+    model = Model.of(ConstantDrive(4.0), 3.0, branch=POSITIVE)
+    assert rabi_frequency(model, 0.0) == pytest.approx(5.0)
 
 
-def _tracked_eigenvalue(cfg, drv, ts):
+def _tracked_eigenvalue(model, ts):
     """Independent oracle: follow one eigenvalue curve of the instantaneous
     traceless matrix through the degeneracy by eigenvector continuity."""
-    wt = detuning(cfg)
+    wt = model.omega_tilde
     prev_vec = None
     curve = []
     for t in ts:
-        j = float(drv.j(t))
+        j = float(model.drive.j(t))
         m = np.array([[wt, j], [j, -wt]])
         vals, vecs = np.linalg.eigh(m)
         if prev_vec is None:
@@ -96,50 +129,43 @@ def _tracked_eigenvalue(cfg, drv, ts):
 
 def test_rabi_smooth_continuation_resonance():
     # smooth branch follows the eigenvalue curve through the crossing
-    cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.0)
     t = 3 * math.pi / 4
-    assert rabi_frequency(cfg, drv, t, SMOOTH) == pytest.approx(math.cos(t))
+    assert rabi_frequency(model, t) == pytest.approx(math.cos(t))
     ts = np.linspace(0.0, 3.0, 601)
-    tracked = _tracked_eigenvalue(cfg, drv, ts)
-    got = rabi_frequency(cfg, drv, ts, SMOOTH)
+    tracked = _tracked_eigenvalue(model, ts)
+    got = rabi_frequency(model, ts)
     assert np.max(np.abs(got - tracked)) < 1e-10
 
 
 def test_rabi_positive_root_is_abs():
-    cfg = cfg_wt(0.0, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.0, branch=POSITIVE)
     ts = np.linspace(0.0, 8.0, 200)
-    assert np.all(rabi_frequency(cfg, drv, ts, POSITIVE) >= 0)
+    assert np.all(rabi_frequency(model, ts) >= 0)
 
 
 def test_radicand_ordering():
     for wt in (-2.0, -0.3, 0.0, 0.7, 4.0):
-        cfg = cfg_wt(wt, j0=1.3, omega=1.1)
-        drv = CosineDrive(1.3, 1.1)
         ts = np.linspace(0, 12, 500)
         for branch in (SMOOTH, POSITIVE):
-            wr = rabi_frequency(cfg, drv, ts, branch)
+            wr = rabi_frequency(Model.of(CosineDrive(1.3, 1.1), wt, branch=branch), ts)
             assert np.all(np.abs(wr) >= abs(wt) - 1e-15)
 
 
 # ------------------------------------------------------------ mixing angle
 
 def test_mixing_no_coupling():
-    cfg = cfg_wt(1.0, j0=0.0)
-    assert mixing_angle(cfg, ConstantDrive(0.0), 0.0) == pytest.approx((1.0, 0.0))
+    model = Model.of(ConstantDrive(0.0), 1.0)
+    assert mixing_angle(model, 0.0) == pytest.approx((1.0, 0.0))
 
 
 def test_mixing_resonant_symmetric():
-    cfg = cfg_wt(0.0, j0=1.0)
-    c, s = mixing_angle(cfg, ConstantDrive(1.0), 0.0, POSITIVE)
+    c, s = mixing_angle(Model.of(ConstantDrive(1.0), 0.0, branch=POSITIVE), 0.0)
     assert (c, s) == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(2)))
 
 
 def test_mixing_345_against_eigenvector_oracle():
-    cfg = cfg_wt(3.0, j0=4.0)
-    drv = ConstantDrive(4.0)
-    c, s = mixing_angle(cfg, drv, 0.0)
+    c, s = mixing_angle(Model.of(ConstantDrive(4.0), 3.0), 0.0)
     assert (c, s) == pytest.approx((8 / math.sqrt(80), 4 / math.sqrt(80)))
     # independent oracle: eigendecomposition of [[-wt, J-iG], [J+iG, wt]],
     # matched up to phase
@@ -150,10 +176,9 @@ def test_mixing_345_against_eigenvector_oracle():
 
 
 def test_mixing_eigenvector_oracle_with_connection():
-    cfg = cfg_wt(0.7, j0=0.0)
-    drv = ConstantDrive(0.9, 1.2)
-    c, s = mixing_angle(cfg, drv, 0.5)
-    wt = detuning(cfg)
+    model = Model.of(ConstantDrive(0.9, 1.2), 0.7)
+    c, s = mixing_angle(model, 0.5)
+    wt = model.omega_tilde
     j, g = 0.9, 1.2
     m = np.array([[-wt, j - 1j * g], [j + 1j * g, wt]])
     vals, vecs = np.linalg.eigh(m)
@@ -162,9 +187,8 @@ def test_mixing_eigenvector_oracle_with_connection():
 
 
 def test_mixing_degenerate_raises():
-    cfg = cfg_wt(0.0, j0=0.0)
     with pytest.raises(DegenerateFrameError):
-        mixing_angle(cfg, ConstantDrive(0.0), 0.0)
+        mixing_angle(Model.of(ConstantDrive(0.0), 0.0), 0.0)
 
 
 def test_unit_circle_many():
@@ -172,11 +196,10 @@ def test_unit_circle_many():
     for _ in range(50):
         wt = rng.uniform(-3, 3)
         j0 = rng.uniform(0.05, 4)
-        cfg = cfg_wt(wt, j0=j0, omega=1.3)
-        drv = CosineDrive(j0, 1.3)
+        model = Model.of(CosineDrive(j0, 1.3), wt)
         t = rng.uniform(0, 10)
         try:
-            c, s = mixing_angle(cfg, drv, t)
+            c, s = mixing_angle(model, t)
         except DegenerateFrameError:
             continue
         assert abs(c * c + s * s - 1.0) < 1e-12
@@ -185,51 +208,45 @@ def test_unit_circle_many():
 # -------------------------------------------------------------- connection
 
 def test_connection_zero_constant():
-    cfg = cfg_wt(0.4, j0=1.0)
     ts = np.linspace(0, 25, 1500)
-    dth = connection_dtheta(cfg, ConstantDrive(1.0, 0.6), ts)
+    dth = connection_dtheta(Model.of(ConstantDrive(1.0, 0.6), 0.4), ts)
     assert np.max(np.abs(dth)) <= 1e-12
 
 
 def test_connection_zero_rwa_pair():
-    cfg = cfg_wt(0.6, j0=0.8, omega=1.3)
     ts = np.linspace(0, 25, 1500)
-    dth = connection_dtheta(cfg, RwaPairDrive(0.8, 1.3), ts)
+    dth = connection_dtheta(Model.of(RwaPairDrive(0.8, 1.3), 0.6), ts)
     assert np.max(np.abs(dth)) <= 1e-12
 
 
 def test_connection_zero_resonant_cosine():
-    cfg = cfg_wt(0.0, j0=1.0)
     ts = np.linspace(0, 25, 1500)
-    dth = connection_dtheta(cfg, CosineDrive(1.0, 1.0), ts)
+    dth = connection_dtheta(Model.of(CosineDrive(1.0, 1.0), 0.0), ts)
     assert np.max(np.abs(dth)) <= 1e-12
 
 
 def test_connection_matches_finite_difference_of_theta():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
     t, h = 0.3, 1e-3
-    fd = (theta_of_t(cfg, drv, t - 2 * h) - 8 * theta_of_t(cfg, drv, t - h)
-          + 8 * theta_of_t(cfg, drv, t + h) - theta_of_t(cfg, drv, t + 2 * h))
+    fd = (theta_of_t(model, t - 2 * h) - 8 * theta_of_t(model, t - h)
+          + 8 * theta_of_t(model, t + h) - theta_of_t(model, t + 2 * h))
     fd = fd / (12 * h)
-    got = float(connection_dtheta(cfg, drv, t))
+    got = float(connection_dtheta(model, t))
     assert abs(got - fd) <= 1e-7
 
 
 def test_connection_bracket_form_equivalent():
-    cfg = cfg_wt(0.8, j0=1.4, omega=2.0)
-    drv = CosineDrive(1.4, 2.0)
+    model = Model.of(CosineDrive(1.4, 2.0), 0.8)
     ts = np.linspace(0.05, 1.4, 40)  # stays inside the first lobe
-    a = connection_dtheta(cfg, drv, ts)
-    b = _dtheta_bracket_form(cfg, drv, ts)
+    a = connection_dtheta(model, ts)
+    b = _dtheta_bracket_form(model, ts)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_connection_finite_at_coupling_zero():
-    cfg = cfg_wt(0.5, j0=1.0, omega=1.0)
-    drv = CosineDrive(1.0, 1.0)
+    model = Model.of(CosineDrive(1.0, 1.0), 0.5)
     t0 = math.pi / 2  # exact coupling zero
-    val = float(connection_dtheta(cfg, drv, t0))
+    val = float(connection_dtheta(model, t0))
     assert math.isfinite(val)
     # one-sided limit: wt * |dq/dt| / (2 wr^2) with wr = |wt|
     expected = 0.5 * 1.0 / (2 * 0.25)
@@ -239,31 +256,44 @@ def test_connection_finite_at_coupling_zero():
 # ---------------------------------------------------------------- identities
 
 def test_identities_constant_exact_zero():
-    cfg = cfg_wt(0.4, j0=1.0)
-    r1, r2, r3 = identity_residuals(cfg, ConstantDrive(1.0, 0.6), np.array([0.5, 2.0]))
+    model = Model.of(ConstantDrive(1.0, 0.6), 0.4)
+    r1, r2, r3 = identity_residuals(model, np.array([0.5, 2.0]))
     assert np.all(r1 == 0.0)
     assert np.all(r2 == 0.0)
     assert np.all(r3[np.isfinite(r3)] == 0.0)
 
 
 def test_identities_rwa_r1():
-    cfg = cfg_wt(0.6, j0=0.8, omega=1.3)
     ts = np.linspace(0.1, 9.0, 300)
-    r1, _, _ = identity_residuals(cfg, RwaPairDrive(0.8, 1.3), ts)
+    r1, _, _ = identity_residuals(Model.of(RwaPairDrive(0.8, 1.3), 0.6), ts)
     assert np.max(np.abs(r1)) <= 1e-12
 
 
 def test_identities_cosine_dense():
-    cfg = cfg_wt(0.7, j0=1.3, omega=2.1)
-    drv = CosineDrive(1.3, 2.1)
+    model = Model.of(CosineDrive(1.3, 2.1), 0.7)
     ts = np.linspace(0.02, 10.0, 1000)
-    zeros = drv.coupling_zero_times(0.0, 11.0)
+    zeros = model.drive.coupling_zero_times(0.0, 11.0)
     dist = np.min(np.abs(ts[:, None] - np.asarray(zeros)[None, :]), axis=1)
-    ts = ts[dist > 5e-3]
-    r1, r2, r3 = identity_residuals(cfg, drv, ts)
+    near = dist <= 5e-3
+    assert np.array_equal(near_coupling_zero(model, ts), near)
+    r1, r2, r3 = identity_residuals(model, ts)
+    # r2 and r3 differentiate the envelope |J|: NaN next to its kinks
+    assert np.all(np.isnan(r2[near])) and np.all(np.isnan(r3[near]))
+    r1, r2, r3 = r1[~near], r2[~near], r3[~near]
     assert np.max(np.abs(r1)) <= 1e-8
     assert np.max(np.abs(r2)) <= 1e-8
     assert np.nanmax(np.abs(r3)) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zeros=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40, unique=True),
+       ts=st.lists(st.floats(0.0, 60.0), max_size=200))
+def test_nearest_distance_matches_dense(zeros, ts):
+    zeros = np.sort(np.array(zeros))
+    for grid in (np.array(ts), np.arange(0.0, 60.0, 1e-3), zeros,
+                 np.concatenate([zeros - 5e-3, zeros + 5e-3])):
+        dense = np.min(np.abs(grid[:, None] - zeros[None, :]), axis=1)
+        assert np.array_equal(_nearest_distance(grid, zeros), dense)
 
 
 # ----------------------------------------------------------------- current
