@@ -45,10 +45,19 @@ def _write_outputs(outdir: str, series: dict, report: dict, cfg) -> None:
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+def _write_error(outdir: str, exc: OSError) -> int:
+    print(f"error: cannot write outputs to {outdir}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     series, report = run_scenario(cfg)
-    _write_outputs(args.out, series, report, cfg)
+    try:
+        _write_outputs(args.out, series, report, cfg)
+    except OSError as exc:
+        return _write_error(args.out, exc)
     if report.get("norm_ok") is False:
         print(f"warning: norm drift {report['norm_drift']:.3e} exceeds norm_tol "
               f"{cfg.norm_tol:.3e}", file=sys.stderr)
@@ -70,10 +79,13 @@ def _cmd_sweep(args) -> int:
     table, reports = sweep(cfg, args.axis, values)
     text = table.to_csv()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.csv").write_text(text)
-    (out / "sweep_report.json").write_text(
-        json.dumps(reports, indent=2, sort_keys=True, default=str) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "sweep.csv").write_text(text)
+        (out / "sweep_report.json").write_text(
+            json.dumps(reports, indent=2, sort_keys=True, default=str) + "\n")
+    except OSError as exc:
+        return _write_error(args.out, exc)
     print(text, end="")
     return 0
 

@@ -212,3 +212,21 @@ def test_accept_fast_smoke(capsys):
     assert main(["accept", "--fast"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["sweep", "--axis", "omega_tilde", "--values", "0.0,0.5"],
+])
+def test_unwritable_out_is_one_line_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drive": "cosine", "j0": 1.0, "t_end": 1.0,
+                               "dt": 0.01, "outputs": "compare"}))
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    for out in (taken, taken / "sub"):
+        assert main([argv[0], str(cfg), *argv[1:], "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write outputs to {out}: ")
+    assert taken.read_text() == "a file, not a directory"

@@ -14,6 +14,8 @@ from dressedatom import (ScenarioConfig, parse_config, run_scenario,
                          serialize_config, sweep)
 from dressedatom.errors import ParseError, UnknownAxis, ValidationError
 
+ALL_OUTPUTS = "frame,closed,oracle,compare,identities,current"
+
 
 # ------------------------------------------------------------------ parsing
 
@@ -128,6 +130,12 @@ def test_run_zero_span_emits_headers_only():
         assert ts.to_csv().count("\n") == 1  # header line only
 
 
+def _fstring_csv(ts) -> str:
+    """One f-string per value: the reference the array formatter must match."""
+    rows = [",".join(f"{v:.17g}" for v in row) for row in ts.data]
+    return "\n".join([",".join(ts.columns)] + rows) + "\n"
+
+
 def test_run_deterministic_csv():
     cfg = parse_config(json.dumps({
         "drive": "cosine", "omega_tilde": 0.5, "j0": 1.0, "omega": 1.0,
@@ -137,6 +145,23 @@ def test_run_deterministic_csv():
     b, _ = run_scenario(cfg)
     for kind in a:
         assert a[kind].to_csv() == b[kind].to_csv()
+    # the value mix of real runs (the t grid, norms near 1, the NaN rows of
+    # identities) against the per-value reference, for every output
+    docs = [{"drive": "cosine", "omega_tilde": 0.0, "j0": 0.9},
+            {"drive": "cosine", "omega_tilde": 0.4, "j0": 1.1, "omega": 0.9},
+            {"drive": "rwa", "omega_tilde": 0.6, "j0": 0.8},
+            {"drive": "constant", "omega_tilde": 0.3, "j0": 0.7, "gamma0": 0.2},
+            {"drive": "cosine", "omega_tilde": 0.2, "j0": 1.0, "branch": "positive",
+             "initial_state": "bare1"},
+            {"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "e1": -40},
+            {"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 1.0,
+             "output_stride": 1}]
+    for doc in docs:
+        cfg = parse_config(json.dumps({"t_end": 3.0, "outputs": ALL_OUTPUTS, **doc}))
+        series, _ = run_scenario(cfg)
+        assert len(series) == 6
+        for kind, ts in series.items():
+            assert ts.to_csv() == _fstring_csv(ts), (doc, kind)
 
 
 def test_csv_17_digit_roundtrip():
