@@ -4,7 +4,8 @@ Library layout:
 
     config      Model (detuning, mean level, drive, branch, tolerances,
                 compiled once), BranchMode, Tolerances
-    drives      CosineDrive, RwaPairDrive, ConstantDrive
+    drives      CosineDrive, ConstantDrive: the coupling envelope f(t) of
+                the connection frame, the one way a drive reaches the physics
     frames      Rabi root, mixing angle, connection, identities
     closedform  phase integral Z(t), dressed series, elliptic phase
     oracle      direct RK4 integration, dressed projection, comparisons
@@ -13,7 +14,7 @@ Library layout:
 """
 
 from .config import BranchMode, Model, Tolerances
-from .drives import ConstantDrive, CosineDrive, RwaPairDrive
+from .drives import ConstantDrive, CosineDrive
 from .frames import (connection_dtheta, identity_residuals, mixing_angle,
                      rabi_frequency, transition_current)
 from .closedform import (dressed_series, elliptic_phase, phase_series,
@@ -25,7 +26,7 @@ from .scenario import ScenarioConfig, parse_config, run_scenario, serialize_conf
 
 __all__ = [
     "Model", "BranchMode", "Tolerances",
-    "CosineDrive", "RwaPairDrive", "ConstantDrive",
+    "CosineDrive", "ConstantDrive",
     "rabi_frequency", "mixing_angle", "connection_dtheta",
     "identity_residuals", "transition_current",
     "phase_series", "dressed_series", "psi0_gamma_zero_integrand",

@@ -21,7 +21,8 @@ from pathlib import Path
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
                      ParseError, QuadratureFailure, StepTooLarge, UnknownAxis,
                      ValidationError)
-from .scenario import parse_config, run_scenario, serialize_config, sweep
+from .scenario import (OUTPUT_KINDS, parse_config, run_scenario,
+                       serialize_config, sweep)
 
 _USER_ERRORS = (ParseError, ValidationError, UnknownAxis, DomainError)
 _NUMERIC_ERRORS = (QuadratureFailure, StepTooLarge, InsufficientSpan)
@@ -36,10 +37,17 @@ def _load_config(path: str):
 
 
 def _write_outputs(outdir: str, series: dict, report: dict, cfg) -> None:
+    """Write the run's CSVs and report.json; remove the CSV of every output
+    kind this run did not write, so that the directory holds only what its
+    report lists.  No other file is touched."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    for kind, ts in series.items():
-        (out / f"{kind}.csv").write_text(ts.to_csv())
+    for kind in OUTPUT_KINDS:
+        path = out / f"{kind}.csv"
+        if kind in series:
+            path.write_text(series[kind].to_csv())
+        else:
+            path.unlink(missing_ok=True)
     report = dict(report)
     report["config"] = json.loads(serialize_config(cfg))
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -169,8 +169,7 @@ def psi0_gamma_zero_integrand(model: Model, t):
         raise DomainError("literal integrand is defined for the cosine drive only")
     t = np.asarray(t, dtype=float)
     wt = model.omega_tilde
-    w = drive.omega
-    j = drive.j0 * np.cos(w * t)
+    j = drive.frame_coupling(t)
     wr = np.hypot(wt, j)
     bad = wr < model.deg_floor
     if np.any(bad):
@@ -178,7 +177,7 @@ def psi0_gamma_zero_integrand(model: Model, t):
     # j^2 / (wt + |omega_r|) equals |omega_r| - wt; for wt < 0 the printed
     # quotient cancels near every coupling zero and is 0/0 on one
     denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
-    imag = -wt * (drive.j0 * w * np.sin(w * t)) / (2.0 * wr * denom)
+    imag = wt * drive.frame_coupling_rate(t) / (2.0 * wr * denom)
     if t.ndim == 0:
         return complex(wr, imag)
     # real and imaginary parts set apart: wr + 1j*imag would turn -0 into 0

@@ -60,7 +60,7 @@ class Model:
     omega_tilde  detuning ((e2 - e1) - Omega)/2
     off          mean level (e1 + e2)/2 - Omega/2, a global phase
     omega        drive angular frequency Omega, > 0
-    drive        the coupling pair (J(t), Gamma(t))
+    drive        the coupling envelope f(t) of the connection frame
     branch       sign policy of the Rabi root
     tol          numerical policy
 
@@ -69,7 +69,7 @@ class Model:
     deg_floor    deg_eps times the problem scale max(coupling scale,
                  |omega_tilde|, 1): the mixing angle is undefined where N
                  falls below it, and the literal integrand where |omega_r| does
-    crossing     whether the radicand omega_tilde^2 + j^2 + g^2 can touch
+    crossing     whether the radicand omega_tilde^2 + f^2 can touch
                  zero: the detuning is within rad_eps of zero relative to the
                  problem scale, so the coupling zeros are dressed-level
                  crossings
@@ -105,7 +105,8 @@ class Model:
            branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
            tol: Tolerances = Tolerances()) -> "Model":
         """A model with a prescribed detuning; Omega is the drive's own
-        frequency (1 for the constant drive)."""
+        frequency, 1 for the constant drive.  A rotating-wave drive, the
+        constant envelope j0, takes its Omega from ``Model`` directly."""
         return cls(omega_tilde=omega_tilde, off=off,
                    omega=getattr(drive, "omega", 1.0), drive=drive,
                    branch=branch, tol=tol)

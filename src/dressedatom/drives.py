@@ -1,17 +1,28 @@
-"""Drive signals: the coupling pair (J(t), Gamma(t)) with analytic derivatives.
+"""Drive signals, as the coupling envelope of the connection frame.
 
-Three kinds are supported.  Every evaluator is vectorised: it accepts a float
-or an ndarray of times and returns the matching shape.
+The model's bare coupling is the pair (J(t), Gamma(t)).  In the connection
+frame, which co-rotates with arg(J + i*Gamma), the coupling is the real,
+signed envelope f(t), with
 
-Beyond the raw pair, each drive knows two things the rest of the package
-needs:
+    |f| = |J + i*Gamma|,    f f' = J J' + Gamma Gamma'.
 
-* ``coupling_zero_times`` -- the times where J^2 + Gamma^2 touches zero,
-  which are the only candidates for dressed-level crossings and the pinned
-  panel boundaries of the phase quadrature;
-* ``frame_coupling`` -- the real coupling seen in the frame co-rotating
-  with the coupling phase arg(J + i*Gamma).  The direct integrator works in
-  this frame (see ``oracle._rk4_run``).
+That envelope is the only way a drive reaches the physics.  Every drive
+supplies four things, each evaluator vectorised (a float or an ndarray of
+times in, the matching shape out):
+
+* ``frame_coupling`` -- f(t);
+* ``frame_coupling_rate`` -- f'(t);
+* ``coupling_scale`` -- the largest |f|;
+* ``coupling_zero_times`` -- the times where f touches zero, which are the
+  only candidates for dressed-level crossings and the pinned panel
+  boundaries of the phase quadrature.
+
+Two kinds cover the three configured drives.  The cosine drive has no
+rotating-wave choice: J = j0 cos(Omega t), Gamma = 0, so f = J.  The
+constant drive J = j0, Gamma = gamma0 has the constant envelope
+hypot(j0, gamma0).  So has the rotating-wave drive J + i*Gamma =
+j0 e^{i Omega t}: in its connection frame it is the constant envelope j0,
+``ConstantDrive(j0)``, with Omega carried by the model.
 """
 
 from __future__ import annotations
@@ -26,12 +37,10 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class CosineDrive:
-    """J(t) = j0 cos(omega t), Gamma(t) = 0 (no rotating-wave choice)."""
+    """J(t) = j0 cos(omega t), Gamma(t) = 0: f = J (no rotating-wave choice)."""
 
     j0: float
     omega: float
-
-    kind = "cosine"
 
     def __post_init__(self):
         if self.j0 < 0:
@@ -39,17 +48,11 @@ class CosineDrive:
         if not (self.omega > 0):
             raise ValidationError("omega must be positive")
 
-    def j(self, t):
+    def frame_coupling(self, t):
         return self.j0 * np.cos(self.omega * np.asarray(t, dtype=float))
 
-    def gamma(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def dj(self, t):
+    def frame_coupling_rate(self, t):
         return -self.j0 * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
-
-    def dgamma(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def coupling_scale(self) -> float:
         return self.j0
@@ -65,66 +68,26 @@ class CosineDrive:
         ks = np.arange(k0, k1 + 1)
         return (ks + 0.5) * math.pi / self.omega
 
-    def frame_coupling(self, t):
-        return self.j(t)
-
-
-@dataclass(frozen=True)
-class RwaPairDrive:
-    """J = j0 cos(omega t), Gamma = j0 sin(omega t): J + i*Gamma = j0 e^{i omega t}."""
-
-    j0: float
-    omega: float
-
-    kind = "rwa"
-
-    def __post_init__(self):
-        if self.j0 < 0:
-            raise ValidationError("j0 must be non-negative")
-        if not (self.omega > 0):
-            raise ValidationError("omega must be positive")
-
-    def j(self, t):
-        return self.j0 * np.cos(self.omega * np.asarray(t, dtype=float))
-
-    def gamma(self, t):
-        return self.j0 * np.sin(self.omega * np.asarray(t, dtype=float))
-
-    def dj(self, t):
-        return -self.j0 * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
-
-    def dgamma(self, t):
-        return self.j0 * self.omega * np.cos(self.omega * np.asarray(t, dtype=float))
-
-    def coupling_scale(self) -> float:
-        return self.j0
-
-    def coupling_zero_times(self, t0: float, t1: float) -> np.ndarray:
-        return np.array([])  # |J + i Gamma| = j0 for all t
-
-    def frame_coupling(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.j0)
-
 
 @dataclass(frozen=True)
 class ConstantDrive:
-    """J = j0, Gamma = gamma0, both constant."""
+    """J = j0, Gamma = gamma0, both constant: f = hypot(j0, gamma0).
+
+    Also the rotating-wave drive J + i*Gamma = j0 e^{i omega t}, which is
+    ``ConstantDrive(j0)`` in its connection frame.
+    """
 
     j0: float
     gamma0: float = 0.0
 
-    kind = "constant"
+    def __post_init__(self):
+        if self.j0 < 0:
+            raise ValidationError("j0 must be non-negative")
 
-    def j(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.j0)
+    def frame_coupling(self, t):
+        return np.full_like(np.asarray(t, dtype=float), self.coupling_scale())
 
-    def gamma(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.gamma0)
-
-    def dj(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def dgamma(self, t):
+    def frame_coupling_rate(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def coupling_scale(self) -> float:
@@ -133,8 +96,5 @@ class ConstantDrive:
     def coupling_zero_times(self, t0: float, t1: float) -> np.ndarray:
         return np.array([])
 
-    def frame_coupling(self, t):
-        return np.full_like(np.asarray(t, dtype=float), math.hypot(self.j0, self.gamma0))
 
-
-Drive = CosineDrive | RwaPairDrive | ConstantDrive
+Drive = CosineDrive | ConstantDrive

@@ -7,13 +7,15 @@ construction must satisfy, and the transition current.  The detuning, the
 degeneracy floor and the branch decision come from the ``config.Model``,
 which evaluates them once.
 
-Conventions (natural units, hbar = 1):
+The drive enters only through its connection-frame envelope f(t) and its
+rate f'(t) (see ``drives``): |f| = |J + i*Gamma| and f f' = J J' +
+Gamma Gamma'.  Conventions (natural units, hbar = 1):
 
     omega_tilde = ((e2 - e1) - omega_drive) / 2
-    omega_r     = s(t) * sqrt(omega_tilde^2 + j^2 + g^2),   s = branch sign
+    omega_r     = s(t) * sqrt(omega_tilde^2 + f^2),   s = branch sign
     cos(theta)  = (omega_tilde + |omega_r|) / N
-    sin(theta)  = sqrt(j^2 + g^2) / N
-    N^2         = (omega_tilde + |omega_r|)^2 + j^2 + g^2
+    sin(theta)  = |f| / N
+    N^2         = (omega_tilde + |omega_r|)^2 + f^2
 
 The angle always uses the positive root: through a dressed-level crossing
 that is the eigenvector-continuous choice (at exact resonance it keeps
@@ -21,7 +23,7 @@ theta = pi/4 on both sides), while the branch sign lives in omega_r.
 
 The connection is evaluated in the reduced, numerically stable form
 
-    dtheta/dt = omega_tilde * (j j' + g g') / (sqrt(j^2+g^2) * 2 omega_r^2)
+    dtheta/dt = omega_tilde * f f' / (|f| * 2 omega_r^2)
 
 which is algebraically equivalent to the bracketed two-factor form up to
 overall sign; the reduced form is the one that agrees with the
@@ -36,18 +38,12 @@ import math
 import numpy as np
 
 from .config import BranchMode, Model
-from .drives import Drive
 from .errors import DegenerateFrameError
-
-
-def coupling(drive: Drive, t):
-    """(j, g, dj, dg) at time(s) t, natural units."""
-    return drive.j(t), drive.gamma(t), drive.dj(t), drive.dgamma(t)
 
 
 def radicand_zeros(model: Model, t_end: float) -> np.ndarray:
     """The coupling zeros in (0, t_end] where the radicand
-    omega_tilde^2 + j^2 + g^2 can touch zero.
+    omega_tilde^2 + f^2 can touch zero.
 
     Empty unless the model is at a ``crossing``: away from resonance the
     radicand stays above omega_tilde^2 > 0.
@@ -74,18 +70,16 @@ def branch_sign(model: Model, t):
 
 
 def rabi_frequency(model: Model, t):
-    """omega_r(t) = s(t) sqrt(omega_tilde^2 + j^2 + g^2)."""
+    """omega_r(t) = s(t) sqrt(omega_tilde^2 + f^2)."""
     wt = model.omega_tilde
-    j, g = model.drive.j(t), model.drive.gamma(t)
-    root = np.sqrt(wt * wt + j * j + g * g)
-    return branch_sign(model, t) * root
+    f = model.drive.frame_coupling(t)
+    return branch_sign(model, t) * np.sqrt(wt * wt + f * f)
 
 
 def _angle_parts(model: Model, t):
-    """(u, q, N^2) with u = omega_tilde + |omega_r| and q = sqrt(j^2+g^2)."""
+    """(u, q, N^2) with u = omega_tilde + |omega_r| and q = |f|."""
     wt = model.omega_tilde
-    j, g = model.drive.j(t), model.drive.gamma(t)
-    q = np.hypot(j, g)
+    q = np.abs(model.drive.frame_coupling(t))
     u = wt + np.sqrt(wt * wt + q * q)
     return u, q, u * u + q * q
 
@@ -132,19 +126,17 @@ def theta_of_t(model: Model, t):
 def connection_dtheta(model: Model, t):
     """The connection d(theta)/dt generated by the rotating frame.
 
-    Vanishes identically when j^2 + g^2 is constant (constant and
-    rotating-pair drives) and when the detuning is zero.  At isolated
-    coupling zeros the prefactor (j j' + g g')/q is resolved by its
-    one-sided limit sqrt(j'^2 + g'^2).
+    Vanishes identically when the envelope is constant (constant and
+    rotating-wave drives) and when the detuning is zero.  At isolated
+    coupling zeros the prefactor f f'/|f| is resolved by its one-sided
+    limit |f'|.
     """
     wt = model.omega_tilde
-    j, g, dj, dg = coupling(model.drive, t)
-    q2 = j * j + g * g
-    q = np.sqrt(q2)
-    p = j * dj + g * dg
-    wr2 = wt * wt + q2
-    lim = np.hypot(dj, dg)
-    ratio = np.where(q > 0, p / np.where(q > 0, q, 1.0), lim)
+    f = model.drive.frame_coupling(t)
+    df = model.drive.frame_coupling_rate(t)
+    q = np.abs(f)
+    wr2 = wt * wt + f * f
+    ratio = np.where(q > 0, f * df / np.where(q > 0, q, 1.0), np.abs(df))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = wt * ratio / (2.0 * wr2)
     return np.where(wr2 > 0, out, 0.0)
@@ -190,17 +182,10 @@ def near_coupling_zero(model: Model, ts: np.ndarray) -> np.ndarray:
     return _nearest_distance(ts, zeros) <= reach
 
 
-def _fd4(fn, t, h):
-    """4th-order central difference, paired so constants cancel exactly."""
-    inner = fn(t + h) - fn(t - h)
-    outer = fn(t + 2.0 * h) - fn(t - 2.0 * h)
-    return (8.0 * inner - outer) / (12.0 * h)
-
-
 def identity_residuals(model: Model, t):
     """Residuals of the three construction identities, each analytically zero.
 
-    r1 = omega_r * d(omega_r)/dt - (j j' + g g')
+    r1 = omega_r * d(omega_r)/dt - f f'
     r2 = q (d/dt + L) q + u (d/dt + L) u,   L = -(1/2) d(N^2)/dt / N^2
     r3 = d(cos th)/dt / (-sin th) - d(sin th)/dt / cos th
          (NaN where |sin th cos th| <= 1e-3: both quotients blow up there)
@@ -208,53 +193,35 @@ def identity_residuals(model: Model, t):
     r2 and r3 differentiate the coupling envelope, so they are NaN as well
     on the times ``near_coupling_zero``.  Outer time derivatives are
     4th-order finite differences -- the independent route -- while the
-    drive derivatives are analytic.
+    envelope rate f' is analytic.
     """
     t = np.asarray(t, dtype=float)
     h = model.tol.fd_step
     wt = model.omega_tilde
-    drive = model.drive
-    j, g, dj, dg = coupling(drive, t)
-    p = j * dj + g * dg
+    p = model.drive.frame_coupling(t) * model.drive.frame_coupling_rate(t)
+    u, q, n2 = _angle_parts(model, t)
+    # (u, q, N^2) at t - 2h, t - h, t + h, t + 2h
+    stencil = [_angle_parts(model, t + k * h) for k in (-2.0, -1.0, 1.0, 2.0)]
 
-    def wr_of(s):
-        jj, gg = drive.j(s), drive.gamma(s)
-        return np.sqrt(wt * wt + jj * jj + gg * gg)
+    def d(fn):
+        """4th-order central difference of fn(u, q, N^2), paired so that
+        constants cancel exactly."""
+        m2, m1, p1, p2 = (fn(*x) for x in stencil)
+        return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
 
-    def q_of(s):
-        return np.hypot(drive.j(s), drive.gamma(s))
+    def wr_of(u, q, n2):
+        return np.sqrt(wt * wt + q * q)
 
-    def u_of(s):
-        return wt + wr_of(s)
-
-    def n2_of(s):
-        qq = q_of(s)
-        uu = u_of(s)
-        return uu * uu + qq * qq
-
-    wr = wr_of(t)
-    r1 = wr * _fd4(wr_of, t, h) - p
-
-    q = q_of(t)
-    u = u_of(t)
-    n2 = n2_of(t)
+    r1 = wr_of(u, q, n2) * d(wr_of) - p
     # rows where N^2 = 0 (no coupling and wt <= 0) come out as NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = -0.5 * _fd4(n2_of, t, h) / n2
+        lam = -0.5 * d(lambda u, q, n2: n2) / n2
         n = np.sqrt(n2)
         cth, sth = u / n, q / n
-    r2 = q * (_fd4(q_of, t, h) + lam * q) + u * (_fd4(u_of, t, h) + lam * u)
-
-    def cth_of(s):
-        return u_of(s) / np.sqrt(n2_of(s))
-
-    def sth_of(s):
-        return q_of(s) / np.sqrt(n2_of(s))
-
-    mask = np.abs(sth * cth) > 1e-3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r3 = _fd4(cth_of, t, h) / (-sth) - _fd4(sth_of, t, h) / cth
-    r3 = np.where(mask, r3, np.nan)
+        r3 = (d(lambda u, q, n2: u / np.sqrt(n2)) / (-sth)
+              - d(lambda u, q, n2: q / np.sqrt(n2)) / cth)
+    r2 = q * (d(lambda u, q, n2: q) + lam * q) + u * (d(lambda u, q, n2: u) + lam * u)
+    r3 = np.where(np.abs(sth * cth) > 1e-3, r3, np.nan)
     kink = near_coupling_zero(model, t)
     return r1, np.where(kink, np.nan, r2), np.where(kink, np.nan, r3)
 

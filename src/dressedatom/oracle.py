@@ -4,20 +4,21 @@ The model states the bare-basis operator H = [[V1, J + i*Gamma],
 [J - i*Gamma, V2]] with V1 = E1 and the recoil-shifted V2 = E2 - hbar*Omega.
 ``propagate`` integrates it in the *connection frame*: the gauge co-rotating
 with the coupling phase arg(J + i*Gamma), in which the coupling is the real
-q(t) = drive.frame_coupling(t) and the detuning is omega_tilde for every
-drive choice,
+envelope q(t) = drive.frame_coupling(t) and the detuning is omega_tilde for
+every drive choice,
 
     H_frame(t) = off * I + [[+wt, q(t)], [q(t), -wt]],   off = Ebar12 - Omega/2,
 
 with wt and off taken from the ``config.Model``.
 
 This is the frame the dressed construction diagonalises: for the
-rotating-pair drive it is constant (the Jaynes-Cummings point, solved
-exactly by |sin(omega_r t)|), and for the cosine drive at resonance the
-matrices at different times commute.  Integrating the bare matrix with its
-explicit e^{i Omega t} phases instead would double-count the recoil already
-folded into V2: the rotating frame of that matrix carries detuning
-omega_tilde - Omega/2, and neither exactness statement survives.
+rotating-wave drive it is constant, so that drive is ``ConstantDrive(j0)``
+(the Jaynes-Cummings point, solved exactly by |sin(omega_r t)|), and for
+the cosine drive at resonance the matrices at different times commute.
+Integrating the bare matrix with its explicit e^{i Omega t} phases instead
+would double-count the recoil already folded into V2: the rotating frame of
+that matrix carries detuning omega_tilde - Omega/2, and neither exactness
+statement survives.
 
 The identity part off = Ebar12 - Omega/2 is a global phase, and it is
 applied exactly, as exp(-i off t) on the kept states; RK4 integrates only

@@ -30,11 +30,11 @@ import numpy as np
 
 from . import closedform, frames, oracle
 from .config import BranchMode, Model, Tolerances
-from .drives import ConstantDrive, CosineDrive, RwaPairDrive
+from .drives import ConstantDrive, CosineDrive
 from .errors import DressedAtomError, ParseError, UnknownAxis, ValidationError
 from .series import TimeSeries
 
-_OUTPUT_KINDS = ("frame", "closed", "oracle", "compare", "identities", "current")
+OUTPUT_KINDS = ("frame", "closed", "oracle", "compare", "identities", "current")
 _DRIVES = ("cosine", "rwa", "constant")
 _BRANCHES = {"smooth": BranchMode.SMOOTH_CONTINUATION,
              "positive": BranchMode.POSITIVE_ROOT}
@@ -62,15 +62,15 @@ class ScenarioConfig:
     norm_tol: float = 1e-8
     fd_step: float = 1e-3
 
-    def validate(self) -> None:
+    def validate(self) -> Model:
+        """Check the config keys; the model built last checks the rest
+        (j0 >= 0, omega > 0, finiteness) and is returned."""
         if self.drive not in _DRIVES:
             raise ValidationError(f"drive must be one of {_DRIVES}")
         if self.branch not in _BRANCHES:
             raise ValidationError("branch must be 'smooth' or 'positive'")
         if self.initial_state not in _INITIAL_STATES:
             raise ValidationError(f"initial_state must be one of {_INITIAL_STATES}")
-        if self.j0 < 0:
-            raise ValidationError("j0 must be non-negative (j0 >= 0)")
         if self.hbar <= 0:
             raise ValidationError("hbar must be positive")
         if self.t_end < 0:
@@ -82,9 +82,9 @@ class ScenarioConfig:
         if self.gamma0 != 0.0 and self.drive != "constant":
             raise ValidationError("gamma0 applies to the constant drive only")
         for kind in self.output_list():
-            if kind not in _OUTPUT_KINDS:
+            if kind not in OUTPUT_KINDS:
                 raise ValidationError(f"unknown output kind {kind!r}")
-        self.model()
+        return self.model()
 
     def output_list(self) -> list[str]:
         return [k.strip() for k in self.outputs.split(",") if k.strip()]
@@ -92,7 +92,10 @@ class ScenarioConfig:
     def model(self) -> Model:
         """The model in natural units: energies and couplings divided by hbar.
 
-        Raises ValidationError when a derived value is not finite.
+        The rotating-wave drive is the constant envelope j0 of its
+        connection frame, so "rwa" builds ``ConstantDrive(j0)``; Omega comes
+        from the config for every drive.  Raises ValidationError when a
+        derived value is not finite or the drive rejects its parameters.
         """
         h = self.hbar
         if not math.isfinite(self.e2 - h * self.omega):
@@ -100,8 +103,6 @@ class ScenarioConfig:
         e1, e2, j0 = self.e1 / h, self.e2 / h, self.j0 / h
         if self.drive == "cosine":
             drive = CosineDrive(j0=j0, omega=self.omega)
-        elif self.drive == "rwa":
-            drive = RwaPairDrive(j0=j0, omega=self.omega)
         else:
             drive = ConstantDrive(j0=j0, gamma0=self.gamma0 / h)
         return Model(omega_tilde=0.5 * ((e2 - e1) - self.omega),
@@ -188,8 +189,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
     Deterministic for a fixed config: fixed-step RK4, deterministic
     quadrature, and 17-significant-digit CSV serialisation.
     """
-    cfg.validate()
-    model = cfg.model()
+    model = cfg.validate()
     wanted = cfg.output_list()
     report: dict = {
         "detuning": model.omega_tilde,

@@ -230,3 +230,24 @@ def test_unwritable_out_is_one_line_error(argv, tmp_path, capsys):
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot write outputs to {out}: ")
     assert taken.read_text() == "a file, not a directory"
+
+
+def test_run_removes_stale_csvs(tmp_path):
+    # a second run into the same directory leaves only what its report
+    # lists: the earlier frame.csv goes, a file that is no output stays
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drive": "cosine", "omega_tilde": 0.2, "j0": 1.0,
+                               "t_end": 1.0, "dt": 0.01, "outputs": "frame,closed"}))
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["closed.csv", "frame.csv",
+                                                      "report.json"]
+    cfg.write_text(json.dumps({"drive": "cosine", "omega_tilde": 0.5, "j0": 1.0,
+                               "t_end": 1.0, "dt": 0.01, "outputs": "closed"}))
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["closed.csv", "report.json"]
+    assert json.loads((out / "report.json").read_text())["config"]["outputs"] == "closed"
+    (out / "notes.txt").write_text("kept")
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["closed.csv", "notes.txt",
+                                                      "report.json"]

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import ellipeinc
 
 from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
-                         RwaPairDrive, Tolerances, elliptic_phase,
+                         ScenarioConfig, Tolerances, elliptic_phase,
                          psi0_gamma_zero_integrand)
 from dressedatom.closedform import _segment_integrals, dressed_series, phase_series
 from dressedatom.errors import DegenerateFrameError, DomainError, QuadratureFailure
@@ -73,7 +73,7 @@ def riemann_phase(model, t, n=10_000_000):
 # ------------------------------------------------------------ phase integral
 
 def test_phase_rwa_345():
-    z = phase_at(Model.of(RwaPairDrive(0.8, 1.0), 0.6), 2.0)
+    z = phase_at(Model.of(ConstantDrive(0.8), 0.6), 2.0)
     assert z.real == pytest.approx(2.0, abs=1e-12)
     assert z.imag == pytest.approx(0.0, abs=1e-14)
 
@@ -181,7 +181,8 @@ def test_resonant_cosine_population_is_exact(j0, omega, t, n):
 @_PROPERTY
 def test_rotating_pair_phase_is_linear(wt, j0, omega, t, n):
     ts = np.linspace(0.0, t, n)
-    z = phase_series(Model.of(RwaPairDrive(j0, omega), wt), ts)
+    model = ScenarioConfig(drive="rwa", e2=2.0 * wt + omega, j0=j0, omega=omega).model()
+    z = phase_series(model, ts)
     assert np.max(np.abs(z.real - math.hypot(wt, j0) * ts)) <= 1e-9
 
 
@@ -207,7 +208,7 @@ def test_phase_series_across_zeros_near_rad_eps(factor):
 # ----------------------------------------------------------- dressed solution
 
 def test_boundary_condition_every_drive():
-    drvs = [CosineDrive(1.0, 1.0), RwaPairDrive(0.7, 1.3), ConstantDrive(0.5, 0.2)]
+    drvs = [CosineDrive(1.0, 1.0), ConstantDrive(0.7), ConstantDrive(0.5, 0.2)]
     for wt in (0.0, 0.6):
         for drv in drvs:
             sol = dressed_at(Model.of(drv, wt), 0.0)
@@ -216,16 +217,16 @@ def test_boundary_condition_every_drive():
 
 
 def test_rwa_quarter_period():
-    sol = dressed_at(Model.of(RwaPairDrive(1.0, 1.0), 0.0), math.pi / 2)
+    sol = dressed_at(Model.of(ConstantDrive(1.0), 0.0), math.pi / 2)
     assert abs(sol["psi0"]) == pytest.approx(1.0, abs=1e-12)
     assert abs(sol["psi1"]) <= 1e-12
 
 
 def test_rwa_reduction_no_error_growth():
     ts = np.linspace(0.0, 60.0, 301)
-    out = dressed_series(Model.of(RwaPairDrive(0.8, 1.0), 0.6), ts)
-    # hypot(cos, sin) is 1 only to the last ulp, so allow machine noise
-    assert np.max(np.abs(out["phase"].imag)) <= 1e-14
+    out = dressed_series(Model.of(ConstantDrive(0.8), 0.6), ts)
+    # the envelope is the constant j0, so the angle never moves
+    assert np.all(out["phase"].imag == 0.0)
     assert np.max(np.abs(out["p0_raw"] - np.sin(1.0 * ts) ** 2)) <= 1e-10
 
 
@@ -295,7 +296,7 @@ def test_literal_integrand_imag_matches_connection():
 
 def test_literal_integrand_wrong_drive():
     with pytest.raises(DomainError):
-        psi0_gamma_zero_integrand(Model.of(RwaPairDrive(1.0, 1.0), 0.5), 0.3)
+        psi0_gamma_zero_integrand(Model.of(ConstantDrive(1.0), 0.5), 0.3)
 
 
 def test_literal_integrand_degenerate_at_radicand_zero():
@@ -435,7 +436,7 @@ def test_elliptic_equivalence_with_positive_root_phase():
 
 def test_elliptic_phase_domain():
     with pytest.raises(DomainError):
-        elliptic_phase(Model.of(RwaPairDrive(1.0, 1.0), 0.5, branch=POSITIVE), 1.0)
+        elliptic_phase(Model.of(ConstantDrive(1.0), 0.5, branch=POSITIVE), 1.0)
     with pytest.raises(DomainError):
         elliptic_phase(Model.of(CosineDrive(1.0, 1.0), 0.5, branch=SMOOTH), 1.0)
 

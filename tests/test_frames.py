@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
-                         RwaPairDrive, ScenarioConfig, Tolerances,
+                         ScenarioConfig, Tolerances,
                          connection_dtheta, identity_residuals, mixing_angle,
                          rabi_frequency, transition_current)
 from dressedatom.errors import DegenerateFrameError, ValidationError
 from dressedatom.frames import _nearest_distance, near_coupling_zero, theta_of_t
+from test_drives import bare_pair
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
@@ -21,17 +22,18 @@ POSITIVE = BranchMode.POSITIVE_ROOT
 def _dtheta_bracket_form(model, t):
     """Two-factor form of the connection (sign already corrected).
 
-    dtheta/dt = -[(j j' + g g')/(omega_r q)] *
+    dtheta/dt = -[f f'/(omega_r q)] *
                  [1 - (wt + omega_r)(wt + 2 omega_r) / ((wt + omega_r)^2 + q^2)]
 
-    Singular at coupling zeros: the reference for the reduced form.
+    with q = |f|.  Singular at coupling zeros: the reference for the
+    reduced form.
     """
     wt, drive = model.omega_tilde, model.drive
-    j, g, dj, dg = drive.j(t), drive.gamma(t), drive.dj(t), drive.dgamma(t)
-    q = np.hypot(j, g)
+    f = drive.frame_coupling(t)
+    q = np.abs(f)
     wr = np.sqrt(wt * wt + q * q)
     u = wt + wr
-    p = j * dj + g * dg
+    p = f * drive.frame_coupling_rate(t)
     bracket = 1.0 - u * (wt + 2.0 * wr) / (u * u + q * q)
     return -(p / (wr * q)) * bracket
 
@@ -114,7 +116,7 @@ def _tracked_eigenvalue(model, ts):
     prev_vec = None
     curve = []
     for t in ts:
-        j = float(model.drive.j(t))
+        j = float(model.drive.frame_coupling(t))
         m = np.array([[wt, j], [j, -wt]])
         vals, vecs = np.linalg.eigh(m)
         if prev_vec is None:
@@ -214,9 +216,15 @@ def test_connection_zero_constant():
 
 
 def test_connection_zero_rwa_pair():
+    # the reduced form on the written-out rotating pair vanishes to
+    # round-off; on its envelope, the constant j0, it vanishes exactly
     ts = np.linspace(0, 25, 1500)
-    dth = connection_dtheta(Model.of(RwaPairDrive(0.8, 1.3), 0.6), ts)
-    assert np.max(np.abs(dth)) <= 1e-12
+    wt = 0.6
+    j, g, dj, dg = bare_pair("rwa", 0.8, 1.3, ts)
+    bare = wt * (j * dj + g * dg) / (np.hypot(j, g) * 2.0 * (wt * wt + j * j + g * g))
+    assert np.max(np.abs(bare)) <= 1e-12
+    model = ScenarioConfig(drive="rwa", e2=2 * wt + 1.3, j0=0.8, omega=1.3).model()
+    assert np.all(connection_dtheta(model, ts) == 0.0)
 
 
 def test_connection_zero_resonant_cosine():
@@ -264,9 +272,13 @@ def test_identities_constant_exact_zero():
 
 
 def test_identities_rwa_r1():
+    # the rotating pair's envelope is constant: every residual is exactly 0
     ts = np.linspace(0.1, 9.0, 300)
-    r1, _, _ = identity_residuals(Model.of(RwaPairDrive(0.8, 1.3), 0.6), ts)
-    assert np.max(np.abs(r1)) <= 1e-12
+    model = ScenarioConfig(drive="rwa", e2=2 * 0.6 + 1.3, j0=0.8, omega=1.3).model()
+    r1, r2, r3 = identity_residuals(model, ts)
+    assert np.all(r1 == 0.0)
+    assert np.all(r2 == 0.0)
+    assert np.all(r3[np.isfinite(r3)] == 0.0)
 
 
 def test_identities_cosine_dense():

@@ -8,22 +8,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dressedatom import (ConstantDrive, CosineDrive, Model, RwaPairDrive,
-                         ScenarioConfig, StateVector, compare,
-                         current_dynamics_check, initial_state_for_psi_frame,
-                         propagate)
+from dressedatom import (ConstantDrive, CosineDrive, Model, ScenarioConfig,
+                         StateVector, compare, current_dynamics_check,
+                         initial_state_for_psi_frame, propagate)
 from dressedatom.closedform import dressed_series
 from dressedatom.errors import StepTooLarge, ValidationError
 from dressedatom.oracle import (_CHUNK, MAX_STEPS, ComparisonReport, _rk4_run,
                                 _step_matrices, bare_state, enforced_step_bound,
                                 output_grid, step_count)
+from test_drives import bare_pair
 
 
-def hamiltonian(model, t):
+def hamiltonian(model, kind, t):
     """Bare-basis H(t) = [[V1, J+iG], [J-iG, V2]], V2 = E2 - Omega
-    recoil-shifted, as the model states it: V1 = off - wt, V2 = off + wt."""
-    j = float(model.drive.j(t))
-    g = float(model.drive.gamma(t))
+    recoil-shifted, as the model states it: V1 = off - wt, V2 = off + wt.
+    The bare pair of the drive ``kind`` is written out by ``bare_pair``."""
+    j, g, _, _ = (float(x) for x in bare_pair(
+        kind, model.drive.j0, model.omega, t, getattr(model.drive, "gamma0", 0.0)))
     v1 = model.off - model.omega_tilde
     v2 = model.off + model.omega_tilde
     return np.array([[v1, j + 1j * g], [j - 1j * g, v2]], dtype=complex)
@@ -33,21 +34,22 @@ def hamiltonian(model, t):
 
 def test_hamiltonian_no_coupling():
     model = ScenarioConfig(drive="constant", e1=0.3, e2=2.5, omega=1.2, j0=0.0).model()
-    h = hamiltonian(model, 0.7)
+    h = hamiltonian(model, "constant", 0.7)
     assert np.allclose(h, np.diag([0.3, 2.5 - 1.2]))
 
 
 def test_hamiltonian_rwa_offdiagonal_rotates():
-    model = Model.of(RwaPairDrive(0.8, 1.3), 0.6)
+    model = ScenarioConfig(drive="rwa", e2=2.5, j0=0.8, omega=1.3).model()
     for t in (0.0, 0.4, 2.7):
-        h = hamiltonian(model, t)
+        h = hamiltonian(model, "rwa", t)
         assert h[0, 1] == pytest.approx(0.8 * np.exp(1j * 1.3 * t))
-        assert abs(h[0, 1]) == pytest.approx(0.8)
+        # the connection frame takes off the phase and keeps the modulus
+        assert abs(h[0, 1]) == pytest.approx(float(model.drive.frame_coupling(t)))
         assert np.allclose(h, h.conj().T)  # hermitian by construction
 
 
 def test_hamiltonian_cosine_zero_of_drive():
-    h = hamiltonian(Model.of(CosineDrive(1.0, 2.0), 0.2), math.pi / 4)
+    h = hamiltonian(Model.of(CosineDrive(1.0, 2.0), 0.2), "cosine", math.pi / 4)
     assert h[0, 1] == pytest.approx(0.0, abs=1e-15)
     assert h[0, 1].imag == 0.0
 
@@ -90,7 +92,7 @@ def test_propagate_stationary_state():
 
 
 def test_propagate_step_bound_enforced():
-    model = Model.of(RwaPairDrive(0.8, 1.0), 0.6)
+    model = Model.of(ConstantDrive(0.8), 0.6)
     bound = enforced_step_bound(model)
     with pytest.raises(StepTooLarge):
         propagate(model, bare_state(1), 5.0, 2.0 * bound)
@@ -109,7 +111,7 @@ def test_output_grid_lands_on_t_end():
 def test_propagate_rwa_matches_jaynes_cummings():
     # the pair Hamiltonian is exactly solvable; the dressed projection must
     # reproduce |sin(omega_r t)|/sqrt(2) over many periods
-    model = Model.of(RwaPairDrive(0.8, 1.0), 0.6)
+    model = Model.of(ConstantDrive(0.8), 0.6)
     c0 = initial_state_for_psi_frame(model)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=10)
@@ -120,7 +122,7 @@ def test_propagate_rwa_matches_jaynes_cummings():
 
 
 def test_rwa_frame_stability():
-    model = Model.of(RwaPairDrive(0.8, 1.0), 0.6)
+    model = Model.of(ConstantDrive(0.8), 0.6)
     c0 = initial_state_for_psi_frame(model)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=10)
@@ -142,7 +144,7 @@ def test_propagate_gauge_covariance():
 
 
 def test_richardson_reflects_step_halving():
-    model = Model.of(RwaPairDrive(0.8, 1.0), 0.6)
+    model = Model.of(ConstantDrive(0.8), 0.6)
     c0 = initial_state_for_psi_frame(model)
     bound = enforced_step_bound(model)
     r1 = propagate(model, c0, 10.0, bound / 2, output_stride=50)
@@ -162,6 +164,13 @@ def test_resonance_equivalence_to_closed_form():
 
 
 # ------------------------------------------------------- chunked RK4 scan
+
+def _drive(kind, j0, omega):
+    """The drive of a "cosine" or "rwa" case; the rotating pair
+    j0 e^{i omega t} is the constant envelope j0 of its connection frame,
+    and its omega goes on the model."""
+    return CosineDrive(j0, omega) if kind == "cosine" else ConstantDrive(j0)
+
 
 def _rk4_loop(model, c0, n_steps, dt, keep_every):
     """The scalar RK4 loop the chunked scan replaced: the reference.
@@ -214,8 +223,8 @@ def _rk4_loop(model, c0, n_steps, dt, keep_every):
        n_steps=st.integers(1, 3 * _CHUNK + 100),
        keep_every=st.integers(1, 400), drive=st.sampled_from(["cosine", "rwa"]))
 def test_rk4_scan_matches_loop(wt, j0, omega, e1, n_steps, keep_every, drive):
-    drv = CosineDrive(j0, omega) if drive == "cosine" else RwaPairDrive(j0, omega)
-    model = Model.of(drv, wt, off=e1 + wt)
+    model = Model(omega_tilde=wt, off=e1 + wt, omega=omega,
+                  drive=_drive(drive, j0, omega))
     t_end = n_steps * (enforced_step_bound(model) / 2)
     c0 = np.array([0.6, 0.8j])
     res = propagate(model, StateVector(*c0), t_end, t_end / n_steps,
@@ -290,8 +299,8 @@ def _stride_cases(draw):
 def test_rk4_stride_matches_stride_one(case, drive, wt, j0, omega):
     # one kernel for every stride: reducing each group and scanning the
     # group products gives the rows and the drift of the plain scan
-    drv = CosineDrive(j0, omega) if drive == "cosine" else RwaPairDrive(j0, omega)
-    _check_stride(Model.of(drv, wt), *case)
+    _check_stride(Model(omega_tilde=wt, off=0.0, omega=omega,
+                        drive=_drive(drive, j0, omega)), *case)
 
 
 def _step_matrices_by_stages(wt, q, dt):
@@ -329,8 +338,7 @@ def test_step_matrices_closed_form(wt, frac, q):
        j0=st.floats(0.1, 1.5), drive=st.sampled_from(["cosine", "rwa"]))
 def test_common_level_shift_leaves_populations(shift, wt, j0, drive):
     # a common shift of e1 and e2 is a global phase: RK4 never sees it
-    drv = CosineDrive(j0, 1.0) if drive == "cosine" else RwaPairDrive(j0, 1.0)
-    base = Model.of(drv, wt)
+    base = Model.of(_drive(drive, j0, 1.0), wt)
     shifted = replace(base, off=base.off + shift)
     dt = enforced_step_bound(base) / 2
     a, b = (propagate(m, initial_state_for_psi_frame(m), 4.0, dt, output_stride=10)
@@ -397,7 +405,7 @@ def test_compare_phase_slip_is_relative_winding():
 
 
 def test_compare_rwa_closed_vs_oracle():
-    model = Model.of(RwaPairDrive(0.8, 1.0), 0.6)
+    model = Model.of(ConstantDrive(0.8), 0.6)
     c0 = initial_state_for_psi_frame(model)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=10)
@@ -438,7 +446,7 @@ def test_current_no_oscillation():
 
 
 def test_current_fit_rwa():
-    model = Model.of(RwaPairDrive(0.8, 1.3), 0.6)
+    model = Model(omega_tilde=0.6, off=0.0, omega=1.3, drive=ConstantDrive(0.8))
     c0 = initial_state_for_psi_frame(model)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=5)

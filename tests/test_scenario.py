@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from dressedatom import (ScenarioConfig, parse_config, run_scenario,
                          serialize_config, sweep)
-from dressedatom.errors import ParseError, UnknownAxis, ValidationError
+from dressedatom.errors import (DressedAtomError, ParseError, UnknownAxis,
+                               ValidationError)
 
 ALL_OUTPUTS = "frame,closed,oracle,compare,identities,current"
 
@@ -172,6 +173,25 @@ def test_csv_17_digit_roundtrip():
     assert header.split(",") == series["closed"].columns
     back = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
     assert np.array_equal(back, series["closed"].data)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(wt=st.floats(-1.0, 1.0), j0=st.floats(0.0, 1.5), omega=st.floats(0.3, 3.0))
+def test_rwa_is_the_constant_envelope(wt, j0, omega):
+    # in its connection frame the rotating pair j0 e^{i omega t} is the
+    # constant coupling j0: "rwa" and "constant" (gamma0 = 0) are one run
+    def outcome(kind):
+        doc = {"drive": kind, "omega_tilde": wt, "j0": j0, "omega": omega,
+               "t_end": 2.0, "dt": 0.002, "outputs": ALL_OUTPUTS}
+        try:
+            series, report = run_scenario(parse_config(json.dumps(doc)))
+        except DressedAtomError as exc:  # wt = j0 = 0 has no mixing angle
+            return repr(exc)
+        assert sorted(series) == sorted(ALL_OUTPUTS.split(","))
+        return ({k: ts.to_csv() for k, ts in series.items()},
+                json.dumps(report, sort_keys=True))
+
+    assert outcome("rwa") == outcome("constant")
 
 
 # largest change over 60 random configs: 1.7e-15 on frame, closed, oracle
