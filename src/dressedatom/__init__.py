@@ -7,7 +7,7 @@ Library layout:
     drives      CosineDrive, ConstantDrive: the coupling envelope f(t) of
                 the connection frame, the one way a drive reaches the physics
     frames      Rabi root, mixing angle, connection, identities
-    closedform  phase integral Z(t), dressed series, elliptic phase
+    closedform  phase integral Z(t) in closed form, dressed series
     oracle      direct RK4 integration, dressed projection, comparisons
     scenario    JSON config surface, runs, sweeps, CSV series
     acceptance  the acceptance-criteria suite (also via `dressedatom accept`)
@@ -17,8 +17,7 @@ from .config import BranchMode, Model, Tolerances
 from .drives import ConstantDrive, CosineDrive
 from .frames import (connection_dtheta, identity_residuals, mixing_angle,
                      rabi_frequency, transition_current)
-from .closedform import (dressed_series, elliptic_phase, phase_series,
-                         psi0_gamma_zero_integrand)
+from .closedform import dressed_series, phase_series, psi0_gamma_zero_integrand
 from .oracle import (PropagationResult, StateVector, compare,
                      current_dynamics_check, initial_state_for_psi_frame,
                      propagate)
@@ -30,7 +29,6 @@ __all__ = [
     "rabi_frequency", "mixing_angle", "connection_dtheta",
     "identity_residuals", "transition_current",
     "phase_series", "dressed_series", "psi0_gamma_zero_integrand",
-    "elliptic_phase",
     "StateVector", "PropagationResult",
     "initial_state_for_psi_frame", "propagate", "compare",
     "current_dynamics_check",

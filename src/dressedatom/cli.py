@@ -19,13 +19,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
-                     ParseError, QuadratureFailure, StepTooLarge, UnknownAxis,
-                     ValidationError)
+                     ParseError, StepTooLarge, UnknownAxis, ValidationError)
 from .scenario import (OUTPUT_KINDS, parse_config, run_scenario,
                        serialize_config, sweep)
 
 _USER_ERRORS = (ParseError, ValidationError, UnknownAxis, DomainError)
-_NUMERIC_ERRORS = (QuadratureFailure, StepTooLarge, InsufficientSpan)
+_NUMERIC_ERRORS = (StepTooLarge, InsufficientSpan)
 
 
 def _load_config(path: str):

@@ -36,21 +36,17 @@ class BranchMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical policy constants; all overridable from the CLI."""
+    """Numerical policy constants; each is the config key of its name."""
 
     deg_eps: float = 1e-12      # frame degeneracy threshold (angle undefined)
     rad_eps: float = 1e-12      # radicand-zero detection, scaled by coupling^2
-    quad_tol: float = 1e-10     # absolute tolerance per phase-integral part
-    quad_limit: int = 2 ** 15   # panel budget per segment of the phase quadrature
     norm_tol: float = 1e-8      # allowed propagation norm drift
     fd_step: float = 1e-3       # step for finite-difference cross-checks
 
     def validate(self) -> None:
-        for name in ("deg_eps", "rad_eps", "quad_tol", "norm_tol", "fd_step"):
+        for name in ("deg_eps", "rad_eps", "norm_tol", "fd_step"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"tolerance {name} must be positive")
-        if self.quad_limit < 8:
-            raise ValidationError("quad_limit must be at least 8")
 
 
 @dataclass(frozen=True)

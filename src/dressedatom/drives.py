@@ -13,9 +13,9 @@ times in, the matching shape out):
 * ``frame_coupling`` -- f(t);
 * ``frame_coupling_rate`` -- f'(t);
 * ``coupling_scale`` -- the largest |f|;
-* ``coupling_zero_times`` -- the times where f touches zero, which are the
-  only candidates for dressed-level crossings and the pinned panel
-  boundaries of the phase quadrature.
+* ``coupling_zero_times`` -- the times where f touches zero, the only
+  candidates for dressed-level crossings, where the smooth branch flips
+  the sign of the Rabi root.
 
 Two kinds cover the three configured drives.  The cosine drive has no
 rotating-wave choice: J = j0 cos(Omega t), Gamma = 0, so f = J.  The

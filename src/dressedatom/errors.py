@@ -21,10 +21,6 @@ class DomainError(DressedAtomError):
     """Argument outside the mathematical domain of a special function."""
 
 
-class QuadratureFailure(DressedAtomError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-
 class StepTooLarge(DressedAtomError):
     """Integrator step exceeds the enforced resolution bound."""
 

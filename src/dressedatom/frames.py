@@ -41,28 +41,17 @@ from .config import BranchMode, Model
 from .errors import DegenerateFrameError
 
 
-def radicand_zeros(model: Model, t_end: float) -> np.ndarray:
-    """The coupling zeros in (0, t_end] where the radicand
-    omega_tilde^2 + f^2 can touch zero.
-
-    Empty unless the model is at a ``crossing``: away from resonance the
-    radicand stays above omega_tilde^2 > 0.
-    """
-    if not model.crossing:
-        return np.array([])
-    return np.asarray(model.drive.coupling_zero_times(0.0, t_end))
-
-
 def branch_sign(model: Model, t):
     """Sign s(t) of the Rabi root; flips at radicand zeros when smooth.
 
-    The flips sit at the ``radicand_zeros``, so away from exact resonance
-    both modes coincide and the sign is the scalar 1.
+    The radicand omega_tilde^2 + f^2 touches zero only at the coupling
+    zeros of a model at a ``crossing``; elsewhere it stays above
+    omega_tilde^2 > 0, both modes coincide and the sign is the scalar 1.
     """
     t = np.asarray(t, dtype=float)
-    if model.branch is BranchMode.POSITIVE_ROOT or t.size == 0:
+    if model.branch is BranchMode.POSITIVE_ROOT or not model.crossing or t.size == 0:
         return 1
-    zeros = radicand_zeros(model, float(np.max(t)))
+    zeros = np.asarray(model.drive.coupling_zero_times(0.0, float(np.max(t))))
     if len(zeros) == 0:
         return 1
     counts = np.searchsorted(zeros, t, side="right")

@@ -98,8 +98,6 @@ class PropagationResult:
     c1: np.ndarray              # frame amplitudes, with the phase of the mean level
     c2: np.ndarray
     norm: np.ndarray
-    dressed_a_plus: np.ndarray  # dressed amplitudes, without that phase
-    dressed_a_minus: np.ndarray
     psi0_oracle: np.ndarray
     psi1_oracle: np.ndarray
     current: np.ndarray
@@ -309,7 +307,6 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
 
     return PropagationResult(
         times=times, c1=u1 * phase, c2=u2 * phase, norm=norm,
-        dressed_a_plus=a_plus, dressed_a_minus=a_minus,
         psi0_oracle=(a_plus - a_minus) / 2j, psi1_oracle=(a_plus + a_minus) / 2.0,
         current=transition_current(u1, u2),
         step_report=StepReport(dt=dt, norm_drift=drift, richardson_error=rich,

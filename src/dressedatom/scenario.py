@@ -31,7 +31,8 @@ import numpy as np
 from . import closedform, frames, oracle
 from .config import BranchMode, Model, Tolerances
 from .drives import ConstantDrive, CosineDrive
-from .errors import DressedAtomError, ParseError, UnknownAxis, ValidationError
+from .errors import (DegenerateFrameError, DressedAtomError, ParseError,
+                     UnknownAxis, ValidationError)
 from .series import TimeSeries
 
 OUTPUT_KINDS = ("frame", "closed", "oracle", "compare", "identities", "current")
@@ -58,7 +59,6 @@ class ScenarioConfig:
     outputs: str = "closed,oracle,compare"
     deg_eps: float = 1e-12
     rad_eps: float = 1e-12
-    quad_tol: float = 1e-10
     norm_tol: float = 1e-8
     fd_step: float = 1e-3
 
@@ -109,8 +109,7 @@ class ScenarioConfig:
                      off=0.5 * (e1 + e2) - 0.5 * self.omega, omega=self.omega,
                      drive=drive, branch=_BRANCHES[self.branch],
                      tol=Tolerances(deg_eps=self.deg_eps, rad_eps=self.rad_eps,
-                                    quad_tol=self.quad_tol, norm_tol=self.norm_tol,
-                                    fd_step=self.fd_step))
+                                    norm_tol=self.norm_tol, fd_step=self.fd_step))
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
@@ -179,15 +178,19 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def _initial_state(cfg: ScenarioConfig, model: Model):
     if cfg.initial_state == "dressed":
-        return oracle.initial_state_for_psi_frame(model)
+        try:
+            return oracle.initial_state_for_psi_frame(model)
+        except DegenerateFrameError as exc:  # e.g. omega_tilde = j0 = 0
+            raise ValidationError(f"initial_state 'dressed' needs a dressed "
+                                  f"frame at t = 0 ({exc}); use bare1 or bare2") from None
     return oracle.bare_state(1 if cfg.initial_state == "bare1" else 2)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
     """Produce the requested output series plus a scalar report.
 
-    Deterministic for a fixed config: fixed-step RK4, deterministic
-    quadrature, and 17-significant-digit CSV serialisation.
+    Deterministic for a fixed config: fixed-step RK4, a closed-form phase,
+    and 17-significant-digit CSV serialisation.
     """
     model = cfg.validate()
     wanted = cfg.output_list()
@@ -315,7 +318,7 @@ def dominant_frequency(ts: np.ndarray, xs: np.ndarray) -> float:
 
 
 _SWEEPABLE = ("j0", "omega", "e1", "e2", "gamma0", "t_end", "dt",
-              "omega_tilde", "quad_tol")
+              "omega_tilde")
 
 
 def _sweep_point(cfg: ScenarioConfig) -> tuple[list, dict]:

@@ -61,10 +61,10 @@ def test_parse_error_exit_code(tmp_path):
     '{"t_end": Infinity}',
     '{"omega_tilde": -Infinity}',
     '{"omega_tilde": 0.5, "e1": NaN}',
-    '{"quad_tol": NaN}',
+    '{"norm_tol": NaN}',
     '{"dt": 1' + '0' * 400 + '}',
 ], ids=["j0-nan", "t_end-nan", "t_end-inf", "omega_tilde-neginf", "e1-nan",
-        "quad_tol-nan", "dt-int-beyond-float"])
+        "norm_tol-nan", "dt-int-beyond-float"])
 def test_non_finite_number_is_a_parse_error(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -131,6 +131,31 @@ def test_shifted_mean_level_keeps_norm(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_removed_quad_tol_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"quad_tol": 1e-10}')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'quad_tol'\n"
+
+
+@pytest.mark.parametrize("outputs, code", [("closed,oracle,compare", 1),
+                                           ("oracle", 1), ("frame,closed", 0)])
+def test_degenerate_dressed_preparation(outputs, code, tmp_path, capsys):
+    # with omega_tilde = j0 = 0 the dressed frame, and with it the dressed
+    # preparation of the oracle, is undefined: an input error, not a
+    # numerical one; runs that prepare no state are fine
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drive": "rwa", "omega_tilde": 0, "j0": 0,
+                               "outputs": outputs}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: initial_state 'dressed'") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == ""
+
+
 def test_numerical_error_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     # dt far above the enforced resolution bound
@@ -174,15 +199,25 @@ def test_identities_at_negative_detuning(doc, tmp_path, capsys):
         assert np.all(np.isfinite(data[:, header.index(name)])), name
 
 
-def test_package_and_cli_import_no_scipy():
+def test_package_and_cli_import_no_scipy(tmp_path):
     # run, sweep and identities never need scipy; a fresh interpreter shows
-    # what importing the package and the CLI loads
-    code = ("import sys, dressedatom, dressedatom.cli; "
+    # what importing the package and the CLI, and running the closed form
+    # on every path of the phase, loads
+    docs = [{"omega_tilde": 0.0, "branch": "smooth"},
+            {"omega_tilde": 0.0, "branch": "positive"},
+            {"omega_tilde": 0.4}]
+    for i, doc in enumerate(docs):
+        (tmp_path / f"{i}.json").write_text(json.dumps(dict(
+            doc, drive="cosine", j0=0.9, t_end=4.0, outputs="closed,compare")))
+    code = ("import sys, dressedatom, dressedatom.cli\n"
+            f"for i in range({len(docs)}):\n"
+            f"    assert dressedatom.cli.main(['run', '{tmp_path}/%d.json' % i,\n"
+            f"                                 '--out', '{tmp_path}/o%d' % i]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(dressedatom.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_sweep_subcommand(tmp_path, capsys):

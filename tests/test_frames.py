@@ -68,7 +68,7 @@ def test_model_thresholds():
 
 def test_tolerances_validation():
     with pytest.raises(Exception):
-        Tolerances(quad_tol=-1.0).validate()
+        Tolerances(norm_tol=-1.0).validate()
     Tolerances().validate()
 
 
