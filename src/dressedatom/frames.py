@@ -174,19 +174,22 @@ def near_coupling_zero(model: Model, ts: np.ndarray) -> np.ndarray:
 def identity_residuals(model: Model, t):
     """Residuals of the three construction identities, each analytically zero.
 
-    r1 = omega_r * d(omega_r)/dt - f f'
+    r1 = (1/2) d(f^2)/dt - f f'
     r2 = q (d/dt + L) q + u (d/dt + L) u,   L = -(1/2) d(N^2)/dt / N^2
     r3 = d(cos th)/dt / (-sin th) - d(sin th)/dt / cos th
          (NaN where |sin th cos th| <= 1e-3: both quotients blow up there)
 
-    r2 and r3 differentiate the coupling envelope, so they are NaN as well
-    on the times ``near_coupling_zero``.  Outer time derivatives are
-    4th-order finite differences -- the independent route -- while the
-    envelope rate f' is analytic.
+    r1 is the identity omega_r d(omega_r)/dt = f f' with its left side
+    differentiated as (1/2) d(omega_r^2)/dt = (1/2) d(f^2)/dt, which is
+    smooth everywhere: |omega_r| itself has a kink at every coupling zero
+    when omega_tilde = 0, so r1 is finite on every row.  r2 and r3
+    differentiate the coupling envelope q = |f|, so they are NaN on the
+    times ``near_coupling_zero``.  Outer time derivatives are 4th-order
+    finite differences -- the independent route -- while the envelope rate
+    f' is analytic.
     """
     t = np.asarray(t, dtype=float)
     h = model.tol.fd_step
-    wt = model.omega_tilde
     p = model.drive.frame_coupling(t) * model.drive.frame_coupling_rate(t)
     u, q, n2 = _angle_parts(model, t)
     # (u, q, N^2) at t - 2h, t - h, t + h, t + 2h
@@ -198,10 +201,7 @@ def identity_residuals(model: Model, t):
         m2, m1, p1, p2 = (fn(*x) for x in stencil)
         return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * h)
 
-    def wr_of(u, q, n2):
-        return np.sqrt(wt * wt + q * q)
-
-    r1 = wr_of(u, q, n2) * d(wr_of) - p
+    r1 = 0.5 * d(lambda u, q, n2: q * q) - p
     # rows where N^2 = 0 (no coupling and wt <= 0) come out as NaN
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = -0.5 * d(lambda u, q, n2: n2) / n2

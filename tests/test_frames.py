@@ -297,6 +297,21 @@ def test_identities_cosine_dense():
     assert np.nanmax(np.abs(r3)) <= 1e-8
 
 
+@pytest.mark.parametrize("branch", [SMOOTH, POSITIVE])
+def test_identities_r1_smooth_at_resonant_coupling_zeros(branch):
+    # at omega_tilde = 0 the Rabi root |omega_r| = |f| has a kink at every
+    # coupling zero; r1 differentiates omega_r^2 = f^2 instead, so it stays
+    # at round-off on every row, the zeros themselves included
+    model = Model.of(CosineDrive(0.9, 1.0), 0.0, branch=branch)
+    zeros = np.asarray(model.drive.coupling_zero_times(0.0, 12.0))
+    ts = np.sort(np.concatenate([np.linspace(0.0, 12.0, 12001), zeros,
+                                 zeros - 2e-3, zeros + 3e-3]))
+    r1, _, _ = identity_residuals(model, ts)
+    assert len(zeros) == 4
+    assert np.all(np.isfinite(r1))
+    assert np.max(np.abs(r1)) <= 1e-10
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(zeros=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40, unique=True),
        ts=st.lists(st.floats(0.0, 60.0), max_size=200))

@@ -12,6 +12,7 @@ from dressedatom import (ConstantDrive, CosineDrive, Model, ScenarioConfig,
                          StateVector, compare, current_dynamics_check,
                          initial_state_for_psi_frame, propagate)
 from dressedatom.closedform import dressed_series
+from dressedatom import oracle
 from dressedatom.errors import StepTooLarge, ValidationError
 from dressedatom.oracle import (_CHUNK, MAX_STEPS, ComparisonReport, _rk4_run,
                                 _step_matrices, bare_state, enforced_step_bound,
@@ -152,6 +153,65 @@ def test_richardson_reflects_step_halving():
     r2 = propagate(model, c0, 10.0, bound / 4, output_stride=100)
     ratio = r1.step_report.richardson_error / r2.step_report.richardson_error
     assert 2 ** 3.5 <= ratio <= 2 ** 4.5
+
+
+# the resonant cosine at the step bound; a detuned cosine and the constant
+# envelope between bound/8 and the bound
+@example(drive="cosine", wt=0.0, j0=0.9, omega=1.0, frac=1.0, t_end=12.0)
+@example(drive="cosine", wt=-0.7, j0=1.4, omega=0.6, frac=0.3, t_end=7.5)
+@example(drive="rwa", wt=0.6, j0=0.8, omega=1.3, frac=0.5, t_end=10.0)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(drive=st.sampled_from(["cosine", "rwa"]), wt=st.floats(-2.0, 2.0),
+       j0=st.floats(0.0, 2.0), omega=st.floats(0.2, 3.0),
+       frac=st.floats(0.125, 1.0), t_end=st.floats(0.5, 12.0))
+def test_richardson_tracks_true_error(drive, wt, j0, omega, frac, t_end):
+    # the coarse-partner estimate against the true error of the final
+    # state, measured as the distance to a run at dt/8 (4096x more accurate)
+    model = Model(omega_tilde=wt, off=0.0, omega=omega, drive=_drive(drive, j0, omega))
+    c0 = StateVector(0.6, 0.8j)
+    res = propagate(model, c0, t_end, frac * enforced_step_bound(model),
+                    output_stride=MAX_STEPS)
+    ref = propagate(model, c0, t_end, res.step_report.dt / 8, output_stride=MAX_STEPS)
+    true = math.hypot(abs(res.c1[-1] - ref.c1[-1]), abs(res.c2[-1] - ref.c2[-1]))
+    est = res.step_report.richardson_error
+    assert math.isfinite(est) and est >= 0.0
+    if true >= 1e-12:
+        assert 0.5 * true <= est <= 2.0 * true
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3])
+def test_richardson_few_steps(n_steps):
+    # one step has no coarser partner: it is paired with two half steps,
+    # the step-halving estimate (16/15) |y_h - y_{h/2}|
+    model = Model.of(CosineDrive(1.2, 1.3), 0.4)
+    dt = enforced_step_bound(model)
+    c0 = np.array([0.6, 0.8j])
+    res = propagate(model, StateVector(*c0), n_steps * dt, dt)
+    est = res.step_report.richardson_error
+    assert math.isfinite(est) and est >= 0.0
+    if n_steps == 1:
+        h1, h2, _ = _rk4_run(model, c0, 2, dt / 2, 2)
+        u1, u2 = res.c1[-1], res.c2[-1]
+        phase = np.exp(-1j * model.off * dt)  # the kept states carry it, h1 and h2 not
+        half = (16.0 / 15.0) * math.hypot(abs(u1 - h1[-1] * phase),
+                                          abs(u2 - h2[-1] * phase))
+        assert est == pytest.approx(half, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 10, 2 * _CHUNK + 1])
+def test_propagate_rk4_step_count(monkeypatch, n_steps):
+    # the main run and a partner of ceil(n/2) steps (two at n = 1), nothing else
+    calls = []
+
+    def spy(model, c0, n, dt, keep_every):
+        calls.append(n)
+        return _rk4_run(model, c0, n, dt, keep_every)
+
+    monkeypatch.setattr(oracle, "_rk4_run", spy)
+    model = Model.of(CosineDrive(1.2, 1.3), 0.4)
+    dt = enforced_step_bound(model) / 2
+    propagate(model, bare_state(1), n_steps * dt, dt, output_stride=7)
+    assert calls == [n_steps, 2 if n_steps == 1 else -(-n_steps // 2)]
 
 
 def test_resonance_equivalence_to_closed_form():
