@@ -2,8 +2,8 @@
 
 Library layout:
 
-    config      Model (detuning, mean level, drive, branch, tolerances,
-                compiled once), BranchMode, Tolerances
+    config      Model (detuning, mean level, drive and branch, compiled
+                once), BranchMode
     drives      CosineDrive, ConstantDrive: the coupling envelope f(t) of
                 the connection frame, the one way a drive reaches the physics
     frames      Rabi root, mixing angle, connection, identities
@@ -13,7 +13,7 @@ Library layout:
     acceptance  the acceptance-criteria suite (also via `dressedatom accept`)
 """
 
-from .config import BranchMode, Model, Tolerances
+from .config import BranchMode, Model
 from .drives import ConstantDrive, CosineDrive
 from .frames import (connection_dtheta, identity_residuals, mixing_angle,
                      rabi_frequency, transition_current)
@@ -24,7 +24,7 @@ from .oracle import (PropagationResult, StateVector, compare,
 from .scenario import ScenarioConfig, parse_config, run_scenario, serialize_config, sweep
 
 __all__ = [
-    "Model", "BranchMode", "Tolerances",
+    "Model", "BranchMode",
     "CosineDrive", "ConstantDrive",
     "rabi_frequency", "mixing_angle", "connection_dtheta",
     "identity_residuals", "transition_current",

@@ -23,8 +23,8 @@ from .closedform import dressed_series, phase_series
 from .config import BranchMode, Model
 from .drives import ConstantDrive, CosineDrive
 from .errors import DressedAtomError
-from .frames import (connection_dtheta, identity_residuals, mixing_angle_series,
-                     near_coupling_zero, rabi_frequency)
+from .frames import (FD_STEP, connection_dtheta, identity_residuals,
+                     mixing_angle_series, near_coupling_zero, rabi_frequency)
 from .oracle import (current_dynamics_check, enforced_step_bound,
                      initial_state_for_psi_frame, propagate)
 from .scenario import dominant_frequency
@@ -60,13 +60,12 @@ def _sample_times(model: Model, n: int, t_end: float = 10.0) -> np.ndarray:
     return ts[~near_coupling_zero(model, ts)]
 
 
-def criterion_1(fast: bool = False) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Identity suite: r1, r2 below 1e-8 * max(1, omega_r^2) everywhere."""
     t0 = time.perf_counter()
-    n = 200 if fast else 1000
     worst = 0.0
     for name, model in _identity_setups():
-        ts = _sample_times(model, n)
+        ts = _sample_times(model, 1000)
         r1, r2, _ = identity_residuals(model, ts)
         wr2 = rabi_frequency(model, ts) ** 2
         bound = 1e-8 * np.maximum(1.0, wr2)
@@ -79,15 +78,14 @@ def criterion_1(fast: bool = False) -> CriterionResult:
                            elapsed)
 
 
-def criterion_2(fast: bool = False) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Consistency: both quotient forms of dtheta/dt and the closed formula
     agree pairwise to 1e-7 relative wherever |sin th cos th| > 1e-3."""
     t0 = time.perf_counter()
-    n = 200 if fast else 1000
+    h = FD_STEP
     worst = 0.0
     for name, model in _identity_setups():
-        ts = _sample_times(model, n)
-        h = model.tol.fd_step
+        ts = _sample_times(model, 1000)
 
         def cth_of(s):
             c, _ = mixing_angle_series(model, np.atleast_1d(s))
@@ -123,10 +121,10 @@ def criterion_2(fast: bool = False) -> CriterionResult:
                            elapsed)
 
 
-def criterion_3(fast: bool = False) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """|dtheta/dt| <= 1e-12 for constant, rotating-pair, and resonant cosine."""
     t0 = time.perf_counter()
-    ts = np.linspace(0.0, 20.0, 501 if fast else 2001)
+    ts = np.linspace(0.0, 20.0, 2001)
     cases = [
         ("constant", Model.of(ConstantDrive(1.0, 0.7), 0.3)),
         ("rwa", Model.of(ConstantDrive(0.8), 0.6)),
@@ -156,12 +154,11 @@ def _rwa_run(wt: float, j0: float, dt_scale: float = 0.5, stride: int = 10):
     return model, wr, res
 
 
-def criterion_4(fast: bool = False, drifts: list | None = None) -> CriterionResult:
+def criterion_4(drifts: list | None = None) -> CriterionResult:
     """Rotating-pair exactness: dressed |psi0| is |sin(omega_r t)| to 1e-6."""
     t0 = time.perf_counter()
     worst = 0.0
-    configs = _RWA_CONFIGS[:1] if fast else _RWA_CONFIGS
-    for wt, j0 in configs:
+    for wt, j0 in _RWA_CONFIGS:
         model, wr, res = _rwa_run(wt, j0)
         if drifts is not None:
             drifts.append(res.step_report.norm_drift)
@@ -176,19 +173,19 @@ def criterion_4(fast: bool = False, drifts: list | None = None) -> CriterionResu
                            elapsed)
 
 
-def _resonant_cosine_run(fast: bool = False, stride: int = 10):
+def _resonant_cosine_run(stride: int = 10):
     model = Model.of(CosineDrive(1.0, 1.0), 0.0)
-    t_end = (4.0 if fast else 10.0) * 2.0 * math.pi
+    t_end = 10.0 * 2.0 * math.pi
     dt = enforced_step_bound(model) * 0.5
     res = propagate(model, initial_state_for_psi_frame(model), t_end, dt,
                     output_stride=stride)
     return model, res
 
 
-def criterion_5(fast: bool = False, drifts: list | None = None) -> CriterionResult:
+def criterion_5(drifts: list | None = None) -> CriterionResult:
     """Resonance limit: phase (j0/W) sin(W t) and the forced population law."""
     t0 = time.perf_counter()
-    model, res = _resonant_cosine_run(fast)
+    model, res = _resonant_cosine_run()
     drive = model.drive
     if drifts is not None:
         drifts.append(res.step_report.norm_drift)
@@ -204,11 +201,11 @@ def criterion_5(fast: bool = False, drifts: list | None = None) -> CriterionResu
                            f"population gap {pop_gap:.3e} (tol 1e-6)", elapsed)
 
 
-def criterion_6(fast: bool = False) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Washout: far off resonance the phase is omega_tilde * t to 0.1%."""
     t0 = time.perf_counter()
     wt = 50.0
-    ts = np.linspace(0.05, 2.0 * math.pi, 101 if fast else 401)
+    ts = np.linspace(0.05, 2.0 * math.pi, 401)
     z = phase_series(Model.of(CosineDrive(0.1, 1.0), wt), ts)
     rel = np.abs(z.real - wt * ts) / (wt * ts)
     worst = float(np.max(rel))
@@ -218,15 +215,13 @@ def criterion_6(fast: bool = False) -> CriterionResult:
                            elapsed)
 
 
-def criterion_7(fast: bool = False) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """The closed-form phase (positive root) equals quadrature of |omega_r|
     to 1e-9; the literal J0*W/A prefactor is recorded, not used."""
     t0 = time.perf_counter()
     wts = (0.1, 0.5, 1.0, 2.0, 5.0)
     j0s = (0.1, 0.5, 1.0, 2.0, 4.0)
     tss = (0.3, 1.0, 2.0, 4.0, 7.0)
-    if fast:
-        wts, j0s, tss = wts[:2], j0s[:2], tss[:2]
     omega = 1.6   # away from 1, where the literal prefactor would coincide
     worst = 0.0
     literal_worst = 0.0
@@ -252,7 +247,7 @@ def criterion_7(fast: bool = False) -> CriterionResult:
         f"{literal_worst:.3e} relative", elapsed)
 
 
-def criterion_8(fast: bool = False, drifts: list | None = None) -> CriterionResult:
+def criterion_8(drifts: list | None = None) -> CriterionResult:
     """Unitarity (drift <= 1e-8 on all acceptance runs) and RK4 order."""
     t0 = time.perf_counter()
     wt, j0 = _RWA_CONFIGS[0]
@@ -272,7 +267,7 @@ def criterion_8(fast: bool = False, drifts: list | None = None) -> CriterionResu
                            f"max norm drift = {max_drift:.3e} (tol 1e-8)", elapsed)
 
 
-def criterion_9(fast: bool = False, drifts: list | None = None) -> CriterionResult:
+def criterion_9(drifts: list | None = None) -> CriterionResult:
     """Current dynamics follow the harmonic of twice the accumulated phase."""
     t0 = time.perf_counter()
     model, wr, res = _rwa_run(0.6, 0.8, stride=5)
@@ -280,7 +275,7 @@ def criterion_9(fast: bool = False, drifts: list | None = None) -> CriterionResu
         drifts.append(res.step_report.norm_drift)
     fit_rwa = current_dynamics_check(res, model)
 
-    model2, res2 = _resonant_cosine_run(fast, stride=5)
+    model2, res2 = _resonant_cosine_run(stride=5)
     if drifts is not None:
         drifts.append(res2.step_report.norm_drift)
     fit_cos = current_dynamics_check(res2, model2)
@@ -301,7 +296,7 @@ def _autocorr_biased(x: np.ndarray) -> np.ndarray:
     return full / var
 
 
-def criterion_10(fast: bool = False) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     """Modulation structure in the weak fast-drive regime.
 
     The |omega_r| spectrum must peak at 2*Omega, and the |psi0|^2 series
@@ -314,15 +309,13 @@ def criterion_10(fast: bool = False) -> CriterionResult:
     model = Model.of(CosineDrive(j0, omega), 0.5 * j0)
     t_span = 10.0 * 2.0 * math.pi / omega
 
-    n = 1024 if fast else 4096
-    ts = np.linspace(0.0, t_span, n, endpoint=False)
+    ts = np.linspace(0.0, t_span, 4096, endpoint=False)
     wr = np.abs(rabi_frequency(model, ts))
     fpeak = dominant_frequency(ts, wr)
     # one bin is omega/10 wide; the cos^2 line sits exactly on bin 20
     fft_ok = abs(fpeak - 2.0 * omega) < 1e-6
 
-    m = 512 if fast else 2048
-    ts2 = np.linspace(0.0, t_span, m)
+    ts2 = np.linspace(0.0, t_span, 2048)
     closed = dressed_series(model, ts2)
     rho = _autocorr_biased(closed["p0_raw"])
     interior = rho[1:-1]
@@ -336,7 +329,7 @@ def criterion_10(fast: bool = False) -> CriterionResult:
         f"max autocorrelation peak = {peak_max:.4f} (must stay < 0.99)", elapsed)
 
 
-def criterion_11(fast: bool = False, drifts: list | None = None) -> CriterionResult:
+def criterion_11(drifts: list | None = None) -> CriterionResult:
     """Off-resonant cosine: record the closed-form vs oracle gap.
 
     No pass threshold: the integrating-factor step of the closed form is
@@ -344,9 +337,8 @@ def criterion_11(fast: bool = False, drifts: list | None = None) -> CriterionRes
     """
     t0 = time.perf_counter()
     model = Model.of(CosineDrive(1.0, 1.0), 0.5)
-    t_end = 10.0 if fast else 20.0
     dt = enforced_step_bound(model) * 0.5
-    res = propagate(model, initial_state_for_psi_frame(model), t_end, dt,
+    res = propagate(model, initial_state_for_psi_frame(model), 20.0, dt,
                     output_stride=10)
     if drifts is not None:
         drifts.append(res.step_report.norm_drift)
@@ -362,29 +354,29 @@ def criterion_11(fast: bool = False, drifts: list | None = None) -> CriterionRes
         elapsed)
 
 
-def run_all(fast: bool = False) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
     """Run every criterion; criterion 8 checks the drift of every other run,
     so it executes last even though it reports in numeric order."""
     drifts: list[float] = []
     results = [
-        criterion_1(fast),
-        criterion_2(fast),
-        criterion_3(fast),
-        criterion_4(fast, drifts),
-        criterion_5(fast, drifts),
-        criterion_6(fast),
-        criterion_7(fast),
-        criterion_9(fast, drifts),
-        criterion_10(fast),
-        criterion_11(fast, drifts),
+        criterion_1(),
+        criterion_2(),
+        criterion_3(),
+        criterion_4(drifts),
+        criterion_5(drifts),
+        criterion_6(),
+        criterion_7(),
+        criterion_9(drifts),
+        criterion_10(),
+        criterion_11(drifts),
     ]
-    results.append(criterion_8(fast, drifts))
+    results.append(criterion_8(drifts))
     return sorted(results, key=lambda r: r.cid)
 
 
-def main(fast: bool = False) -> int:
+def main() -> int:
     try:
-        results = run_all(fast)
+        results = run_all()
     except DressedAtomError as exc:
         print(f"acceptance suite aborted: {exc}")
         return 2

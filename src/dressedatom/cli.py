@@ -4,7 +4,7 @@ Subcommands:
     run <config.json> --out <dir>        produce the configured CSV outputs
     sweep <config.json> --axis A --values v1,v2,... --out <dir>
     identities <config.json>             print identity-residual maxima
-    accept [--fast]                      run the acceptance suite
+    accept                               run the acceptance suite
 
 Exit codes: 0 success, 1 validation/parse error, 2 numerical failure,
 3 acceptance-suite failure.
@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
                      ParseError, StepTooLarge, UnknownAxis, ValidationError)
+from .oracle import NORM_TOL
 from .scenario import (OUTPUT_KINDS, parse_config, run_scenario,
                        serialize_config, sweep)
 
@@ -66,8 +68,8 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         return _write_error(args.out, exc)
     if report.get("norm_ok") is False:
-        print(f"warning: norm drift {report['norm_drift']:.3e} exceeds norm_tol "
-              f"{cfg.norm_tol:.3e}", file=sys.stderr)
+        print(f"warning: norm drift {report['norm_drift']:.3e} exceeds the tolerance "
+              f"{NORM_TOL:.3e}", file=sys.stderr)
     for key in ("compare", "current_fit", "identities_max"):
         if key in report:
             print(f"{key}: {report[key]}")
@@ -83,6 +85,9 @@ def _cmd_sweep(args) -> int:
         raise ValidationError("--values must be a comma-separated list of numbers")
     if not values:
         raise ValidationError("--values is empty")
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValidationError(f"--values must be finite numbers, got {bad[0]}")
     table, reports = sweep(cfg, args.axis, values)
     text = table.to_csv()
     out = Path(args.out)
@@ -109,7 +114,7 @@ def _cmd_accept(args) -> int:
     # do not need
     from . import acceptance
 
-    return acceptance.main(fast=args.fast)
+    return acceptance.main()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     id_p.set_defaults(fn=_cmd_identities)
 
     acc_p = sub.add_parser("accept", help="run the acceptance suite")
-    acc_p.add_argument("--fast", action="store_true",
-                       help="reduced sampling; a smoke run, not the gate")
     acc_p.set_defaults(fn=_cmd_accept)
     return p
 

@@ -1,4 +1,4 @@
-"""The model, compiled once: detuning, mean level, drive, branch and tolerances.
+"""The model, compiled once: detuning, mean level, drive and branch.
 
 All arithmetic uses natural units (hbar = 1): every stored energy is an
 angular frequency.  ``scenario.ScenarioConfig.model`` converts the config's
@@ -6,7 +6,8 @@ energies at the boundary; library callers build a ``Model`` with
 ``Model.of``.  Building a model checks it once, so that nothing downstream
 meets a non-finite detuning or an overflowing radicand, and evaluates the
 two thresholds every frame function shares: the degeneracy floor and
-whether the Rabi radicand can touch zero.
+whether the Rabi radicand can touch zero.  Their relative tolerances,
+``DEG_EPS`` and ``RAD_EPS``, are fixed numerical policy, not parameters.
 """
 
 from __future__ import annotations
@@ -34,19 +35,8 @@ class BranchMode(enum.Enum):
     SMOOTH_CONTINUATION = "smooth"
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical policy constants; each is the config key of its name."""
-
-    deg_eps: float = 1e-12      # frame degeneracy threshold (angle undefined)
-    rad_eps: float = 1e-12      # radicand-zero detection, scaled by coupling^2
-    norm_tol: float = 1e-8      # allowed propagation norm drift
-    fd_step: float = 1e-3       # step for finite-difference cross-checks
-
-    def validate(self) -> None:
-        for name in ("deg_eps", "rad_eps", "norm_tol", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"tolerance {name} must be positive")
+DEG_EPS = 1e-12     # frame degeneracy threshold (angle undefined)
+RAD_EPS = 1e-12     # radicand-zero detection, scaled by coupling^2
 
 
 @dataclass(frozen=True)
@@ -58,15 +48,14 @@ class Model:
     omega        drive angular frequency Omega, > 0
     drive        the coupling envelope f(t) of the connection frame
     branch       sign policy of the Rabi root
-    tol          numerical policy
 
     Derived once, when the model is built:
 
-    deg_floor    deg_eps times the problem scale max(coupling scale,
+    deg_floor    DEG_EPS times the problem scale max(coupling scale,
                  |omega_tilde|, 1): the mixing angle is undefined where N
                  falls below it, and the literal integrand where |omega_r| does
     crossing     whether the radicand omega_tilde^2 + f^2 can touch
-                 zero: the detuning is within rad_eps of zero relative to the
+                 zero: the detuning is within RAD_EPS of zero relative to the
                  problem scale, so the coupling zeros are dressed-level
                  crossings
     """
@@ -76,7 +65,6 @@ class Model:
     omega: float
     drive: Drive
     branch: BranchMode = BranchMode.SMOOTH_CONTINUATION
-    tol: Tolerances = Tolerances()
     deg_floor: float = field(init=False, repr=False)
     crossing: bool = field(init=False, repr=False)
 
@@ -89,20 +77,17 @@ class Model:
                                   "overflows the float range")
         if not (self.omega > 0 and math.isfinite(self.omega * self.omega)):
             raise ValidationError("omega must be positive, and omega^2 finite")
-        self.tol.validate()
         ref = max(scale, abs(wt), 1e-300)
-        object.__setattr__(self, "deg_floor",
-                           self.tol.deg_eps * max(scale, abs(wt), 1.0))
-        object.__setattr__(self, "crossing",
-                           not wt * wt > self.tol.rad_eps * ref * ref)
+        object.__setattr__(self, "deg_floor", DEG_EPS * max(scale, abs(wt), 1.0))
+        object.__setattr__(self, "crossing", not wt * wt > RAD_EPS * ref * ref)
 
     @classmethod
-    def of(cls, drive: Drive, omega_tilde: float, off: float = 0.0,
-           branch: BranchMode = BranchMode.SMOOTH_CONTINUATION,
-           tol: Tolerances = Tolerances()) -> "Model":
-        """A model with a prescribed detuning; Omega is the drive's own
-        frequency, 1 for the constant drive.  A rotating-wave drive, the
-        constant envelope j0, takes its Omega from ``Model`` directly."""
-        return cls(omega_tilde=omega_tilde, off=off,
+    def of(cls, drive: Drive, omega_tilde: float,
+           branch: BranchMode = BranchMode.SMOOTH_CONTINUATION) -> "Model":
+        """A model with a prescribed detuning and no mean level; Omega is
+        the drive's own frequency, 1 for the constant drive.  A rotating-wave
+        drive (the constant envelope j0 with its own Omega), or a model with
+        a mean level, is built with ``Model`` directly."""
+        return cls(omega_tilde=omega_tilde, off=0.0,
                    omega=getattr(drive, "omega", 1.0), drive=drive,
-                   branch=branch, tol=tol)
+                   branch=branch)

@@ -40,6 +40,8 @@ import numpy as np
 from .config import BranchMode, Model
 from .errors import DegenerateFrameError
 
+FD_STEP = 1e-3  # step of the finite-difference cross-checks
+
 
 def branch_sign(model: Model, t):
     """Sign s(t) of the Rabi root; flips at radicand zeros when smooth.
@@ -156,14 +158,14 @@ def _nearest_distance(ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
 
 
 def near_coupling_zero(model: Model, ts: np.ndarray) -> np.ndarray:
-    """True for the times within 5 fd_step of a coupling zero.
+    """True for the times within 5 FD_STEP of a coupling zero.
 
     The identities differentiate the coupling envelope |J|, which has a
     kink at every coupling zero; a finite-difference stencil that reaches
     one does not measure the construction.
     """
     ts = np.asarray(ts, dtype=float)
-    reach = 5.0 * model.tol.fd_step
+    reach = 5.0 * FD_STEP
     zeros = np.asarray(model.drive.coupling_zero_times(
         0.0, float(np.max(ts, initial=0.0)) + reach))
     if len(zeros) == 0:
@@ -189,7 +191,7 @@ def identity_residuals(model: Model, t):
     f' is analytic.
     """
     t = np.asarray(t, dtype=float)
-    h = model.tol.fd_step
+    h = FD_STEP
     p = model.drive.frame_coupling(t) * model.drive.frame_coupling_rate(t)
     u, q, n2 = _angle_parts(model, t)
     # (u, q, N^2) at t - 2h, t - h, t + h, t + 2h

@@ -72,6 +72,7 @@ from .frames import (mixing_angle, mixing_angle_series, rabi_frequency,
                      transition_current)
 
 MAX_STEPS = 10 ** 7  # ceiling on t_end/dt: a run stays minutes, not hours
+NORM_TOL = 1e-8  # the norm drift above which a result is not norm_ok
 # RK4 steps per chunk: it sets the scratch memory of _rk4_run
 _CHUNK = 4096
 
@@ -324,7 +325,7 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
         psi0_oracle=(a_plus - a_minus) / 2j, psi1_oracle=(a_plus + a_minus) / 2.0,
         current=transition_current(u1, u2),
         step_report=StepReport(dt=dt, norm_drift=drift, richardson_error=rich,
-                               norm_ok=drift <= model.tol.norm_tol),
+                               norm_ok=drift <= NORM_TOL),
     )
 
 

@@ -1,6 +1,6 @@
 """The acceptance gate: every criterion at its stated tolerance.
 
-Runs the full (non-fast) suite once and asserts each criterion; the
+Runs the suite once and asserts each criterion; the
 one-line-per-criterion report prints with ``pytest -s`` and is also what
 ``dressedatom accept`` shows.
 """
@@ -15,7 +15,7 @@ _results = None
 def results():
     global _results
     if _results is None:
-        _results = run_all(fast=False)
+        _results = run_all()
         for r in _results:
             print(r.line())
     return _results

@@ -1,18 +1,24 @@
 """Command-line surface: subcommands, files, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import dressedatom
 from dressedatom.cli import main
+from dressedatom.scenario import _SWEEPABLE, OUTPUT_KINDS
 
 
 @pytest.fixture
@@ -61,10 +67,10 @@ def test_parse_error_exit_code(tmp_path):
     '{"t_end": Infinity}',
     '{"omega_tilde": -Infinity}',
     '{"omega_tilde": 0.5, "e1": NaN}',
-    '{"norm_tol": NaN}',
+    '{"gamma0": NaN}',
     '{"dt": 1' + '0' * 400 + '}',
 ], ids=["j0-nan", "t_end-nan", "t_end-inf", "omega_tilde-neginf", "e1-nan",
-        "norm_tol-nan", "dt-int-beyond-float"])
+        "gamma0-nan", "dt-int-beyond-float"])
 def test_non_finite_number_is_a_parse_error(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
@@ -110,8 +116,10 @@ def test_overflowing_model_is_a_validation_error(doc, tmp_path, capsys):
 
 
 def test_missed_norm_tolerance_warns(rwa_config, tmp_path, capsys):
+    # dt just under the step bound 2 pi/200 and a long span: the drift
+    # (4.2e-8) exceeds the fixed tolerance 1e-8
     doc = json.loads(rwa_config.read_text())
-    rwa_config.write_text(json.dumps(dict(doc, norm_tol=1e-15)))
+    rwa_config.write_text(json.dumps(dict(doc, dt=0.0314, t_end=200.0)))
     out = tmp_path / "out"
     assert main(["run", str(rwa_config), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["norm_ok"] is False
@@ -136,6 +144,14 @@ def test_removed_quad_tol_is_an_unknown_key(tmp_path, capsys):
     cfg.write_text('{"quad_tol": 1e-10}')
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == "error: unknown config key 'quad_tol'\n"
+
+
+@pytest.mark.parametrize("key", ["deg_eps", "rad_eps", "norm_tol", "fd_step"])
+def test_numerical_policy_is_not_a_config_key(key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1e-9}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.parametrize("outputs, code", [("closed,oracle,compare", 1),
@@ -236,6 +252,40 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("axis, values", [("j0", "0.5,nan"), ("dt", "nan"),
+                                          ("t_end", "1,inf"), ("e1", "0,-1e999")])
+def test_sweep_values_must_be_finite(axis, values, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    assert main(["sweep", str(cfg), "--axis", axis, "--values", values,
+                 "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --values must be finite") and err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_over_an_empty_span(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    out = tmp_path / "s"
+    assert main(["sweep", str(cfg), "--axis", "t_end", "--values", "0,1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (2, 6) and np.all(rows[0] == 0.0)
+    reports = json.loads((out / "sweep_report.json").read_text())
+    assert reports[0]["empty"] and reports[0]["compare"]["MaxAbs"] == 0.0
+
+
+def test_identities_over_an_empty_span(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t_end": 0}')
+    assert main(["identities", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"r1": 0.0, "r2": 0.0, "r3": 0.0}
+
+
 def test_sweep_unknown_axis_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{}")
@@ -243,10 +293,12 @@ def test_sweep_unknown_axis_exit_code(tmp_path):
                  "--out", str(tmp_path / "s")]) == 1
 
 
-def test_accept_fast_smoke(capsys):
-    assert main(["accept", "--fast"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[PASS]") == 11
+def test_accept_subcommand(capsys):
+    assert main(["accept"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 11
+    with pytest.raises(SystemExit) as exc:  # the gate has one setup
+        main(["accept", "--fast"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,3 +338,108 @@ def test_run_removes_stale_csvs(tmp_path):
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["closed.csv", "notes.txt",
                                                       "report.json"]
+
+
+# --------------------------------------------------------- the config space
+
+# the columns that may hold NaN at exit 0: r2 and r3 where a stencil reaches
+# a coupling zero or a quotient is ill-conditioned, and the literal eq24
+# integrand where |omega_r| vanishes
+_NAN_COLUMNS = {"r2", "r3", "re_eq24", "im_eq24", "im_eq24_gap"}
+
+
+@st.composite
+def _cases(draw):
+    """A config that sets every key, and a one- or two-value sweep of it.
+
+    The physics is drawn in natural units and converted by hbar.  dt is a
+    fraction of the step bound, some above it, and a run takes at most 2e4
+    steps; no sweep value raises the step count.
+    """
+    hbar = 10.0 ** draw(st.floats(-3.0, 3.0))
+    drive = draw(st.sampled_from(["cosine", "rwa", "constant"]))
+    wt = draw(st.sampled_from([0.0, 1e-7]) | st.floats(-5.0, 5.0))
+    j0 = draw(st.just(0.0) | st.floats(0.0, 5.0))
+    gamma0 = draw(st.floats(0.0, 2.0)) if drive == "constant" else 0.0
+    omega = draw(st.floats(0.1, 10.0))
+    e1 = draw(st.floats(-50.0, 50.0))
+    bound = 2.0 * math.pi / max(omega, math.hypot(wt, j0, gamma0)) / 200.0
+    dt = bound * draw(st.floats(0.05, 1.2))
+    steps = draw(st.just(0) | st.floats(0.0, math.log10(2e4)).map(
+        lambda x: round(10.0 ** x)))
+    doc = {"drive": drive, "e1": e1 * hbar, "omega": omega, "j0": j0 * hbar,
+           "gamma0": gamma0 * hbar, "hbar": hbar,
+           "branch": draw(st.sampled_from(["smooth", "positive"])),
+           "initial_state": draw(st.sampled_from(["dressed", "bare1", "bare2"])),
+           "t_end": steps * dt, "dt": dt,
+           "output_stride": draw(st.sampled_from([1, 7]) | st.integers(1, 5000)),
+           "outputs": ",".join(draw(st.lists(st.sampled_from(OUTPUT_KINDS),
+                                             min_size=1, unique=True)))}
+    e2 = doc["e1"] + hbar * (2.0 * wt + omega)
+    if draw(st.booleans()):
+        doc["omega_tilde"] = wt
+    else:
+        doc["e2"] = e2
+    axis = draw(st.sampled_from(_SWEEPABLE))
+    n = draw(st.integers(1, 2))
+
+    def factors(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    if axis == "t_end":
+        values = [doc["t_end"] * f for f in factors(st.sampled_from([0.0, 0.5, 1.0]))]
+    elif axis == "dt":
+        values = [dt * f for f in factors(st.floats(1.0, 1.5))]
+    elif axis == "omega_tilde":
+        values = factors(st.floats(-5.0, 5.0))
+    else:
+        base = e2 if axis == "e2" else doc[axis]
+        values = [base * f for f in factors(st.floats(0.0, 2.0))]
+    return doc, axis, values
+
+
+def _call(argv):
+    """main() in-process with warnings as errors: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert code in (1, 2) and err.getvalue().count("\n") == 1, err.getvalue()
+    return code, out.getvalue()
+
+
+def _csv_columns(path: Path) -> dict:
+    lines = path.read_text().splitlines()
+    data = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2) \
+        if len(lines) > 1 else np.empty((0, len(lines[0].split(","))))
+    return dict(zip(lines[0].split(","), data.T))
+
+
+@example(case=({}, "t_end", [0.0, 1.0]))
+@example(case=({"t_end": 0}, "j0", [1.0]))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cases())
+def test_config_space(case):
+    # exit 0 means finite output; any other exit is 1 or 2 with one line
+    doc, axis, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if _call(["run", str(cfg), "--out", f"{tmp}/run"])[0] == 0:
+            for path in Path(f"{tmp}/run").glob("*.csv"):
+                for name, col in _csv_columns(path).items():
+                    assert name in _NAN_COLUMNS or np.all(np.isfinite(col)), \
+                        (path.name, name)
+        code, out = _call(["identities", str(cfg)])
+        if code == 0:
+            assert all(map(math.isfinite, json.loads(out).values()))
+        code, _ = _call(["sweep", str(cfg), "--axis", axis,
+                         "--values=" + ",".join(map(repr, values)),
+                         "--out", f"{tmp}/sweep"])
+        if code == 0:
+            table = _csv_columns(Path(f"{tmp}/sweep/sweep.csv"))
+            assert all(np.all(np.isfinite(col)) for col in table.values())

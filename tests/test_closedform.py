@@ -12,8 +12,9 @@ from scipy.integrate import quad
 from scipy.special import ellipeinc
 
 from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
-                         ScenarioConfig, Tolerances, psi0_gamma_zero_integrand)
+                         ScenarioConfig, psi0_gamma_zero_integrand)
 from dressedatom.closedform import dressed_series, phase_series
+from dressedatom.config import DEG_EPS, RAD_EPS
 from dressedatom.errors import DegenerateFrameError, DomainError
 from dressedatom.frames import connection_dtheta, rabi_frequency
 from dressedatom.scenario import dominant_frequency, parse_config, run_scenario
@@ -179,7 +180,7 @@ def test_phase_series_across_zeros_near_rad_eps(factor):
     # detuning just below (pinned, smooth branch flips) or just above
     # (unpinned: a kink of width ~wt at every zero) the radicand threshold
     j0, omega = 0.1, 1.0
-    wt = factor * math.sqrt(Tolerances().rad_eps) * j0
+    wt = factor * math.sqrt(RAD_EPS) * j0
     drv = CosineDrive(j0, omega)
     ts = np.arange(0.0, 4.0 * math.pi, 0.0031)  # straddles four zeros
     amp = math.hypot(wt, j0)
@@ -301,7 +302,7 @@ def _literal_integrand_loop(model, ts):
     for t in ts:
         j = drive.j0 * math.cos(drive.omega * t)
         wr = math.hypot(wt, j)
-        if wr < model.tol.deg_eps * scale:
+        if wr < DEG_EPS * scale:
             raise DegenerateFrameError(f"radicand zero at t={t}")
         denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
         imag = -wt * (drive.j0 * drive.omega * math.sin(drive.omega * t)) / (2.0 * wr * denom)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
-                         ScenarioConfig, Tolerances,
+                         ScenarioConfig,
                          connection_dtheta, identity_residuals, mixing_angle,
                          rabi_frequency, transition_current)
 from dressedatom.errors import DegenerateFrameError, ValidationError
@@ -49,8 +49,6 @@ def test_model_invariants():
         Model.of(CosineDrive(1.0, 1.0), math.inf)
     with pytest.raises(ValidationError, match="overflows"):
         Model.of(CosineDrive(1e200, 1.0), 0.5)
-    with pytest.raises(ValidationError, match="tolerance"):
-        Model.of(CosineDrive(1.0, 1.0), 0.5, tol=Tolerances(deg_eps=0.0))
     # recoil-shifted level may have any sign
     ScenarioConfig(e1=0.0, e2=0.1, omega=5.0).model()
 
@@ -64,12 +62,6 @@ def test_model_thresholds():
     # no coupling: only an exact zero detuning lets the radicand vanish
     assert Model.of(ConstantDrive(0.0), 0.0).crossing
     assert not Model.of(ConstantDrive(0.0), 1e-100).crossing
-
-
-def test_tolerances_validation():
-    with pytest.raises(Exception):
-        Tolerances(norm_tol=-1.0).validate()
-    Tolerances().validate()
 
 
 # ---------------------------------------------------------------- detuning

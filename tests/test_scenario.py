@@ -271,6 +271,21 @@ def test_sweep_washout_transition():
     assert freqs[1] == pytest.approx(40.0, rel=0.05)    # 2*omega_tilde
 
 
+def test_sweep_runs_only_the_compare_kind(monkeypatch):
+    # a sweep row reads only the compare series and the report, so each
+    # point adds compare to the base outputs and nothing else
+    from dressedatom import scenario
+    seen = []
+    real = scenario.run_scenario
+    monkeypatch.setattr(scenario, "run_scenario",
+                        lambda cfg: seen.append(cfg.outputs) or real(cfg))
+    base = ScenarioConfig(t_end=1.0, outputs="closed")
+    sweep(base, "j0", [0.5, 1.0])
+    assert seen == ["closed,compare", "closed,compare"]
+    sweep(replace(base, outputs="identities"), "j0", [0.5])
+    assert seen[-1] == "compare,identities"
+
+
 def test_sweep_unknown_axis():
     with pytest.raises(UnknownAxis):
         sweep(ScenarioConfig(), "coupling", [1.0])
