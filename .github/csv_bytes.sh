@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# the CSV bytes must not depend on the process: two separate runs of
+# one config, every output kind, compared file by file; the second
+# config shifts both levels (e1 = -40), which the oracle carries as an
+# exact phase; the hbar config is the first with hbar = 2 and its
+# energies doubled, which the model divides out; the stride configs
+# keep every state (a plain scan), every 7th (groups that do not divide
+# a chunk) and only the last (one group, t_end/dt = 3000 steps); every
+# run must leave stderr empty. The rwa drive is the constant envelope
+# j0 of its connection frame, so its six CSVs must be the bytes of the
+# constant config with the same omega_tilde, j0 and omega. The two
+# resonant configs cross three coupling zeros on each branch, so the
+# closed-form phase runs through several sections (the smooth branch
+# flips its sign in each). The one_step and three_steps configs run the
+# oracle for one step (its Richardson partner is two half steps) and
+# for an odd count (a partner of two steps). Every report must carry
+# a finite Richardson estimate and an r1 identity at round-off; the
+# resonant configs put coupling zeros on the r1 stencil
+#
+# usage: bash .github/csv_bytes.sh <scratch dir>   (CI passes $RUNNER_TEMP)
+set -euo pipefail
+TMP=$1
+
+echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
+       "outputs": "frame,closed,oracle,compare,identities,current"}' \
+  > "$TMP/determinism.json"
+echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0, "e1": -40,
+       "outputs": "frame,closed,oracle,compare,identities,current"}' \
+  > "$TMP/shifted.json"
+echo '{"drive": "cosine", "e1": 0.0, "e2": 3.2, "j0": 1.8, "hbar": 2, "t_end": 3.0,
+       "outputs": "frame,closed,oracle,compare,identities,current"}' \
+  > "$TMP/hbar2.json"
+for drive in rwa constant; do
+  echo '{"drive": "'"$drive"'", "omega_tilde": 0.6, "j0": 0.8, "omega": 1.3,
+         "t_end": 3.0, "outputs": "frame,closed,oracle,compare,identities,current"}' \
+    > "$TMP/$drive.json"
+done
+for branch in smooth positive; do
+  echo '{"drive": "cosine", "omega_tilde": 0, "j0": 0.9, "t_end": 12,
+         "branch": "'"$branch"'",
+         "outputs": "frame,closed,oracle,compare,identities,current"}' \
+    > "$TMP/resonant_$branch.json"
+done
+for stride in 1 7 5000; do
+  echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
+         "output_stride": '"$stride"',
+         "outputs": "frame,closed,oracle,compare,identities,current"}' \
+    > "$TMP/stride$stride.json"
+done
+echo '{"t_end": 0.0005, "outputs": "frame,closed,oracle,compare,identities,current"}' \
+  > "$TMP/one_step.json"
+echo '{"t_end": 0.003, "outputs": "frame,closed,oracle,compare,identities,current"}' \
+  > "$TMP/three_steps.json"
+for name in determinism shifted hbar2 stride1 stride7 stride5000 rwa constant \
+            resonant_smooth resonant_positive one_step three_steps; do
+  for run in 1 2; do
+    dressedatom run "$TMP/$name.json" --out "$TMP/$name$run" \
+      2> "$TMP/$name$run.err"
+    test ! -s "$TMP/$name$run.err"
+  done
+  test "$(ls "$TMP/${name}1"/*.csv | wc -l)" -eq 6
+  for f in "$TMP/${name}1"/*.csv; do
+    cmp "$f" "$TMP/${name}2/$(basename "$f")"
+  done
+done
+for f in "$TMP/rwa1"/*.csv; do
+  cmp "$f" "$TMP/constant1/$(basename "$f")"
+done
+# the bytes must also be the spec: every field is its own %.17g
+python - "$TMP"/{determinism,shifted,hbar2,stride1,stride7,stride5000,rwa,constant,resonant_smooth,resonant_positive,one_step,three_steps}{1,2} <<'EOF'
+import json, math, pathlib, sys
+bad = [(str(f), field)
+       for d in sys.argv[1:] for f in sorted(pathlib.Path(d).glob("*.csv"))
+       for line in f.read_text().splitlines()[1:] for field in line.split(",")
+       if "%.17g" % float(field) != field]
+print(f"{len(bad)} fields differ from their %.17g", bad[:10])
+reports = [(d, json.loads((pathlib.Path(d) / "report.json").read_text()))
+           for d in sys.argv[1:]]
+off = [(d, r["richardson_error"], r["identities_max"]["r1"]) for d, r in reports
+       if not (math.isfinite(r["richardson_error"]) and r["richardson_error"] <= 1e-8
+               and r["identities_max"]["r1"] <= 1e-10)]
+print(f"{len(off)} reports miss richardson_error <= 1e-8 or r1 <= 1e-10", off)
+sys.exit(1 if bad or off else 0)
+EOF

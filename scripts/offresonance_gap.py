@@ -37,7 +37,7 @@ for wt in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
 
 lines = ["omega_tilde,max_abs,rms"]
 lines += [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in rows]
-(OUT / "gap.csv").write_text("\n".join(lines) + "\n")
+(OUT / "gap.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 print(f"{'omega_tilde':>12} {'MaxAbs':>12} {'Rms':>12}")
 for wt, mx, rms in rows:

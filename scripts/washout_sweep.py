@@ -35,7 +35,7 @@ values = [0.0] + list(J0 * np.logspace(-3, 2, 16))
 table, reports = sweep(base, "omega_tilde", values)
 
 OUT.mkdir(parents=True, exist_ok=True)
-(OUT / "sweep.csv").write_text(table.to_csv())
+(OUT / "sweep.csv").write_text(table.to_csv(), encoding="utf-8")
 
 print(f"{'omega_tilde':>12} {'dominant_freq':>14} {'peak_p0':>10} {'MaxAbs':>10}")
 for row in table.data:

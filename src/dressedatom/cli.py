@@ -31,8 +31,8 @@ _NUMERIC_ERRORS = (StepTooLarge, InsufficientSpan)
 
 def _load_config(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")  # JSON's encoding
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from None
     return parse_config(text)
 
@@ -46,12 +46,13 @@ def _write_outputs(outdir: str, series: dict, report: dict, cfg) -> None:
     for kind in OUTPUT_KINDS:
         path = out / f"{kind}.csv"
         if kind in series:
-            path.write_text(series[kind].to_csv())
+            path.write_text(series[kind].to_csv(), encoding="utf-8")
         else:
             path.unlink(missing_ok=True)
     report = dict(report)
     report["config"] = json.loads(serialize_config(cfg))
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                     encoding="utf-8")
 
 
 def _write_error(outdir: str, exc: OSError) -> int:
@@ -93,9 +94,10 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.csv").write_text(text)
+        (out / "sweep.csv").write_text(text, encoding="utf-8")
         (out / "sweep_report.json").write_text(
-            json.dumps(reports, indent=2, sort_keys=True, default=str) + "\n")
+            json.dumps(reports, indent=2, sort_keys=True, default=str) + "\n",
+            encoding="utf-8")
     except OSError as exc:
         return _write_error(args.out, exc)
     print(text, end="")

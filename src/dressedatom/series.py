@@ -9,14 +9,18 @@ stops at 14 digits), so the values are formatted as arrays instead, a block
 of ``_CSV_BLOCK`` rows (at most ``_BLOCK_VALUES`` values) at a time; the
 scratch memory is one block, whatever the row count.
 
-* Scale.  E = floor(log10 |x|), corrected by one where the product falls
-  outside [1e16, 1e17), and y = |x| * 10**(16 - E) in long double, from a
-  table of correctly rounded powers of ten parsed from strings.
-* Certify.  With a 64-bit significand, the power and the product are each
-  rounded by at most 2**-64 relative, so y lies within
-  2 * 2**-64 * 1e17 ~ 0.0109 of the exact value.  y is rounded to the
-  17-digit integer N only where its fraction is at least ``_GUARD`` = 1/64
-  away from one half; the rounding is then the correct one.
+* Scale.  E = floor(log10 |x|) and y = |x| * 10**(16 - E) = a' * (hi + lo),
+  where a' = |x| * 2**shift is exact and hi + lo (1 <= hi < 2) is a double
+  pair for 10**(16 - E) / 2**shift from a table accurate to 2**-104.  With
+  p = fl(a' * hi), Dekker's exact error of that product (Veltkamp's split
+  by 2**27 + 1) plus a' * lo gives y = p + err in plain float64.  The
+  integer part p + floor(err) decides E: where it falls outside
+  [1e16, 1e17) the value is redone with E ± 1.
+* Certify.  err is within 1e-14 of exact, so y is rounded to the 17-digit
+  integer N only where frac(y) = frac(err) is at least ``_MARGIN`` = 2**-32
+  from one half; the rounding is then the correct one.  The shift keeps
+  every operand far from overflow and underflow, so this holds for every
+  finite double, subnormals included.
 * Digits and layout.  N is split into 4-digit groups, each looked up in a
   10**4-entry table that spells the digits with a candidate point after
   each.  The ``%g`` rules (fixed notation for -4 <= E < 17, otherwise
@@ -25,9 +29,9 @@ scratch memory is one block, whatever the row count.
   up per value.  Separators are written in place, and the masked (zero)
   bytes are compressed out.
 * Zeros are exact: N = 0 with E = 0 spells ``0`` (``-0`` for -0.0).
-* Fallback.  nan, inf, values inside the guard band (about 3% of the
-  nonzero finite values) and, where long double has fewer than 63 fraction
-  bits, every value are formatted one by one with ``"%.17g" % v``.
+* Fallback.  nan, inf and values within ``_MARGIN`` of a rounding tie
+  (exact ties such as 1234567890123456.25 among them) are formatted one by
+  one with ``"%.17g" % v``.
 """
 
 from __future__ import annotations
@@ -41,20 +45,63 @@ from .errors import ValidationError
 _CSV_BLOCK = 512       # rows per formatting block,
 _BLOCK_VALUES = 2048  # or fewer, so that a block holds at most this many values
 
-# the error bound above needs a 64-bit long double significand
-_EXTENDED = np.finfo(np.longdouble).nmant >= 63
-_GUARD = 1 / 64
-_K0 = -300  # _POW10[i] = 10**(_K0 + i), covering 16 - E for every double E
-_POW10 = np.array([f"1e{k}" for k in range(_K0, 351)], dtype=np.longdouble)
+_MARGIN = 2.0 ** -32  # least distance of frac(y) from 1/2 where N is certified
+
+
+def _split(x):
+    """Veltkamp's split of x into halves of 26 bits, x = hi + lo."""
+    c = x * 134217729.0  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _product_error(p, a_halves, b_halves):
+    """a * b - p exactly, for p = fl(a * b) (Dekker, Numer. Math. 18 (1971) 224)."""
+    (ah, al), (bh, bl) = a_halves, b_halves
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _powers_of_ten(k: np.ndarray):
+    """hi, lo and shift with 10**k = (hi + lo) * 2**shift and 1 <= hi < 2.
+
+    10**k = 5**(22 j) * 5**r * 2**k with 0 <= r < 22.  x = 5**(22 j) * 2**t
+    is an integer (exact, or 120 bits of it) whose double pair is rounded
+    to about 2**-106, 5**r is an exact double, and their product is exact
+    but for the rounding of lo * 5**r.
+    """
+    j, r = np.divmod(k, 22)
+    pairs = []
+    for i in range(j.min(), j.max() + 1):
+        n = 5 ** (22 * abs(i))
+        t = 0 if i >= 0 else n.bit_length() + 120
+        x = n if i >= 0 else (1 << t) // n
+        h = float(x)
+        pairs.append((h, float(x - int(h)), t))
+    h, lo, t = np.array(pairs).T.take(j - j.min(), axis=1)
+    f = (5 ** r).astype(float)
+    p = h * f
+    lo = _product_error(p, _split(h), _split(f)) + lo * f
+    x = np.frexp(p)[1] - 1
+    return np.ldexp(p, -x), np.ldexp(lo, -x), (k + x - t).astype(np.int32)
+
+
+# 16 - E lies in [-292, 340] for every double
+_K0 = -300
+_HI, _LO, _SHIFT = _powers_of_ten(np.arange(_K0, 351))
+_HI_HALVES = _split(_HI)
 
 # the digits of 0..9999; _PAIRS[q] spells the group q as "d.d.d.d."
 _DIGITS4 = np.moveaxis(np.indices((10,) * 4, np.uint8), 0, -1).reshape(-1, 4)
 _PAIRS = np.full((10_000, 8), ord("."), np.uint8)
 _PAIRS[:, ::2] = _DIGITS4 + ord("0")
 _PAIRS = _PAIRS.view(np.uint64).ravel()
-# trailing zero digits of each group (4 for 0000)
-_TRAILING_ZEROS = np.logical_and.accumulate(_DIGITS4[:, ::-1] == 0, axis=1).sum(
-    axis=1, dtype=np.int8)
+# _ZEROS[c, q]: the trailing zero digits of N where q, its 4-digit group c (3
+# the lowest), is its lowest nonzero group, and 16 for q = 0; N's count is
+# the least over its groups
+_ZEROS = np.array([[12], [8], [4], [0]], np.int8).repeat(10_000, axis=1)
+for _i in range(1, 5):
+    _ZEROS[:, ::10 ** _i] += 1
+_ZEROS[:, 0] = 16
 # the first word: sign, the "0.000" prefix, the lead digit and its point
 _LEAD = np.tile(np.frombuffer(b"-0.000d.", np.uint8), (10, 1))
 _LEAD[:, 6] = np.arange(10) + ord("0")
@@ -75,7 +122,7 @@ _CLASS = np.where((_E >= -4) & (_E < 17), _E + 4, 21) * 34
 
 
 def _layout_masks() -> np.ndarray:
-    """Byte masks of the 48-byte field, shape (6 words, 748 layouts).
+    """Byte masks of the 48-byte field, shape (748 layouts, 6 words).
 
     Bytes: 0 sign, 1-5 the ``0.000`` prefix, 6-39 the 17 digits each with a
     candidate point after it, 40-44 the exponent, 45 the separator.  A
@@ -99,11 +146,28 @@ def _layout_masks() -> np.ndarray:
             | body & (p % 2 == 1) & (j == k - 1) & (m > k)
             | (p >= 40) & (p < 45) & ~fixed
             | (p == 45))
-    return np.ascontiguousarray(
-        (keep * np.uint8(255)).astype(np.uint8).reshape(-1, 48).view(np.uint64).T)
+    return (keep * np.uint8(255)).astype(np.uint8).reshape(-1, 48).view(np.uint64)
 
 
 _MASKS = _layout_masks()
+
+
+def _scaled(a: np.ndarray, e: np.ndarray):
+    """floor(y) and y - floor(y) for y = a * 10**(16 - e), 1e15 < y < 1e18.
+
+    y = a' * (hi + lo) = p + err, a' = a * 2**shift < 1e18.  p = fl(a' * hi)
+    is an integer where y >= 2**53 (a smaller y is redone anyway), and err
+    is the exact error of that product plus a' * lo.  Where y < 1e17,
+    |err| < 64, so err is rounded twice by at most 2**-48 each and the
+    table adds y * 2**-104: err is within 1e-14 of exact.
+    """
+    i = 16 - _K0 - e
+    a = np.ldexp(a, _SHIFT.take(i))
+    p = a * _HI.take(i)
+    err = _product_error(p, _split(a), [h.take(i) for h in _HI_HALVES])
+    err += a * _LO.take(i)
+    whole = np.floor(err)
+    return p.astype(np.uint64) + whole.astype(np.int64).view(np.uint64), err - whole
 
 
 def _significands(v: np.ndarray):
@@ -111,20 +175,16 @@ def _significands(v: np.ndarray):
     for zeros), E, and whether N is certified (never for nan and inf)."""
     a = np.abs(v)
     zero = a == 0
-    sure = (a < np.inf) & _EXTENDED
+    sure = a < np.inf
     a[~sure | zero] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
-    y = a.astype(np.longdouble)
-    y *= _POW10.take(16 - _K0 - e)
-    off = (y >= 1e17).view(np.int8) - (y < 1e16).view(np.int8)
+    n, frac = _scaled(a, e)  # log10 may miss E by one next to a power of ten
+    off = (n >= 10 ** 17).view(np.int8) - (n < 10 ** 16).view(np.int8)
     fix = np.flatnonzero(off)
     if fix.size:
         e[fix] += off[fix]
-        y[fix] = a[fix].astype(np.longdouble) * _POW10.take(16 - _K0 - e[fix])
-    n = y.astype(np.uint64)
-    y -= n
-    frac = y.astype(np.float64)
-    sure &= np.abs(frac - 0.5) >= _GUARD
+        n[fix], frac[fix] = _scaled(a[fix], e[fix])
+    sure &= np.abs(frac - 0.5) >= _MARGIN
     n += frac > 0.5
     carry = n == 10 ** 17
     n[carry] = 10 ** 16
@@ -134,34 +194,35 @@ def _significands(v: np.ndarray):
     return n, e, sure
 
 
+def _one_by_one(values: np.ndarray) -> bytes:
+    """``"%.17g" % x`` of each value, zero-padded to 40 bytes: the fields of
+    the values the array path cannot certify."""
+    return "".join([("%.17g" % x).ljust(40, "\0") for x in values.tolist()]).encode()
+
+
 def _fields(v: np.ndarray, sepw: np.ndarray) -> np.ndarray:
-    """The 48-byte fields of ``v`` as words, shape (6, values), with the
+    """The 48-byte fields of ``v`` as words, shape (values, 6), with the
     bytes outside each field zero; ``sepw`` holds each separator."""
     n, e, sure = _significands(v)
-    w = np.empty((6, v.size), np.uint64)
+    w = np.empty((v.size, 6), np.uint64)
     group = np.empty_like(n)
     rest = np.empty_like(n)
-    zeros = np.zeros(v.size, np.int8)  # trailing zero digits of N
-    run = np.ones(v.size, bool)        # the groups so far are all zeros
-    for c in (4, 3, 2, 1):  # 4-digit groups, lowest first; n ends as the lead digit
+    zeros = np.full(v.size, 16, np.int8)  # trailing zero digits of N
+    for c in (3, 2, 1, 0):  # 4-digit groups, lowest first; n ends as the lead digit
         np.floor_divide(n, 10 ** 4, out=rest)
         np.subtract(n, rest * 10 ** 4, out=group)
         n, rest = rest, n
         g = group.view(np.int64)
-        _PAIRS.take(g, out=w[c])
-        zeros += run * _TRAILING_ZEROS.take(g)
-        run &= g == 0
-    _LEAD.take(n.view(np.int64), out=w[0])
+        w[:, c + 1] = _PAIRS.take(g)
+        np.minimum(zeros, _ZEROS[c].take(g), out=zeros)
+    w[:, 0] = _LEAD.take(n.view(np.int64))
     e -= _E0
-    np.bitwise_or(_EXPONENT.take(e), sepw, out=w[5])
-    layout = _CLASS.take(e) + (16 - zeros) * 2 + np.signbit(v)
-    for word, masks in zip(w, _MASKS):
-        word &= masks.take(layout)
+    np.bitwise_or(_EXPONENT.take(e), sepw, out=w[:, 5])
+    w &= _MASKS.take(_CLASS.take(e) + (16 - zeros) * 2 + np.signbit(v), axis=0)
     bad = np.flatnonzero(~sure)
     if bad.size:
-        text = "".join([("%.17g" % x).ljust(40, "\0") for x in v[bad].tolist()])
-        w[:5, bad] = np.frombuffer(text.encode(), np.uint64).reshape(-1, 5).T
-        w[5, bad] = sepw[bad]
+        w[bad, :5] = np.frombuffer(_one_by_one(v[bad]), np.uint64).reshape(-1, 5)
+        w[bad, 5] = sepw[bad]
     return w
 
 
@@ -205,6 +266,6 @@ class TimeSeries:
         for start in range(0, self.data.shape[0], rows):
             v = self.data[start:start + rows].ravel()
             # one field after another, the zero bytes dropped
-            text = _fields(v, sepw[:v.size]).T.tobytes().translate(None, b"\0")
+            text = _fields(v, sepw[:v.size]).tobytes().translate(None, b"\0")
             parts.append(text.decode("ascii"))
         return "".join(parts)

@@ -236,6 +236,30 @@ def test_package_and_cli_import_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_file_io_names_its_encoding(tmp_path):
+    # the config is read as UTF-8 and every output written with a named
+    # encoding, so no read or write falls back to the locale's encoding
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_end": 0.5, "outputs": "closed,oracle,compare"}),
+                   encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(dressedatom.__file__).parents[1]))
+    flags = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "dressedatom.cli"]
+    for argv in (["run", str(cfg), "--out", str(tmp_path / "run")],
+                 ["sweep", str(cfg), "--axis", "j0", "--values", "0.5,1",
+                  "--out", str(tmp_path / "sweep")]):
+        proc = subprocess.run(flags + argv, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
+def test_config_that_is_not_utf8_is_one_line_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"drive": "\xff"}')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and err.count("\n") == 1
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

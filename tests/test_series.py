@@ -1,5 +1,6 @@
 """TimeSeries CSV form: the block formatter against the per-value f-string."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dressedatom import series
+from dressedatom.scenario import parse_config, run_scenario
 from dressedatom.series import _CSV_BLOCK, TimeSeries
 
 
@@ -115,7 +117,33 @@ def _tie_distance(x: float) -> Fraction:
             return Fraction(abs(2 * (top % bottom) - bottom), 2 * bottom)
 
 
-def test_to_csv_inside_the_guard_band():
+def _spy_one_by_one(monkeypatch) -> list:
+    """Spy on the per-value path: the list gathers every value it formats."""
+    seen = []
+    one_by_one = series._one_by_one
+    monkeypatch.setattr(series, "_one_by_one",
+                        lambda values: seen.extend(values.tolist()) or one_by_one(values))
+    return seen
+
+
+def _near_halves(rng, per_binade=8):
+    """Doubles x = m / 2**q in [2**-20, 2**8) whose scaled y (see
+    _tie_distance) lies r / 2**s from a tie, 1 <= |r| <= 2**(s - 30): with
+    D = 16 - E and s = q - D, y = m * 5**D / 2**s, so m solves
+    m * 5**D = 2**(s - 1) + r modulo 2**s."""
+    values = []
+    for b in range(-20, 8):  # the binade [2**b, 2**(b + 1)), where s >= 30
+        q, d = 52 - b, 16 - math.floor(math.log10(1.5 * 2.0 ** b))
+        s = q - d
+        for u, sign in zip(rng.uniform(0, s - 30, per_binade), rng.choice([-1, 1], per_binade)):
+            r = round(2.0 ** u) * int(sign)  # log-uniform
+            m = (2 ** (s - 1) + r) * pow(5 ** d, -1, 2 ** s) % 2 ** s
+            m += -(-(2 ** 52 - m) // 2 ** s) * 2 ** s  # the least such m >= 2**52
+            values.append(m / 2 ** q)
+    return [x for x in values if _tie_distance(x) < Fraction(1, 10 ** 9)]
+
+
+def test_to_csv_inside_the_guard_band(monkeypatch):
     rng = np.random.default_rng(1990)
     # exact ties: m / 2**k, m odd, whose 18 significant digits end in 5
     ties = []
@@ -123,13 +151,28 @@ def test_to_csv_inside_the_guard_band():
         lo, hi = 10 ** 17 // 5 ** k + 1, min(2 ** 53, 10 ** 18 // 5 ** k)
         ties += [(int(m) | 1) / 2 ** k for m in rng.integers(lo, hi, 30)]
     assert all(_tie_distance(x) == 0 for x in ties)
-    # doubles whose scaled fraction lies within the guard (1/64) of one half;
-    # the long double product misses by up to ~0.008, so the closest ones
-    # round the wrong way without the guard
-    candidates = rng.standard_normal(100_000) * 10.0 ** rng.integers(-300, 300, 100_000)
-    near = [x for x in candidates.tolist() if _tie_distance(x) < Fraction(1, 64)]
-    assert sum(_tie_distance(x) < Fraction(1, 500) for x in near) >= 200
-    _check(ties + near + [-x for x in near], n_cols=4)
+    # doubles within 1e-9 of a tie, on both sides of the margin: those
+    # closer than it go one by one, the rest are certified
+    near = _near_halves(rng)
+    margin = Fraction(series._MARGIN)
+    inside = [x for x in ties + near if _tie_distance(x) < margin]
+    assert len(inside) - len(ties) >= 20
+    assert sum(_tie_distance(x) > 2 * margin for x in near) >= 20
+    seen = _spy_one_by_one(monkeypatch)
+    _check(ties + near + [-x for x in near])
+    assert {abs(x) for x in seen} >= set(inside)
+    assert all(_tie_distance(x) <= margin for x in seen)
+
+
+def test_to_csv_next_to_powers_of_ten(monkeypatch):
+    # next to 10**k, log10 misses E by one and p + floor(err) falls outside
+    # [1e16, 1e17), so these values take the second pass with E ± 1
+    powers = [y for k in range(-20, 23) for y in _walk(float(f"1e{k}"), 2)]
+    calls = []
+    scaled = series._scaled
+    monkeypatch.setattr(series, "_scaled", lambda a, e: calls.append(a.size) or scaled(a, e))
+    _check(powers + [-x for x in powers], n_cols=5)
+    assert calls[0] == len(powers) * 2 and len(calls) == 2 and calls[1] >= 40
 
 
 def test_to_csv_subnormals():
@@ -145,14 +188,63 @@ def test_to_csv_random_bit_patterns():
     _check(bits.view(np.float64), n_cols=6)
 
 
-def test_to_csv_without_extended_long_double(monkeypatch):
-    # where long double has fewer than 63 fraction bits, every value falls
-    # back to the per-value %.17g
-    monkeypatch.setattr(series, "_EXTENDED", False)
+def test_to_csv_certifies_every_finite_double(monkeypatch):
+    # the float64 product covers every finite magnitude, subnormals and the
+    # largest doubles included: only nan, inf and values within the margin
+    # of a tie go one by one (random doubles with few fraction bits are
+    # often exact ties)
     rng = np.random.default_rng(8)
     values = rng.standard_normal(5_000) * 10.0 ** rng.integers(-320, 300, 5_000)
     values[::100] = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1.0, -1e300, 0.1, 1e16] * 5
+    values = np.concatenate([values, [1.7976931348623157e308, 2.2250738585072014e-308]])
+    seen = _spy_one_by_one(monkeypatch)
     _check(values, n_cols=5)
+    finite = [x for x in seen if math.isfinite(x)]
+    assert len(seen) - len(finite) == 15
+    assert all(_tie_distance(x) < Fraction(series._MARGIN) for x in finite)
+
+
+def test_power_table_is_exact_to_2_to_the_minus_104():
+    for i, k in enumerate(range(series._K0, series._K0 + series._HI.size)):
+        hi, lo, shift = float(series._HI[i]), float(series._LO[i]), int(series._SHIFT[i])
+        assert 1 <= hi < 2
+        exact = Fraction(10) ** k / Fraction(2) ** shift
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2 ** 104, k
+    assert series._K0 <= 16 - 308 and series._K0 + series._HI.size > 16 + 324
+
+
+# five report_all-shaped configs (every output kind) and one long oracle run
+_REPORT_CONFIGS = [
+    {"drive": "cosine", "omega_tilde": 0.0, "j0": 0.8527035992138661,
+     "omega": 0.9314865870310914},
+    {"drive": "cosine", "omega_tilde": 0.8655948871319976, "j0": 0.9236387234261374,
+     "omega": 1.0774665151003764},
+    {"drive": "rwa", "omega_tilde": 0.512060398843602, "j0": 0.6598190103434164,
+     "omega": 0.8675340776539214},
+    {"drive": "constant", "omega_tilde": 0.6406721500895092, "j0": 0.5036440472428464,
+     "omega": 0.9796076200886086, "gamma0": 0.2651414808310799},
+    {"drive": "cosine", "omega_tilde": 0.4494140798222897, "j0": 1.1249320686565505,
+     "omega": 1.1435474409633142, "branch": "positive", "initial_state": "bare1"},
+]
+_ORACLE_LONG = {"drive": "cosine", "omega_tilde": 1.3830601490268934, "j0": 1.107108090767554,
+                "omega": 1.0, "dt": 0.001, "t_end": 64.0, "outputs": "oracle,current"}
+
+
+def test_to_csv_of_run_outputs_needs_no_per_value_path(monkeypatch):
+    # every finite value these runs write is certified by the array path;
+    # only the NaN rows of the identities table take the per-value path
+    seen = _spy_one_by_one(monkeypatch)
+    docs = [dict(c, outputs="frame,closed,oracle,compare,identities,current")
+            for c in _REPORT_CONFIGS] + [_ORACLE_LONG]
+    values = 0
+    for doc in docs:
+        outputs, _ = run_scenario(parse_config(json.dumps(doc)))
+        assert len(outputs) == len(doc["outputs"].split(","))
+        for ts in outputs.values():
+            ts.to_csv()
+            values += ts.data.size
+    assert values > 200_000
+    assert [x for x in seen if math.isfinite(x)] == []
 
 
 def test_to_csv_scratch_memory_does_not_grow_with_rows():
