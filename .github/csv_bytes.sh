@@ -13,9 +13,13 @@
 # closed-form phase runs through several sections (the smooth branch
 # flips its sign in each). The one_step and three_steps configs run the
 # oracle for one step (its Richardson partner is two half steps) and
-# for an odd count (a partner of two steps). Every report must carry
-# a finite Richardson estimate and an r1 identity at round-off; the
-# resonant configs put coupling zeros on the r1 stencil
+# for an odd count (a partner of two steps). The long configs run
+# 40,000 steps (10 chunks), so the oracle takes couplings far from t = 0
+# off its phasor table; 7 does not divide the 4,096-step chunk, so
+# every chunk stops short of it and the next starts at a new offset.
+# Every report must carry a finite Richardson estimate and an r1
+# identity at round-off; the resonant configs put coupling zeros on the
+# r1 stencil
 #
 # usage: bash .github/csv_bytes.sh <scratch dir>   (CI passes $RUNNER_TEMP)
 set -euo pipefail
@@ -47,12 +51,18 @@ for stride in 1 7 5000; do
          "outputs": "frame,closed,oracle,compare,identities,current"}' \
     > "$TMP/stride$stride.json"
 done
+for stride in 10 7; do
+  echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 40,
+         "output_stride": '"$stride"',
+         "outputs": "frame,closed,oracle,compare,identities,current"}' \
+    > "$TMP/long$stride.json"
+done
 echo '{"t_end": 0.0005, "outputs": "frame,closed,oracle,compare,identities,current"}' \
   > "$TMP/one_step.json"
 echo '{"t_end": 0.003, "outputs": "frame,closed,oracle,compare,identities,current"}' \
   > "$TMP/three_steps.json"
 for name in determinism shifted hbar2 stride1 stride7 stride5000 rwa constant \
-            resonant_smooth resonant_positive one_step three_steps; do
+            resonant_smooth resonant_positive one_step three_steps long10 long7; do
   for run in 1 2; do
     dressedatom run "$TMP/$name.json" --out "$TMP/$name$run" \
       2> "$TMP/$name$run.err"
@@ -67,7 +77,7 @@ for f in "$TMP/rwa1"/*.csv; do
   cmp "$f" "$TMP/constant1/$(basename "$f")"
 done
 # the bytes must also be the spec: every field is its own %.17g
-python - "$TMP"/{determinism,shifted,hbar2,stride1,stride7,stride5000,rwa,constant,resonant_smooth,resonant_positive,one_step,three_steps}{1,2} <<'EOF'
+python - "$TMP"/{determinism,shifted,hbar2,stride1,stride7,stride5000,rwa,constant,resonant_smooth,resonant_positive,one_step,three_steps,long10,long7}{1,2} <<'EOF'
 import json, math, pathlib, sys
 bad = [(str(f), field)
        for d in sys.argv[1:] for f in sorted(pathlib.Path(d).glob("*.csv"))

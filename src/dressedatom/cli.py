@@ -90,6 +90,10 @@ def _cmd_sweep(args) -> int:
     if bad:
         raise ValidationError(f"--values must be finite numbers, got {bad[0]}")
     table, reports = sweep(cfg, args.axis, values)
+    for v, rep in zip(values, reports):
+        if rep["status"] != "ok":
+            print(f"sweep point {args.axis}={v!r} failed: {rep['status']}: {rep['detail']}",
+                  file=sys.stderr)
     text = table.to_csv()
     out = Path(args.out)
     try:

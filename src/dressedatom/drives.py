@@ -7,11 +7,14 @@ signed envelope f(t), with
     |f| = |J + i*Gamma|,    f f' = J J' + Gamma Gamma'.
 
 That envelope is the only way a drive reaches the physics.  Every drive
-supplies four things, each evaluator vectorised (a float or an ndarray of
+supplies five things, each evaluator vectorised (a float or an ndarray of
 times in, the matching shape out):
 
-* ``frame_coupling`` -- f(t);
+* ``frame_coupling`` -- f(t), the one definition of the envelope;
 * ``frame_coupling_rate`` -- f'(t);
+* ``frame_coupling_grid`` -- f on a uniform grid t0 + i*h, i < n, as a
+  function of t0, built once for a given h and n: the RK4 oracle takes
+  the couplings of every chunk from it without a trig call per point;
 * ``coupling_scale`` -- the largest |f|;
 * ``coupling_zero_times`` -- the times where f touches zero, the only
   candidates for dressed-level crossings, where the smooth branch flips
@@ -54,6 +57,34 @@ class CosineDrive:
     def frame_coupling_rate(self, t):
         return -self.j0 * self.omega * np.sin(self.omega * np.asarray(t, dtype=float))
 
+    def frame_coupling_grid(self, h: float, n: int):
+        """t0 -> f(t0 + i h) for i < n, as j0 Re(e^{i omega t0} T[i]).
+
+        The phasor table T[i] = e^{i omega h i} is built by doubling,
+        T[k:2k] = T[:k] e^{i omega h k}, each e^{i omega h k} computed
+        fresh: log2(n) trig pairs and n complex multiplies, where a table
+        of n exponentials would cost more than the cosines it saves on a
+        short run.  An entry is a product of at most log2(n) phasors, so it
+        is off by a few ulps; a call costs one phasor and three array
+        passes.
+        """
+        table = np.empty(n, dtype=complex)
+        table[0] = 1.0
+        k = 1
+        while k < n:
+            x = self.omega * h * k
+            table[k:2 * k] = table[:min(k, n - k)] * complex(math.cos(x), math.sin(x))
+            k *= 2
+        re, im = self.j0 * table.real, self.j0 * table.imag
+
+        def at(t0: float) -> np.ndarray:
+            x = self.omega * t0
+            f = re * math.cos(x)
+            f -= im * math.sin(x)
+            return f
+
+        return at
+
     def coupling_scale(self) -> float:
         return self.j0
 
@@ -89,6 +120,12 @@ class ConstantDrive:
 
     def frame_coupling_rate(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
+
+    def frame_coupling_grid(self, h: float, n: int):
+        """t0 -> the constant envelope on n points, one read-only array."""
+        f = np.full(n, self.coupling_scale())
+        f.flags.writeable = False
+        return lambda t0: f
 
     def coupling_scale(self) -> float:
         return math.hypot(self.j0, self.gamma0)

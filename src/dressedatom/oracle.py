@@ -39,24 +39,30 @@ Mechanics, sec. 4.5), so a stack of them is stored as two complex arrays
 their products are held as their deviation M - I from the identity, so
 that rounding does not add up step by step into a drift of the norm: the
 drift reports the integrator, not the arithmetic.  ``_step_matrices``
-builds the M_k - I of a chunk in closed form, from real arrays.
+builds the M_k - I of a chunk in closed form, from real arrays.  Their
+couplings come from one ``drive.frame_coupling_grid`` per run: a per-run
+phasor table of the half step, so a chunk costs one phasor and a few
+array passes, not a cosine per point.
 
 ``_rk4_run`` walks the grid in chunks of at most ``_CHUNK`` steps, on one
 code path.  The steps up to each kept state form a group; a chunk holds
 whole groups, or ends at the next kept state.  Each group's M_k are reduced
-pairwise to their product, the group products are scanned by doubling
-(Hillis-Steele; Blelloch, CMU-CS-90-190) and applied to the state carried
-in.  Keeping every state is a plain prefix scan, and keeping only the last
-(the Richardson partner run) a plain reduction.  Scratch memory is one
-chunk, whatever t_end/dt; ``step_count`` caps t_end/dt at ``MAX_STEPS``.
-A Richardson error estimate and the norm drift of the main run are
-attached to every result.  The estimate compares the final state with that
-of a coarse partner run of about half as many steps (Richardson, Phil.
-Trans. R. Soc. A 210 (1911) 307; Hairer, Norsett & Wanner, Solving ODEs I,
-sec. II.4): a quarter of the steps of a re-run at dt/2.
-det(M_k) scales the squared norm, so a running sum of log det(M_k) gives
-the drift after every step, whatever the output stride; the kept states
-are checked as well.
+pairwise to their product, step-major: the chunk's (groups, w) step
+matrices are laid out as (w, groups), so every level of the reduction
+multiplies contiguous rows, whatever the group count.  The group products
+are scanned by doubling (Hillis-Steele; Blelloch, CMU-CS-90-190) and
+applied to the state carried in.  Keeping every state is a plain prefix
+scan, and keeping only the last (the Richardson partner run) a plain
+reduction.  Scratch memory is one chunk, whatever t_end/dt; ``step_count``
+caps t_end/dt at ``MAX_STEPS``.  A Richardson error estimate and the norm
+drift of the main run are attached to every result.  The estimate compares
+the final state with that of a coarse partner run of about half as many
+steps (Richardson, Phil. Trans. R. Soc. A 210 (1911) 307; Hairer, Norsett
+& Wanner, Solving ODEs I, sec. II.4): a quarter of the steps of a re-run
+at dt/2.  det(M_k) scales the squared norm, so a running sum of
+log det(M_k) gives the main run's drift after every step, whatever the
+output stride; the kept states are checked as well.  The partner run
+tracks no drift: only its final state is read.
 """
 
 from __future__ import annotations
@@ -170,10 +176,19 @@ def _mul_dev(xa, xb, ya, yb):
     Step matrices and their products are held as their deviation from the
     identity.  Each product then rounds relative to that deviation, so the
     rounding of a ~1 diagonal does not add up over thousands of steps into
-    a drift of the norm.
+    a drift of the norm.  One scratch array holds xb conj(y): the same
+    operations in the same order as the plain expression, with fewer
+    temporaries, which matters on the short rows of a reduction's last
+    levels.
     """
-    pa = xa * ya - xb * np.conj(yb)
-    pb = xa * yb + xb * np.conj(ya)
+    pa = xa * ya
+    t = np.conj(yb)
+    np.multiply(xb, t, out=t)
+    pa -= t
+    pb = xa * yb
+    np.conj(ya, out=t)
+    np.multiply(xb, t, out=t)
+    pb += t
     pa += xa
     pa += ya
     pb += xb
@@ -206,25 +221,33 @@ def _step_matrices(wt: float, q: np.ndarray, dt: float):
 
 
 def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
-             keep_every: int):
+             keep_every: int, track_drift: bool = True):
     """Fixed-grid RK4 on the traceless frame Hamiltonian, one chunk at a time.
 
     Returns (u1, u2, drift): the states after steps 0, keep_every,
     2*keep_every, ... and, last, after step n_steps, without the phase of
-    the mean level; and the largest norm drift over every step.  The
+    the mean level; and the largest norm drift over every step, or None
+    where ``track_drift`` is false (the Richardson partner, whose drift is
+    never read).  Every chunk takes its couplings from one
+    ``frame_coupling_grid`` of the half step, built per call.  The
     g = min(keep_every, n_steps) steps up to a kept state form a group.
-    Each group's M_k are reduced pairwise to one product (the last, partial
-    group is padded with exact identities), and the group products are
-    scanned by doubling and applied to the carried state: g = 1 is a plain
-    scan and g = n_steps a plain reduction.  The drift sums log det(M_k),
-    det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and checks the kept states.
+    Each group's M_k are reduced pairwise to one product (the last,
+    partial group is padded with exact identities), step-major: a chunk's
+    (groups, w) step matrices are laid out as (w, groups), so that every
+    level multiplies contiguous rows, whatever the group count.  The group
+    products are scanned by doubling and applied to the carried state:
+    g = 1 is a plain scan and g = n_steps a plain reduction.  The drift
+    sums log det(M_k), det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and checks
+    the kept states.
     """
     wt = model.omega_tilde
     g = min(keep_every, n_steps)
+    coupling = model.drive.frame_coupling_grid(0.5 * dt, 2 * min(_CHUNK, n_steps) + 1)
     kept = np.empty((2, -(-n_steps // g) + 1), dtype=complex)
     u1, u2 = complex(c0[0]), complex(c0[1])
     kept[:, 0] = u1, u2
-    logdet = drift = 0.0
+    logdet = 0.0
+    drift = 0.0 if track_drift else None
     k0 = 0
     while k0 < n_steps:
         # a chunk ends at its last kept step, or after _CHUNK steps of a
@@ -234,35 +257,34 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
         m, w = k1 - k0, min(g, k1 - k0)
         groups = -(-m // w)
         # coupling at t_k and the half points of this chunk's steps
-        q = np.asarray(model.drive.frame_coupling(
-            (np.arange(2 * m + 1) + 2 * k0) * (0.5 * dt)), dtype=float)
-        a, b = _step_matrices(wt, q, dt)
-        run = np.cumsum(np.log1p((a.real + 2.0) * a.real + a.imag ** 2
-                                 + b.real ** 2 + b.imag ** 2))
-        run += logdet
-        logdet = float(run[-1])
-        # |norm - 1| = |expm1(run / 2)| after every step; expm1 is monotonic
-        drift = max(drift, -math.expm1(0.5 * run.min()), math.expm1(0.5 * run.max()))
+        a, b = _step_matrices(wt, coupling(k0 * dt)[:2 * m + 1], dt)
+        if track_drift:
+            run = np.cumsum(np.log1p((a.real + 2.0) * a.real + a.imag ** 2
+                                     + b.real ** 2 + b.imag ** 2))
+            run += logdet
+            logdet = float(run[-1])
+            # |norm - 1| = |expm1(run / 2)| after every step; expm1 is monotonic
+            drift = max(drift, -math.expm1(0.5 * run.min()), math.expm1(0.5 * run.max()))
         if groups * w > m:
             a, b = (np.concatenate([x, np.zeros(groups * w - m, dtype=complex)])
                     for x in (a, b))
-        if groups > 1:  # one group stays one-dimensional, where numpy is faster
-            a, b = a.reshape(groups, w), b.reshape(groups, w)
-        while a.shape[-1] > 1:  # group products M_{(j+1)w-1} ... M_{jw} - I
-            if a.shape[-1] % 2:  # fold the last matrix into the one before it
-                a[..., -2], b[..., -2] = _mul_dev(a[..., -1], b[..., -1],
-                                                  a[..., -2], b[..., -2])
-                a, b = a[..., :-1], b[..., :-1]
-            a, b = _mul_dev(a[..., 1::2], b[..., 1::2], a[..., ::2], b[..., ::2])
-        a, b = a.reshape(groups), b.reshape(groups)
+        # step-major (w, groups): row r holds step r of every group
+        a, b = (x.reshape(groups, w).T.copy() for x in (a, b))
+        while len(a) > 1:  # group products M_{(j+1)w-1} ... M_{jw} - I
+            if len(a) % 2:  # fold the last matrix into the one before it
+                a[-2], b[-2] = _mul_dev(a[-1], b[-1], a[-2], b[-2])
+                a, b = a[:-1], b[:-1]
+            a, b = _mul_dev(a[1::2], b[1::2], a[::2], b[::2])
+        a, b = a[0], b[0]
         d = 1
         while d < groups:  # inclusive prefix products of the group products
             a[d:], b[d:] = _mul_dev(a[d:], b[d:], a[:-d], b[:-d])
             d *= 2
         s1 = a * u1 + b * u2 + u1
         s2 = np.conj(a) * u2 - np.conj(b) * u1 + u2
-        norm = np.sqrt(s1.real ** 2 + s1.imag ** 2 + s2.real ** 2 + s2.imag ** 2)
-        drift = max(drift, float(np.max(np.abs(norm - 1.0))))
+        if track_drift:
+            norm = np.sqrt(s1.real ** 2 + s1.imag ** 2 + s2.real ** 2 + s2.imag ** 2)
+            drift = max(drift, float(np.max(np.abs(norm - 1.0))))
         # the group ending at step e is row ceil(e / g); a chunk that stops
         # short of its group's end writes a row the group's last chunk overwrites
         row = -(-(k0 + w) // g)
@@ -309,7 +331,7 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     # the partner step h_p ~ 2 dt may exceed enforced_step_bound: the bound
     # guards the accuracy of the main run, and the partner only estimates it
     n_p = 2 if n_steps == 1 else -(-n_steps // 2)
-    p1, p2, _ = _rk4_run(model, c0v, n_p, t_end / n_p, n_p)
+    p1, p2, _ = _rk4_run(model, c0v, n_p, t_end / n_p, n_p, track_drift=False)
     rich = math.hypot(abs(u1[-1] - p1[-1]), abs(u2[-1] - p2[-1])) \
         / abs((n_steps / n_p) ** 4 - 1.0)
 

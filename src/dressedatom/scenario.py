@@ -347,11 +347,16 @@ def sweep(base: ScenarioConfig, axis: str, values) -> tuple[TimeSeries, list[dic
     """Run the base scenario once per axis value; summarise each run.
 
     ``omega_tilde`` is a derived axis: it re-solves e2 for each value.
+    Each report has a ``status``: "ok", or the class of the error that
+    stopped the point, with its ``detail``; a failed point's row holds
+    the axis value and NaN metrics.  A sweep with no successful point
+    raises the first point's error.
     """
     if axis not in _SWEEPABLE:
         raise UnknownAxis(f"axis {axis!r} is not a sweepable numeric field")
     rows = []
     reports = []
+    first_error = None  # only the first is kept: its frames hold that run's arrays
     for v in values:
         if axis == "omega_tilde":
             cfg = replace(base, e2=base.e1 + base.hbar * (2.0 * float(v) + base.omega))
@@ -359,9 +364,18 @@ def sweep(base: ScenarioConfig, axis: str, values) -> tuple[TimeSeries, list[dic
             cfg = replace(base, **{axis: float(v)})
         need = set(cfg.output_list()) | {"compare"}
         cfg = replace(cfg, outputs=",".join(sorted(need)))
-        row, rep = _sweep_point(cfg)
+        try:
+            row, rep = _sweep_point(cfg)
+        except DressedAtomError as exc:
+            if first_error is None:
+                first_error = exc
+            row, rep = [math.nan] * 5, {"status": type(exc).__name__, "detail": str(exc)}
+        else:
+            rep["status"] = "ok"
         rows.append([float(v)] + row)
         reports.append(rep)
+    if first_error is not None and not any(r["status"] == "ok" for r in reports):
+        raise first_error
     table = TimeSeries(
         [axis, "max_abs", "rms", "peak_closed_p0", "peak_oracle_p0",
          "dominant_freq"],

@@ -301,6 +301,34 @@ def test_sweep_over_an_empty_span(tmp_path, capsys):
     assert reports[0]["empty"] and reports[0]["compare"]["MaxAbs"] == 0.0
 
 
+def test_sweep_reports_a_failed_point(tmp_path, capsys):
+    # dt = 0.5 exceeds the step bound: that point fails with one stderr
+    # line and NaN metrics, and the other two still run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t_end": 2}')
+    out = tmp_path / "s"
+    assert main(["sweep", str(cfg), "--axis", "dt", "--values", "0.001,0.5,0.002",
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("sweep point dt=0.5 failed: StepTooLarge")
+    rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3, 6) and list(rows[:, 0]) == [0.001, 0.5, 0.002]
+    assert np.all(np.isnan(rows[1, 1:])) and np.all(np.isfinite(rows[[0, 2]]))
+    reports = json.loads((out / "sweep_report.json").read_text())
+    assert [r["status"] for r in reports] == ["ok", "StepTooLarge", "ok"]
+    assert "status" not in (out / "sweep.csv").read_text()
+
+
+def test_sweep_with_no_successful_point_fails(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"t_end": 2}')
+    assert main(["sweep", str(cfg), "--axis", "dt", "--values", "0.5,0.6",
+                 "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: dt=5.000e-01") and err.count("\n") == 1
+    assert not (tmp_path / "s").exists()
+
+
 def test_identities_over_an_empty_span(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"t_end": 0}')

@@ -116,3 +116,25 @@ def test_constant_drive_rejects_negative_amplitude():
     for kind in ("rwa", "constant"):
         with pytest.raises(ValidationError, match="j0"):
             parse_config(f'{{"drive": "{kind}", "j0": -1}}')
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["cosine", "rwa", "constant"]),
+       j0=st.floats(0.0, 3.0), omega=st.floats(0.1, 5.0),
+       gamma0=st.floats(-2.0, 2.0), t0=st.floats(0.0, 1e4),
+       h=st.floats(1e-6, 0.1), n=st.integers(1, 8193))
+def test_coupling_grid_matches_frame_coupling(kind, j0, omega, gamma0, t0, h, n):
+    # the table the oracle takes its couplings from is f itself: each entry
+    # a product of at most log2(n) phasors, off by a few ulps of omega t
+    # (scaled by j0); the constant envelope exactly
+    gamma0 = gamma0 if kind == "constant" else 0.0
+    drive = config_drive(kind, j0, omega, gamma0)
+    t = t0 + np.arange(n) * h
+    grid = drive.frame_coupling_grid(h, n)
+    got, want = grid(t0), drive.frame_coupling(t)
+    assert got.shape == (n,)
+    if kind == "cosine":
+        tol = 4.0 * j0 * (np.spacing(omega * t) + np.finfo(float).eps)
+        assert np.all(np.abs(got - want) <= tol)
+    else:
+        assert np.array_equal(got, want)

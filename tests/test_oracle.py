@@ -200,18 +200,23 @@ def test_richardson_few_steps(n_steps):
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 10, 2 * _CHUNK + 1])
 def test_propagate_rk4_step_count(monkeypatch, n_steps):
-    # the main run and a partner of ceil(n/2) steps (two at n = 1), nothing else
-    calls = []
+    # the main run and a partner of ceil(n/2) steps (two at n = 1), nothing
+    # else; only the main run tracks the norm drift, the one propagate reports
+    calls, drifts = [], []
 
-    def spy(model, c0, n, dt, keep_every):
+    def spy(model, c0, n, dt, keep_every, track_drift=True):
         calls.append(n)
-        return _rk4_run(model, c0, n, dt, keep_every)
+        out = _rk4_run(model, c0, n, dt, keep_every, track_drift)
+        drifts.append(out[2])
+        return out
 
     monkeypatch.setattr(oracle, "_rk4_run", spy)
     model = Model.of(CosineDrive(1.2, 1.3), 0.4)
     dt = enforced_step_bound(model) / 2
-    propagate(model, bare_state(1), n_steps * dt, dt, output_stride=7)
+    res = propagate(model, bare_state(1), n_steps * dt, dt, output_stride=7)
     assert calls == [n_steps, 2 if n_steps == 1 else -(-n_steps // 2)]
+    assert drifts[0] == res.step_report.norm_drift >= 0.0
+    assert drifts[1] is None
 
 
 def test_resonance_equivalence_to_closed_form():
