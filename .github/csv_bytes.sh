@@ -19,7 +19,11 @@
 # every chunk stops short of it and the next starts at a new offset.
 # Every report must carry a finite Richardson estimate and an r1
 # identity at round-off; the resonant configs put coupling zeros on the
-# r1 stencil
+# r1 stencil. The writer formats a block of a run's distinct columns at
+# once: oracle_current is the shape of a long oracle run (two tables
+# sharing t and current, about 4,000 rows over several blocks),
+# closed_only is one table with nothing shared, and the sweep writes its
+# one table through TimeSeries.to_csv
 #
 # usage: bash .github/csv_bytes.sh <scratch dir>   (CI passes $RUNNER_TEMP)
 set -euo pipefail
@@ -61,31 +65,44 @@ echo '{"t_end": 0.0005, "outputs": "frame,closed,oracle,compare,identities,curre
   > "$TMP/one_step.json"
 echo '{"t_end": 0.003, "outputs": "frame,closed,oracle,compare,identities,current"}' \
   > "$TMP/three_steps.json"
-for name in determinism shifted hbar2 stride1 stride7 stride5000 rwa constant \
-            resonant_smooth resonant_positive one_step three_steps long10 long7; do
+echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 12,
+       "output_stride": 3, "outputs": "oracle,current"}' > "$TMP/oracle_current.json"
+echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
+       "outputs": "closed"}' > "$TMP/closed_only.json"
+six="determinism shifted hbar2 stride1 stride7 stride5000 rwa constant
+     resonant_smooth resonant_positive one_step three_steps long10 long7"
+for name in $six oracle_current closed_only; do
   for run in 1 2; do
     dressedatom run "$TMP/$name.json" --out "$TMP/$name$run" \
       2> "$TMP/$name$run.err"
     test ! -s "$TMP/$name$run.err"
   done
-  test "$(ls "$TMP/${name}1"/*.csv | wc -l)" -eq 6
+  case $name in oracle_current) want=2 ;; closed_only) want=1 ;; *) want=6 ;; esac
+  test "$(ls "$TMP/${name}1"/*.csv | wc -l)" -eq "$want"
   for f in "$TMP/${name}1"/*.csv; do
     cmp "$f" "$TMP/${name}2/$(basename "$f")"
   done
 done
+for run in 1 2; do
+  dressedatom sweep "$TMP/determinism.json" --axis omega_tilde --values 0.1,0.3,0.7 \
+    --out "$TMP/sweep$run" > /dev/null 2> "$TMP/sweep$run.err"
+  test ! -s "$TMP/sweep$run.err"
+done
+cmp "$TMP/sweep1/sweep.csv" "$TMP/sweep2/sweep.csv"
 for f in "$TMP/rwa1"/*.csv; do
   cmp "$f" "$TMP/constant1/$(basename "$f")"
 done
 # the bytes must also be the spec: every field is its own %.17g
-python - "$TMP"/{determinism,shifted,hbar2,stride1,stride7,stride5000,rwa,constant,resonant_smooth,resonant_positive,one_step,three_steps,long10,long7}{1,2} <<'EOF'
+python - "$TMP" "$six" "oracle_current closed_only sweep" <<'EOF'
 import json, math, pathlib, sys
+tmp, six, others = pathlib.Path(sys.argv[1]), sys.argv[2].split(), sys.argv[3].split()
+runs = lambda names: [tmp / f"{name}{run}" for name in names for run in (1, 2)]
 bad = [(str(f), field)
-       for d in sys.argv[1:] for f in sorted(pathlib.Path(d).glob("*.csv"))
+       for d in runs(six + others) for f in sorted(d.glob("*.csv"))
        for line in f.read_text().splitlines()[1:] for field in line.split(",")
        if "%.17g" % float(field) != field]
 print(f"{len(bad)} fields differ from their %.17g", bad[:10])
-reports = [(d, json.loads((pathlib.Path(d) / "report.json").read_text()))
-           for d in sys.argv[1:]]
+reports = [(d, json.loads((d / "report.json").read_text())) for d in runs(six)]
 off = [(d, r["richardson_error"], r["identities_max"]["r1"]) for d, r in reports
        if not (math.isfinite(r["richardson_error"]) and r["richardson_error"] <= 1e-8
                and r["identities_max"]["r1"] <= 1e-10)]

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .errors import (DomainError, DressedAtomError, InsufficientSpan,
 from .oracle import NORM_TOL
 from .scenario import (OUTPUT_KINDS, parse_config, run_scenario,
                        serialize_config, sweep)
+from .series import write_csv
 
 _USER_ERRORS = (ParseError, ValidationError, UnknownAxis, DomainError)
 _NUMERIC_ERRORS = (StepTooLarge, InsufficientSpan)
@@ -38,17 +40,16 @@ def _load_config(path: str):
 
 
 def _write_outputs(outdir: str, series: dict, report: dict, cfg) -> None:
-    """Write the run's CSVs and report.json; remove the CSV of every output
-    kind this run did not write, so that the directory holds only what its
-    report lists.  No other file is touched."""
+    """Write the run's CSVs, streamed block by block, and report.json;
+    remove the CSV of every output kind this run did not write, so that the
+    directory holds only what its report lists.  No other file is touched."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    for kind in OUTPUT_KINDS:
-        path = out / f"{kind}.csv"
-        if kind in series:
-            path.write_text(series[kind].to_csv(), encoding="utf-8")
-        else:
-            path.unlink(missing_ok=True)
+    for kind in set(OUTPUT_KINDS) - set(series):
+        (out / f"{kind}.csv").unlink(missing_ok=True)
+    with ExitStack() as stack:
+        files = [stack.enter_context((out / f"{kind}.csv").open("wb")) for kind in series]
+        write_csv(list(series.values()), files)
     report = dict(report)
     report["config"] = json.loads(serialize_config(cfg))
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",

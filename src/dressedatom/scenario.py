@@ -223,11 +223,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         schemas["identities"] += ["re_eq24", "im_eq24", "im_eq24_gap"]
 
     if cfg.t_end == 0.0:
+        empty = np.empty(0)
         for kind in wanted:
-            out[kind] = TimeSeries(schemas[kind], np.empty((0, len(schemas[kind]))))
+            out[kind] = TimeSeries(schemas[kind], [empty] * len(schemas[kind]))
         report["empty"] = True
         # an empty span still reports what its kinds report, as zeros
-        empty = np.empty(0)
         if "compare" in wanted:
             report["compare"] = _compare_entry(empty, empty)
         if "identities" in wanted:
@@ -248,30 +248,29 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         report["richardson_error"] = prop.step_report.richardson_error
         report["norm_ok"] = prop.step_report.norm_ok
 
+    # a column that tables share is one array (t, p0_raw, current): CSV formats it once
     if "frame" in wanted:
         fr = frames.frame_series(model, ts)
-        out["frame"] = TimeSeries(schemas["frame"], np.column_stack(
-            [fr["t"], fr["omega_r"], fr["cos_theta"], fr["sin_theta"],
-             fr["dtheta_dt"]]))
+        out["frame"] = TimeSeries(schemas["frame"], [
+            ts, fr["omega_r"], fr["cos_theta"], fr["sin_theta"], fr["dtheta_dt"]])
 
     if "closed" in wanted:
-        out["closed"] = TimeSeries(schemas["closed"], np.column_stack(
-            [ts, closed["phase"].real, closed["phase"].imag,
-             closed["p0_raw"], closed["p0_norm"]]))
+        out["closed"] = TimeSeries(schemas["closed"], [
+            ts, closed["phase"].real, closed["phase"].imag, closed["p0_raw"],
+            closed["p0_norm"]])
 
     if "oracle" in wanted:
         p0o = 2.0 * np.abs(prop.psi0_oracle) ** 2
-        out["oracle"] = TimeSeries(schemas["oracle"], np.column_stack(
-            [prop.times, prop.c1.real, prop.c1.imag, prop.c2.real,
-             prop.c2.imag, prop.norm, p0o, prop.current]))
+        out["oracle"] = TimeSeries(schemas["oracle"], [
+            ts, prop.c1.real, prop.c1.imag, prop.c2.real, prop.c2.imag,
+            prop.norm, p0o, prop.current])
 
     if "compare" in wanted:
         psi0_scaled = math.sqrt(2.0) * prop.psi0_oracle
         report["compare"] = _compare_entry(closed["psi0"], psi0_scaled)
         oracle_p0 = np.abs(psi0_scaled) ** 2
-        out["compare"] = TimeSeries(schemas["compare"], np.column_stack(
-            [ts, closed["p0_raw"], oracle_p0,
-             np.abs(closed["p0_raw"] - oracle_p0)]))
+        out["compare"] = TimeSeries(schemas["compare"], [
+            ts, closed["p0_raw"], oracle_p0, np.abs(closed["p0_raw"] - oracle_p0)])
 
     if "identities" in wanted:
         r1, r2, r3 = frames.identity_residuals(model, ts)
@@ -286,14 +285,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
             re24[ok], im24[ok] = eq24.real, eq24.imag
             dth = frames.connection_dtheta(model, ts)
             cols += [re24, im24, np.abs(im24 - dth)]
-        out["identities"] = TimeSeries(schemas["identities"], np.column_stack(cols))
+        out["identities"] = TimeSeries(schemas["identities"], cols)
         report["identities_max"] = _identities_max(r1, r2, r3)
 
     if "current" in wanted:
         dcur = np.gradient(prop.current, prop.times) if len(prop.times) > 2 \
             else np.zeros_like(prop.current)
-        out["current"] = TimeSeries(schemas["current"], np.column_stack(
-            [prop.times, prop.current, dcur]))
+        out["current"] = TimeSeries(schemas["current"], [ts, prop.current, dcur])
         try:
             fit = oracle.current_dynamics_check(prop, model)
             report["current_fit"] = {"status": fit.status,
@@ -379,6 +377,5 @@ def sweep(base: ScenarioConfig, axis: str, values) -> tuple[TimeSeries, list[dic
     table = TimeSeries(
         [axis, "max_abs", "rms", "peak_closed_p0", "peak_oracle_p0",
          "dominant_freq"],
-        np.array(rows, dtype=float) if rows else np.empty((0, 6)),
-        monotonic=False)
+        list(np.array(rows, dtype=float).reshape(-1, 6).T), monotonic=False)
     return table, reports

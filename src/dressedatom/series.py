@@ -5,9 +5,10 @@ as ``"%.17g" % v`` (17 significant digits; ``-0``, ``nan`` and ``inf``
 included), so identical runs produce byte-identical files.
 
 ``%.17g`` on one Python float takes the bignum path of dtoa (its fast path
-stops at 14 digits), so the values are formatted as arrays instead, a block
-of ``_CSV_BLOCK`` rows (at most ``_BLOCK_VALUES`` values) at a time; the
-scratch memory is one block, whatever the row count.
+stops at 14 digits), so the values are formatted as arrays instead, the
+tables of a run together (``write_csv``), a block of at most
+``_BLOCK_VALUES`` values of their distinct columns at a time; the scratch
+memory is one block, whatever the row count.
 
 * Scale.  E = floor(log10 |x|) and y = |x| * 10**(16 - E) = a' * (hi + lo),
   where a' = |x| * 2**shift is exact and hi + lo (1 <= hi < 2) is a double
@@ -26,8 +27,8 @@ scratch memory is one block, whatever the row count.
   each.  The ``%g`` rules (fixed notation for -4 <= E < 17, otherwise
   ``d.ddde±XX``; trailing zeros stripped; ``-``, the point and the
   ``0.000`` prefix) become a byte mask per (E, digit count, sign), looked
-  up per value.  Separators are written in place, and the masked (zero)
-  bytes are compressed out.
+  up per value.  Every field ends in a comma; a table turns its last
+  column's into a newline, and the masked (zero) bytes are compressed out.
 * Zeros are exact: N = 0 with E = 0 spells ``0`` (``-0`` for -0.0).
 * Fallback.  nan, inf and values within ``_MARGIN`` of a rounding tie
   (exact ties such as 1234567890123456.25 among them) are formatted one by
@@ -37,13 +38,14 @@ scratch memory is one block, whatever the row count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from io import BytesIO
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import ValidationError
 
-_CSV_BLOCK = 512       # rows per formatting block,
-_BLOCK_VALUES = 2048  # or fewer, so that a block holds at most this many values
+_BLOCK_VALUES = 4096  # distinct column values per formatting block
 
 _MARGIN = 2.0 ** -32  # least distance of frac(y) from 1/2 where N is certified
 
@@ -117,6 +119,10 @@ _EXPONENT[:, 2] = (abs(_E) // 100 + ord("0")) * (abs(_E) >= 100)
 _EXPONENT[:, 3] = abs(_E) // 10 % 10 + ord("0")
 _EXPONENT[:, 4] = abs(_E) % 10 + ord("0")
 _EXPONENT = _EXPONENT.view(np.uint64).ravel()
+# byte 5 of a field's last word: the comma, and what turns it into "\n"
+_COMMA, _NEWLINE = np.array([[0] * 5 + [ord(",")] + [0] * 2,
+                             [0] * 5 + [ord(",") ^ ord("\n")] + [0] * 2],
+                            np.uint8).view(np.uint64).ravel()
 # the first layout of E's class (34 layouts a class, see _layout_masks)
 _CLASS = np.where((_E >= -4) & (_E < 17), _E + 4, 21) * 34
 
@@ -200,9 +206,9 @@ def _one_by_one(values: np.ndarray) -> bytes:
     return "".join([("%.17g" % x).ljust(40, "\0") for x in values.tolist()]).encode()
 
 
-def _fields(v: np.ndarray, sepw: np.ndarray) -> np.ndarray:
-    """The 48-byte fields of ``v`` as words, shape (values, 6), with the
-    bytes outside each field zero; ``sepw`` holds each separator."""
+def _fields(v: np.ndarray) -> np.ndarray:
+    """The 48-byte fields of ``v`` as words, shape (values, 6), each ended
+    by a comma, with the bytes outside each field zero."""
     n, e, sure = _significands(v)
     w = np.empty((v.size, 6), np.uint64)
     group = np.empty_like(n)
@@ -216,56 +222,82 @@ def _fields(v: np.ndarray, sepw: np.ndarray) -> np.ndarray:
         w[:, c + 1] = _PAIRS.take(g)
         np.minimum(zeros, _ZEROS[c].take(g), out=zeros)
     w[:, 0] = _LEAD.take(n.view(np.int64))
+    del n, rest, group, g  # freed before the masks are taken: less peak memory
     e -= _E0
-    np.bitwise_or(_EXPONENT.take(e), sepw, out=w[:, 5])
-    w &= _MASKS.take(_CLASS.take(e) + (16 - zeros) * 2 + np.signbit(v), axis=0)
+    np.bitwise_or(_EXPONENT.take(e), _COMMA, out=w[:, 5])
+    layout = _CLASS.take(e) + (16 - zeros) * 2 + np.signbit(v)
+    half = v.size // 2  # the masks of half the fields at a time
+    for part in (slice(None, half), slice(half, None)):
+        w[part] &= _MASKS.take(layout[part], axis=0)
     bad = np.flatnonzero(~sure)
     if bad.size:
         w[bad, :5] = np.frombuffer(_one_by_one(v[bad]), np.uint64).reshape(-1, 5)
-        w[bad, 5] = sepw[bad]
+        w[bad, 5] = _COMMA
     return w
 
 
 @dataclass
 class TimeSeries:
+    """Named columns, one 1-D float64 array each, t first.  Tables that
+    hold the same array as a column share it, and ``write_csv`` formats it once."""
     columns: list[str]
-    data: np.ndarray        # shape (n_rows, n_columns); data[:, 0] is t
+    arrays: list[np.ndarray]
     monotonic: bool = True  # False for summary tables keyed by a sweep axis
 
     def __post_init__(self):
-        self.data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        if self.data.size == 0:
-            self.data = self.data.reshape(0, len(self.columns))
-        if self.data.shape[1] != len(self.columns):
-            raise ValidationError("column count does not match data width")
+        self.arrays = [np.asarray(a, dtype=float) for a in self.arrays]
+        if len(self.arrays) != len(self.columns):
+            raise ValidationError("column count does not match the arrays")
+        if any(a.ndim != 1 or a.size != self.arrays[0].size for a in self.arrays):
+            raise ValidationError("columns must be 1-D arrays of one length")
         t = self.t
         if self.monotonic and len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValidationError("time column must be strictly increasing")
 
     @property
     def t(self) -> np.ndarray:
-        return self.data[:, 0] if self.data.size else np.empty(0)
+        return self.arrays[0]
+
+    @property
+    def data(self) -> np.ndarray:
+        """The columns stacked, shape (n_rows, n_columns): a copy."""
+        return np.column_stack(self.arrays)
 
     def column(self, name: str) -> np.ndarray:
         try:
             idx = self.columns.index(name)
         except ValueError:
             raise ValidationError(f"series has no column {name!r}") from None
-        return self.data[:, idx]
+        return self.arrays[idx]
 
     def to_csv(self) -> str:
-        parts = [",".join(self.columns) + "\n"]
-        if self.data.size == 0:
-            return parts[0]
-        n_cols = self.data.shape[1]
-        rows = max(1, min(_CSV_BLOCK, _BLOCK_VALUES // n_cols))
-        sep = np.zeros((rows, n_cols, 8), np.uint8)  # byte 5 of the last word
-        sep[:, :, 5] = ord(",")
-        sep[:, -1, 5] = ord("\n")
-        sepw = sep.view(np.uint64).ravel()
-        for start in range(0, self.data.shape[0], rows):
-            v = self.data[start:start + rows].ravel()
-            # one field after another, the zero bytes dropped
-            text = _fields(v, sepw[:v.size]).tobytes().translate(None, b"\0")
-            parts.append(text.decode("ascii"))
-        return "".join(parts)
+        buf = BytesIO()
+        write_csv([self], [buf])
+        return buf.getvalue().decode("ascii")
+
+
+def write_csv(tables: list[TimeSeries], files: list[BinaryIO]) -> None:
+    """Write each table as CSV to its binary file, block by block.
+
+    The tables must have one row count.  Each block formats every distinct
+    column (by identity) once, in one ``_fields`` call, and writes each
+    table's rows of it before the next block is formatted.
+    """
+    for ts, f in zip(tables, files):
+        f.write((",".join(ts.columns) + "\n").encode())
+    cols = list({id(a): a for ts in tables for a in ts.arrays}.values())
+    place = {id(a): i for i, a in enumerate(cols)}
+    picks = [np.array([place[id(a)] for a in ts.arrays]) for ts in tables]
+    sizes = {a.size for a in cols}
+    if len(sizes) > 1:
+        raise ValidationError("tables written together must have one row count")
+    rows = max(1, _BLOCK_VALUES // max(1, len(cols)))
+    for start in range(0, max(sizes, default=0), rows):
+        w = _fields(np.concatenate([a[start:start + rows] for a in cols]))
+        w = w.reshape(len(cols), -1, 6)
+        for pick, f in zip(picks, files):
+            words = w.take(pick, axis=0)  # (columns, rows, 6)
+            words[-1, :, 5] ^= _NEWLINE
+            # row after row, the zero bytes dropped
+            f.write(words.transpose(1, 0, 2).tobytes().translate(None, b"\0"))
+        del w, words  # so that two blocks' scratch is never held at once

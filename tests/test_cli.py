@@ -371,6 +371,26 @@ def test_unwritable_out_is_one_line_error(argv, tmp_path, capsys):
     assert taken.read_text() == "a file, not a directory"
 
 
+def test_failed_csv_write_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # oracle.csv is a directory: frame.csv and closed.csv are open when its
+    # open fails, and both must be closed on the way out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drive": "cosine", "j0": 1.0, "t_end": 1.0, "dt": 0.01,
+                               "outputs": "frame,closed,oracle,current"}))
+    out = tmp_path / "out"
+    (out / "oracle.csv").mkdir(parents=True)
+    opened = []
+    path_open = Path.open
+    monkeypatch.setattr(Path, "open",
+                        lambda self, *a, **k: opened.append(path_open(self, *a, **k)) or opened[-1])
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write outputs to {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [Path(f.name).name for f in opened][1:] == ["frame.csv", "closed.csv"]
+    assert all(f.closed for f in opened)
+
+
 def test_run_removes_stale_csvs(tmp_path):
     # a second run into the same directory leaves only what its report
     # lists: the earlier frame.csv goes, a file that is no output stays
@@ -472,6 +492,7 @@ def _csv_columns(path: Path) -> dict:
 
 @example(case=({}, "t_end", [0.0, 1.0]))
 @example(case=({"t_end": 0}, "j0", [1.0]))
+@example(case=({}, "dt", [0.001, 0.5, 0.002]))  # the middle point fails
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_cases())
@@ -493,5 +514,12 @@ def test_config_space(case):
                          "--values=" + ",".join(map(repr, values)),
                          "--out", f"{tmp}/sweep"])
         if code == 0:
+            # a point that failed keeps its axis value and NaN metrics, and
+            # its report says why
             table = _csv_columns(Path(f"{tmp}/sweep/sweep.csv"))
-            assert all(np.all(np.isfinite(col)) for col in table.values())
+            reports = json.loads(Path(f"{tmp}/sweep/sweep_report.json").read_text())
+            ok = np.array([rep["status"] == "ok" for rep in reports])
+            assert ok.any() and list(table[axis]) == values
+            for name, col in table.items():
+                assert np.all(np.isfinite(col[ok])), name
+                assert name == axis or np.all(np.isnan(col[~ok])), name

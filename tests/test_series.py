@@ -1,5 +1,7 @@
 """TimeSeries CSV form: the block formatter against the per-value f-string."""
 
+import contextlib
+import io
 import json
 import math
 import tracemalloc
@@ -11,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dressedatom import series
-from dressedatom.scenario import parse_config, run_scenario
-from dressedatom.series import _CSV_BLOCK, TimeSeries
+from dressedatom.errors import ValidationError
+from dressedatom.scenario import OUTPUT_KINDS, parse_config, run_scenario
+from dressedatom.series import _BLOCK_VALUES, TimeSeries, write_csv
 
 
 def _fstring_csv(ts: TimeSeries) -> str:
@@ -25,11 +28,17 @@ def _fstring_csv(ts: TimeSeries) -> str:
 
 def _table(data: np.ndarray) -> TimeSeries:
     cols = [f"c{i}" for i in range(data.shape[1])]
-    return TimeSeries(cols, data, monotonic=False)
+    return TimeSeries(cols, list(data.T), monotonic=False)
 
 
-@pytest.mark.parametrize("n_cols", [1, 8])
-@pytest.mark.parametrize("n_rows", [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1])
+def _block_edges(n_cols):
+    """Row counts at the edges of the first formatting blocks."""
+    rows = _BLOCK_VALUES // n_cols
+    return [0, 1, rows - 1, rows, rows + 1]
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(n_rows, n_cols) for n_cols in (1, 8)
+                                           for n_rows in _block_edges(n_cols)])
 def test_to_csv_matches_fstring_at_block_edges(n_rows, n_cols):
     rng = np.random.default_rng(n_rows * 10 + n_cols)
     data = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(-30, 30, (n_rows, n_cols))
@@ -54,12 +63,70 @@ def test_to_csv_matches_fstring_on_special_values():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(arrays(np.float64,
-              st.tuples(st.integers(0, 2 * _CSV_BLOCK + 3), st.integers(1, 8)),
+              st.tuples(st.integers(0, 2 * _BLOCK_VALUES // 8 + 3), st.integers(1, 8)),
               elements=st.floats(allow_nan=True, allow_infinity=True,
                                  allow_subnormal=True)))
 def test_to_csv_matches_fstring_property(data):
     ts = _table(data)
     assert ts.to_csv() == _fstring_csv(ts)
+
+
+# nan, the infinities, both zeros, subnormals, the extremes and exact ties
+# (18 significant digits ending in 5), which go through the per-value path
+_SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-320,
+             2.2250738585072009e-308, 1.7976931348623157e308, 1.0, 0.1,
+             1234567890123456.25, -1234567890123456.75, 562949953421312.125]
+
+
+@st.composite
+def _run_tables(draw):
+    """1-6 tables over a pool of distinct columns, some shared between
+    tables, with a row count at a block edge for the pool's size."""
+    picks = draw(st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=6),
+                          min_size=1, max_size=6))
+    place = {i: k for k, i in enumerate(sorted({i for pick in picks for i in pick}))}
+    n_rows = draw(st.sampled_from(_block_edges(len(place))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (len(place), n_rows)
+    bits = rng.integers(0, 2 ** 64, shape, dtype=np.uint64).view(np.float64)
+    pool = list(np.where(rng.random(shape) < 0.2, rng.choice(_SPECIALS, shape), bits))
+    return [TimeSeries([f"c{i}" for i in pick], [pool[place[i]] for i in pick],
+                       monotonic=False) for pick in picks]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_run_tables())
+def test_write_csv_matches_fstring_property(tables):
+    assert all(_tie_distance(x) == 0 for x in _SPECIALS[-3:])
+    files = [io.BytesIO() for _ in tables]
+    write_csv(tables, files)
+    for ts, f in zip(tables, files):
+        assert f.getvalue() == _fstring_csv(ts).encode()
+        assert f.getvalue().decode() == ts.to_csv()
+
+
+def test_write_csv_formats_each_distinct_column_once(monkeypatch):
+    # a cosine run with all six outputs has 32 columns, of which 25 are
+    # distinct: t is in every table, current in two, closed p0_raw is
+    # compare closed_p0
+    doc = {"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
+           "outputs": ",".join(OUTPUT_KINDS)}
+    outputs, _ = run_scenario(parse_config(json.dumps(doc)))
+    tables = [outputs[kind] for kind in OUTPUT_KINDS]
+    n_rows = len(tables[0].t)
+    assert sum(len(ts.columns) for ts in tables) == 32
+    formatted = []
+    fields = series._fields
+    monkeypatch.setattr(series, "_fields", lambda v: formatted.append(v.size) or fields(v))
+    write_csv(tables, [io.BytesIO() for _ in tables])
+    assert sum(formatted) == 25 * n_rows
+    assert len(formatted) == -(-25 * n_rows // (_BLOCK_VALUES // 25 * 25))
+
+
+def test_write_csv_needs_one_row_count():
+    with pytest.raises(ValidationError):
+        write_csv([_table(np.zeros((3, 2))), _table(np.zeros((4, 1)))],
+                  [io.BytesIO(), io.BytesIO()])
 
 
 # ------------------------------------------- certification edges of the formatter
@@ -247,20 +314,26 @@ def test_to_csv_of_run_outputs_needs_no_per_value_path(monkeypatch):
     assert [x for x in seen if math.isfinite(x)] == []
 
 
-def test_to_csv_scratch_memory_does_not_grow_with_rows():
-    # "".join holds the blocks' text and the joined text at once, two copies
-    # of the output; beyond them the formatter holds one block of scratch
-    # (the 48-byte fields of the whole table at once would be ~46 MiB here)
+def test_to_csv_scratch_memory_does_not_grow_with_rows(tmp_path):
+    # six tables of one run, t shared, written to files: the writer holds
+    # one block of scratch and no text of a whole table (the 48-byte fields
+    # of the 200,000-row tables at once would be ~229 MiB)
     rng = np.random.default_rng(3)
-    scratch = []
+    peaks = []
     for n_rows in (20_000, 200_000):
-        ts = _table(rng.standard_normal((n_rows, 5)))
-        tracemalloc.start()
-        try:
-            text = ts.to_csv()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        scratch.append(peak - 2 * len(text))
-    assert scratch[1] < 512 * 1024
-    assert scratch[1] < scratch[0] + 64 * 1024
+        t = np.arange(n_rows, dtype=float)
+        tables = [TimeSeries(["t"] + [f"c{i}" for i in range(4)],
+                             [t, *rng.standard_normal((4, n_rows))]) for _ in range(6)]
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context((tmp_path / f"{k}.csv").open("wb"))
+                     for k in range(len(tables))]
+            tracemalloc.start()
+            try:
+                write_csv(tables, files)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        peaks.append(peak)
+        assert (tmp_path / "5.csv").read_bytes().count(b"\n") == n_rows + 1
+    assert peaks[1] < 512 * 1024
+    assert peaks[1] < peaks[0] + 64 * 1024
