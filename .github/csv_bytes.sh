@@ -17,6 +17,9 @@
 # 40,000 steps (10 chunks), so the oracle takes couplings far from t = 0
 # off its phasor table; 7 does not divide the 4,096-step chunk, so
 # every chunk stops short of it and the next starts at a new offset.
+# The oracle scans its kept rows in blocks of 4,096: scan_blocks keeps
+# every 2nd of 20,000 steps, 10,001 rows over three blocks, the last
+# one partial.
 # Every report must carry a finite Richardson estimate and an r1
 # identity at round-off; the resonant configs put coupling zeros on the
 # r1 stencil. The writer formats a block of a run's distinct columns at
@@ -61,6 +64,9 @@ for stride in 10 7; do
          "outputs": "frame,closed,oracle,compare,identities,current"}' \
     > "$TMP/long$stride.json"
 done
+echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 20,
+       "output_stride": 2, "outputs": "frame,closed,oracle,compare,identities,current"}' \
+  > "$TMP/scan_blocks.json"
 echo '{"t_end": 0.0005, "outputs": "frame,closed,oracle,compare,identities,current"}' \
   > "$TMP/one_step.json"
 echo '{"t_end": 0.003, "outputs": "frame,closed,oracle,compare,identities,current"}' \
@@ -70,7 +76,7 @@ echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 12,
 echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
        "outputs": "closed"}' > "$TMP/closed_only.json"
 six="determinism shifted hbar2 stride1 stride7 stride5000 rwa constant
-     resonant_smooth resonant_positive one_step three_steps long10 long7"
+     resonant_smooth resonant_positive one_step three_steps long10 long7 scan_blocks"
 for name in $six oracle_current closed_only; do
   for run in 1 2; do
     dressedatom run "$TMP/$name.json" --out "$TMP/$name$run" \

@@ -2,67 +2,30 @@
 
 The model states the bare-basis operator H = [[V1, J + i*Gamma],
 [J - i*Gamma, V2]] with V1 = E1 and the recoil-shifted V2 = E2 - hbar*Omega.
-``propagate`` integrates it in the *connection frame*: the gauge co-rotating
-with the coupling phase arg(J + i*Gamma), in which the coupling is the real
-envelope q(t) = drive.frame_coupling(t) and the detuning is omega_tilde for
-every drive choice,
+``propagate`` integrates it in the *connection frame*, co-rotating with the
+coupling phase arg(J + i*Gamma), where the coupling is the real envelope
+q(t) = drive.frame_coupling(t) and the detuning is omega_tilde for every
+drive (wt and off come from the ``config.Model``):
 
-    H_frame(t) = off * I + [[+wt, q(t)], [q(t), -wt]],   off = Ebar12 - Omega/2,
-
-with wt and off taken from the ``config.Model``.
+    H_frame(t) = off * I + [[+wt, q(t)], [q(t), -wt]],   off = Ebar12 - Omega/2.
 
 This is the frame the dressed construction diagonalises: for the
-rotating-wave drive it is constant, so that drive is ``ConstantDrive(j0)``
-(the Jaynes-Cummings point, solved exactly by |sin(omega_r t)|), and for
-the cosine drive at resonance the matrices at different times commute.
-Integrating the bare matrix with its explicit e^{i Omega t} phases instead
-would double-count the recoil already folded into V2: the rotating frame of
-that matrix carries detuning omega_tilde - Omega/2, and neither exactness
-statement survives.
+rotating-wave drive it is constant (``ConstantDrive(j0)``, the
+Jaynes-Cummings point, solved exactly by |sin(omega_r t)|), and for the
+cosine drive at resonance the matrices at different times commute.  The
+bare matrix with its explicit e^{i Omega t} phases would double-count the
+recoil already in V2 (its rotating frame carries detuning
+omega_tilde - Omega/2), and neither exactness statement would survive.
 
-The identity part off = Ebar12 - Omega/2 is a global phase, and it is
-applied exactly, as exp(-i off t) on the kept states; RK4 integrates only
-the traceless part -i (wt sigma_z + q sigma_x).  RK4 does not keep the
-norm of a pure phase (|R(iy)| = 1 - y^6/144 + ...), so integrating off
-too would let a common shift of e1 and e2 change the populations.  The
-dressed projection, the norm and the current are taken of the traceless
-states, so they do not see off at all.
-
-Fixed-step classic RK4 is used on purpose: the arithmetic is the same on
-every run, so the CSV output is byte-identical across runs.  The equation
-is linear, so one RK4 step is a fixed 2x2 matrix
-M_k = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) built from the generator at t_k,
-t_k + dt/2 and t_k + dt.  The generator, every M_k and every product of
-them has the Cayley-Klein form [[a, b], [-b*, a*]] (Goldstein, Classical
-Mechanics, sec. 4.5), so a stack of them is stored as two complex arrays
-(a, b) and a product costs four complex multiplies.  Step matrices and
-their products are held as their deviation M - I from the identity, so
-that rounding does not add up step by step into a drift of the norm: the
-drift reports the integrator, not the arithmetic.  ``_step_matrices``
-builds the M_k - I of a chunk in closed form, from real arrays.  Their
-couplings come from one ``drive.frame_coupling_grid`` per run: a per-run
-phasor table of the half step, so a chunk costs one phasor and a few
-array passes, not a cosine per point.
-
-``_rk4_run`` walks the grid in chunks of at most ``_CHUNK`` steps, on one
-code path.  The steps up to each kept state form a group; a chunk holds
-whole groups, or ends at the next kept state.  Each group's M_k are reduced
-pairwise to their product, step-major: the chunk's (groups, w) step
-matrices are laid out as (w, groups), so every level of the reduction
-multiplies contiguous rows, whatever the group count.  The group products
-are scanned by doubling (Hillis-Steele; Blelloch, CMU-CS-90-190) and
-applied to the state carried in.  Keeping every state is a plain prefix
-scan, and keeping only the last (the Richardson partner run) a plain
-reduction.  Scratch memory is one chunk, whatever t_end/dt; ``step_count``
-caps t_end/dt at ``MAX_STEPS``.  A Richardson error estimate and the norm
-drift of the main run are attached to every result.  The estimate compares
-the final state with that of a coarse partner run of about half as many
-steps (Richardson, Phil. Trans. R. Soc. A 210 (1911) 307; Hairer, Norsett
-& Wanner, Solving ODEs I, sec. II.4): a quarter of the steps of a re-run
-at dt/2.  det(M_k) scales the squared norm, so a running sum of
-log det(M_k) gives the main run's drift after every step, whatever the
-output stride; the kept states are checked as well.  The partner run
-tracks no drift: only its final state is read.
+RK4 integrates only the traceless part -i (wt sigma_z + q sigma_x); off is
+a global phase, applied exactly as exp(-i off t) on the kept states.  RK4
+does not keep the norm of a pure phase (|R(iy)| = 1 - y^6/144 + ...), so
+integrating off would let a common shift of e1 and e2 change the
+populations.  Fixed-step classic RK4 does the same arithmetic on every
+run, so the CSV bytes are identical across runs.  A step is a 2x2 matrix
+of the Cayley-Klein form [[a, b], [-b*, a*]] (Goldstein, Classical
+Mechanics, sec. 4.5), stored as the pair (a, b) and held as its deviation
+M_k - I (``_mul_dev``); ``_rk4_run`` multiplies the steps out.
 """
 
 from __future__ import annotations
@@ -171,15 +134,13 @@ def output_grid(t_end: float, dt: float, stride: int) -> np.ndarray:
 
 
 def _mul_dev(xa, xb, ya, yb):
-    """(I + X)(I + Y) - I = X + Y + XY, for X = (xa, xb) and Y = (ya, yb).
+    """X <- (I + X)(I + Y) - I = X + (XY + Y) in place, for X = (xa, xb)
+    and Y = (ya, yb).
 
-    Step matrices and their products are held as their deviation from the
-    identity.  Each product then rounds relative to that deviation, so the
-    rounding of a ~1 diagonal does not add up over thousands of steps into
-    a drift of the norm.  One scratch array holds xb conj(y): the same
-    operations in the same order as the plain expression, with fewer
-    temporaries, which matters on the short rows of a reduction's last
-    levels.
+    Held as deviations from the identity, products round relative to the
+    deviation, so the rounding of a ~1 diagonal does not add up into a
+    drift of the norm.  X is written once, from fresh arrays, so X and Y
+    may be disjoint views into one array.
     """
     pa = xa * ya
     t = np.conj(yb)
@@ -189,11 +150,25 @@ def _mul_dev(xa, xb, ya, yb):
     np.conj(ya, out=t)
     np.multiply(xb, t, out=t)
     pb += t
-    pa += xa
     pa += ya
-    pb += xb
     pb += yb
-    return pa, pb
+    xa += pa
+    xb += pb
+
+
+def _tree_order(w):
+    """The order of a group's w steps in which every level of the pairwise
+    reduction in ``_rk4_run`` multiplies two contiguous blocks of rows: a
+    level of even length multiplies step 2j + 1 onto step 2j, so the even
+    steps go first and the odd ones after them, each in the order of the
+    next level; an odd length first folds step 0 into step 1.
+    """
+    if w == 1:
+        return np.zeros(1, dtype=np.intp)
+    if w % 2:
+        return np.concatenate([[0], _tree_order(w - 1) + 1])
+    half = _tree_order(w // 2)
+    return np.concatenate([2 * half, 2 * half + 1])
 
 
 def _step_matrices(wt: float, q: np.ndarray, dt: float):
@@ -220,25 +195,44 @@ def _step_matrices(wt: float, q: np.ndarray, dt: float):
     return a, b
 
 
+def _scan(a, b):
+    """Inclusive prefix products of the stack (a, b), in place, in about
+    2 n products (Blelloch, CMU-CS-90-190): the up-sweep leaves at i the
+    product of the 2d rows ending there, for i + 1 a multiple of 2d, and
+    the down-sweep completes the prefix at i + 1 = 3d, 5d, ... from i - d.
+    """
+    n, d = len(a), 1
+    while 2 * d <= n:
+        _mul_dev(a[2 * d - 1::2 * d], b[2 * d - 1::2 * d],
+                 a[d - 1:n - d:2 * d], b[d - 1:n - d:2 * d])
+        d *= 2
+    while d > 1:
+        d //= 2
+        if 3 * d <= n:
+            _mul_dev(a[3 * d - 1::2 * d], b[3 * d - 1::2 * d],
+                     a[2 * d - 1:n - d:2 * d], b[2 * d - 1:n - d:2 * d])
+
+
 def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
              keep_every: int, track_drift: bool = True):
-    """Fixed-grid RK4 on the traceless frame Hamiltonian, one chunk at a time.
+    """Fixed-grid RK4 on the traceless frame Hamiltonian, in two stages.
 
-    Returns (u1, u2, drift): the states after steps 0, keep_every,
-    2*keep_every, ... and, last, after step n_steps, without the phase of
-    the mean level; and the largest norm drift over every step, or None
-    where ``track_drift`` is false (the Richardson partner, whose drift is
-    never read).  Every chunk takes its couplings from one
-    ``frame_coupling_grid`` of the half step, built per call.  The
+    Returns (u1, u2, drift): the states after steps 0, keep_every, ...
+    and, last, n_steps, without the phase of the mean level, and the
+    largest norm drift over every step (None unless ``track_drift``).  The
     g = min(keep_every, n_steps) steps up to a kept state form a group.
-    Each group's M_k are reduced pairwise to one product (the last,
-    partial group is padded with exact identities), step-major: a chunk's
-    (groups, w) step matrices are laid out as (w, groups), so that every
-    level multiplies contiguous rows, whatever the group count.  The group
-    products are scanned by doubling and applied to the carried state:
-    g = 1 is a plain scan and g = n_steps a plain reduction.  The drift
-    sums log det(M_k), det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and checks
-    the kept states.
+
+    Group products: chunks of at most ``_CHUNK`` steps end at their last
+    kept step, or after ``_CHUNK`` steps of a longer group.  A chunk's M_k
+    (couplings from one ``frame_coupling_grid`` of the half step) are laid
+    out step-major in ``_tree_order``, as (w, groups), reduced pairwise (a
+    last, partial group padded with identities) and written to their rows;
+    a group that a chunk edge cuts leaves its partial product in its row.
+
+    Block scan: once ``_CHUNK`` rows are filled, and at the end, ``_scan``
+    turns a block into prefix products, applied to the state carried in.
+    det(M_k) scales the squared norm, so the drift sums log det(M_k),
+    det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and checks the block's states.
     """
     wt = model.omega_tilde
     g = min(keep_every, n_steps)
@@ -248,7 +242,7 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
     kept[:, 0] = u1, u2
     logdet = 0.0
     drift = 0.0 if track_drift else None
-    k0 = 0
+    k0, scanned, order = 0, 1, ()  # rows from ``scanned`` on hold group products
     while k0 < n_steps:
         # a chunk ends at its last kept step, or after _CHUNK steps of a
         # group longer than that
@@ -268,29 +262,33 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
         if groups * w > m:
             a, b = (np.concatenate([x, np.zeros(groups * w - m, dtype=complex)])
                     for x in (a, b))
-        # step-major (w, groups): row r holds step r of every group
-        a, b = (x.reshape(groups, w).T.copy() for x in (a, b))
-        while len(a) > 1:  # group products M_{(j+1)w-1} ... M_{jw} - I
-            if len(a) % 2:  # fold the last matrix into the one before it
-                a[-2], b[-2] = _mul_dev(a[-1], b[-1], a[-2], b[-2])
-                a, b = a[:-1], b[:-1]
-            a, b = _mul_dev(a[1::2], b[1::2], a[::2], b[::2])
-        a, b = a[0], b[0]
-        d = 1
-        while d < groups:  # inclusive prefix products of the group products
-            a[d:], b[d:] = _mul_dev(a[d:], b[d:], a[:-d], b[:-d])
-            d *= 2
-        s1 = a * u1 + b * u2 + u1
-        s2 = np.conj(a) * u2 - np.conj(b) * u1 + u2
-        if track_drift:
-            norm = np.sqrt(s1.real ** 2 + s1.imag ** 2 + s2.real ** 2 + s2.imag ** 2)
-            drift = max(drift, float(np.max(np.abs(norm - 1.0))))
-        # the group ending at step e is row ceil(e / g); a chunk that stops
-        # short of its group's end writes a row the group's last chunk overwrites
-        row = -(-(k0 + w) // g)
-        kept[:, row:row + groups] = s1, s2
-        u1, u2 = complex(s1[-1]), complex(s2[-1])
+        # step-major (w, groups): a row holds one step of every group
+        if len(order) != w:
+            order = _tree_order(w)
+        a, b = (x.reshape(groups, w).T[order] for x in (a, b))
+        lo, n = 0, w
+        while n > 1:  # group products M_{(j+1)w-1} ... M_{jw} - I, into row w - 1
+            if n % 2:  # fold the first step into the next
+                _mul_dev(a[lo + 1], b[lo + 1], a[lo], b[lo])
+                lo, n = lo + 1, n - 1
+            n //= 2
+            _mul_dev(a[lo + n:lo + 2 * n], b[lo + n:lo + 2 * n], a[lo:lo + n], b[lo:lo + n])
+            lo += n
+        row = -(-(k0 + w) // g)  # the row of the group ending at step k0 + w
+        if k0 % g:  # the rest of a group an earlier chunk began
+            _mul_dev(a[-1:], b[-1:], kept[:1, row:row + 1], kept[1:, row:row + 1])
+        kept[:, row:row + groups] = a[-1], b[-1]
         k0 = k1
+        filled = row + groups if k0 % g == 0 or k0 == n_steps else row
+        while filled - scanned >= _CHUNK or (k0 == n_steps and filled > scanned):
+            a, b = kept[:, scanned:min(filled, scanned + _CHUNK)]
+            _scan(a, b)
+            a[:], b[:] = a * u1 + b * u2 + u1, np.conj(a) * u2 - np.conj(b) * u1 + u2
+            if track_drift:
+                norm = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+                drift = max(drift, float(np.max(np.abs(norm - 1.0))))
+            u1, u2 = complex(a[-1]), complex(b[-1])
+            scanned += len(a)
     return kept[0], kept[1], drift
 
 
@@ -304,11 +302,14 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     source of truth) and is taken of the traceless states, so psi0/psi1,
     the norm and the current are free of that common phase.
 
-    The Richardson estimate of the final state's error comes from a coarse
-    partner run of n_p = ceil(n/2) steps of h_p = t_end/n_p, reduced to its
-    final state.  The global RK4 error is C h^4, so the error of the main
-    run is |y_h - y_p| / |(h_p/h)^4 - 1|.  A single main step has no
-    coarser partner, so n = 1 takes n_p = 2: the step-halving pair, 16/15.
+    The Richardson estimate of the final state's error (Phil. Trans. R.
+    Soc. A 210 (1911) 307; Hairer, Norsett & Wanner, Solving ODEs I,
+    sec. II.4) is |y_h - y_p| / |(h_p/h)^4 - 1|, for a global error C h^4.
+    The partner y_p is ``_rk4_run`` of n_p = ceil(n/2) steps of
+    h_p = t_end/n_p, with groups of the main run's stride; only its last
+    row is read.  n = 1 takes n_p = 2, the step-halving pair (16/15).  An
+    estimate below about 1e-14 is round-off, not truncation: it can move
+    by any factor when the order of the products changes.
     """
     if dt <= 0 or t_end <= 0:
         raise ValidationError("dt and t_end must be positive")
@@ -321,17 +322,16 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     times = output_grid(t_end, dt, output_stride)
     n_steps = step_count(t_end, dt)
     dt = t_end / n_steps  # land exactly on t_end
-    c0v = np.array([c0.c1, c0.c2], dtype=complex)
-    nrm = math.sqrt(abs(c0.c1) ** 2 + abs(c0.c2) ** 2)
-    if nrm == 0:
+    if c0.norm == 0:
         raise ValidationError("initial state must be non-zero")
-    c0v = c0v / nrm
+    c0v = np.array([c0.c1, c0.c2], dtype=complex) / c0.norm
 
     u1, u2, drift = _rk4_run(model, c0v, n_steps, dt, output_stride)
     # the partner step h_p ~ 2 dt may exceed enforced_step_bound: the bound
     # guards the accuracy of the main run, and the partner only estimates it
     n_p = 2 if n_steps == 1 else -(-n_steps // 2)
-    p1, p2, _ = _rk4_run(model, c0v, n_p, t_end / n_p, n_p, track_drift=False)
+    p1, p2, _ = _rk4_run(model, c0v, n_p, t_end / n_p, output_stride,
+                         track_drift=False)
     rich = math.hypot(abs(u1[-1] - p1[-1]), abs(u2[-1] - p2[-1])) \
         / abs((n_steps / n_p) ** 4 - 1.0)
 

@@ -15,7 +15,7 @@ from dressedatom.closedform import dressed_series
 from dressedatom import oracle
 from dressedatom.errors import StepTooLarge, ValidationError
 from dressedatom.oracle import (_CHUNK, MAX_STEPS, ComparisonReport, _rk4_run,
-                                _step_matrices, bare_state, enforced_step_bound,
+                                _scan, _step_matrices, bare_state, enforced_step_bound,
                                 output_grid, step_count)
 from test_drives import bare_pair
 
@@ -200,12 +200,13 @@ def test_richardson_few_steps(n_steps):
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 10, 2 * _CHUNK + 1])
 def test_propagate_rk4_step_count(monkeypatch, n_steps):
-    # the main run and a partner of ceil(n/2) steps (two at n = 1), nothing
-    # else; only the main run tracks the norm drift, the one propagate reports
+    # the main run and a partner of ceil(n/2) steps (two at n = 1), both
+    # keeping every 7th state, nothing else; only the main run tracks the
+    # norm drift, the one propagate reports
     calls, drifts = [], []
 
     def spy(model, c0, n, dt, keep_every, track_drift=True):
-        calls.append(n)
+        calls.append((n, keep_every))
         out = _rk4_run(model, c0, n, dt, keep_every, track_drift)
         drifts.append(out[2])
         return out
@@ -214,7 +215,7 @@ def test_propagate_rk4_step_count(monkeypatch, n_steps):
     model = Model.of(CosineDrive(1.2, 1.3), 0.4)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, bare_state(1), n_steps * dt, dt, output_stride=7)
-    assert calls == [n_steps, 2 if n_steps == 1 else -(-n_steps // 2)]
+    assert calls == [(n_steps, 7), (2 if n_steps == 1 else -(-n_steps // 2), 7)]
     assert drifts[0] == res.step_report.norm_drift >= 0.0
     assert drifts[1] is None
 
@@ -275,7 +276,8 @@ def _rk4_loop(model, c0, n_steps, dt, keep_every):
 
 # edge cases: one step, keep_every beyond n_steps, just below, at and above
 # one chunk, keep_every not dividing n_steps, several chunks; a shifted
-# mean level (e1) exercises the exact phase
+# mean level (e1) exercises the exact phase; kept rows that cross one and
+# two scan blocks of _CHUNK rows
 @example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=1, keep_every=1, drive="cosine")
 @example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=1, keep_every=5, drive="cosine")
 @example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=_CHUNK - 1, keep_every=10, drive="cosine")
@@ -283,6 +285,10 @@ def _rk4_loop(model, c0, n_steps, dt, keep_every):
 @example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=_CHUNK + 1, keep_every=1, drive="cosine")
 @example(wt=0.4, j0=1.2, omega=1.3, e1=40.0, n_steps=3 * _CHUNK + 17, keep_every=7,
          drive="cosine")
+@example(wt=0.4, j0=1.2, omega=1.3, e1=0.0, n_steps=10 * _CHUNK + 3, keep_every=10,
+         drive="cosine")
+@example(wt=-0.7, j0=0.9, omega=0.6, e1=0.0, n_steps=14 * _CHUNK + 5, keep_every=7,
+         drive="rwa")
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0),
        omega=st.floats(0.2, 3.0), e1=st.floats(-5.0, 5.0),
@@ -352,13 +358,16 @@ def _stride_cases(draw):
 
 # chunk edges: n_steps at and one past a span; groups of 10 and of
 # span - 1 ending in a partial group; groups longer than a span, ending in
-# a partial group or spanning the whole run
+# a partial group or spanning the whole run; kept rows that cross one and
+# two scan blocks
 @example(case=(_CHUNK, 1), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(_CHUNK + 1, 1), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(3 * _CHUNK + 17, 10), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(3 * _CHUNK + 17, _CHUNK - 1), drive="rwa", wt=-0.7, j0=0.9, omega=0.6)
 @example(case=(3 * _CHUNK, _CHUNK + 1), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(2 * _CHUNK + 7, 2 * _CHUNK + 7), drive="rwa", wt=0.4, j0=1.2, omega=1.3)
+@example(case=(10 * _CHUNK + 3, 10), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
+@example(case=(4 * _CHUNK + 5, 2), drive="rwa", wt=-0.7, j0=0.9, omega=0.6)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=_stride_cases(), drive=st.sampled_from(["cosine", "rwa"]),
        wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0), omega=st.floats(0.2, 3.0))
@@ -367,6 +376,33 @@ def test_rk4_stride_matches_stride_one(case, drive, wt, j0, omega):
     # group products gives the rows and the drift of the plain scan
     _check_stride(Model(omega_tilde=wt, off=0.0, omega=omega,
                         drive=_drive(drive, j0, omega)), *case)
+
+
+@example(n=1, seed=0)
+@example(n=2, seed=0)
+@example(n=3, seed=0)
+@example(n=_CHUNK - 1, seed=0)
+@example(n=_CHUNK, seed=0)
+@example(n=_CHUNK + 1, seed=0)
+@example(n=2 * _CHUNK + 1, seed=0)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 2 * _CHUNK + 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_scan_matches_sequential_product(n, seed):
+    # prefix products of RK4 step matrices, against multiplying them on
+    # one by one: the work-efficient tree and the sequential order round
+    # differently, by up to about 2e-14 at 2 * _CHUNK + 1 rows
+    rng = np.random.default_rng(seed)
+    a, b = _step_matrices(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0, 2 * n + 1),
+                          rng.uniform(1e-4, 1e-2))
+    ref_a, ref_b = np.empty_like(a), np.empty_like(b)
+    pa = pb = 0j
+    for k, (xa, xb) in enumerate(zip(a.tolist(), b.tolist())):
+        pa, pb = (xa + pa + xa * pa - xb * pb.conjugate(),
+                  xb + pb + xa * pb + xb * pa.conjugate())
+        ref_a[k], ref_b[k] = pa, pb
+    _scan(a, b)
+    assert np.max(np.abs(a - ref_a)) <= 1e-13
+    assert np.max(np.abs(b - ref_b)) <= 1e-13
 
 
 def _step_matrices_by_stages(wt, q, dt):
@@ -428,6 +464,27 @@ def test_rk4_scan_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("keep_every", [1, 10])
+def test_rk4_group_products_live_in_the_kept_rows(keep_every):
+    # beyond the kept rows themselves, the scratch of a run is one chunk
+    # and one scan block: it does not grow with n_steps, and no second
+    # array of the rows' size holds the group products; both runs fill
+    # whole scan blocks of _CHUNK rows, at least 8 and 32 of them
+    model = Model.of(CosineDrive(1.2, 1.3), 0.4)
+    excess = []
+    for n_steps in (8 * _CHUNK * keep_every, 32 * _CHUNK * keep_every):
+        rows = -(-n_steps // keep_every) + 1
+        tracemalloc.start()
+        try:
+            _rk4_run(model, np.array([1.0, 0.0]), n_steps, 1e-3, keep_every)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - 2 * 16 * rows)
+    assert max(excess) < 2 ** 20
+    assert excess[1] - excess[0] < 64 * 2 ** 10
 
 
 def test_step_count_ceiling():
