@@ -25,8 +25,12 @@
 # r1 stencil. The writer formats a block of a run's distinct columns at
 # once: oracle_current is the shape of a long oracle run (two tables
 # sharing t and current, about 4,000 rows over several blocks),
-# closed_only is one table with nothing shared, and the sweep writes its
-# one table through TimeSeries.to_csv
+# closed_only is one table with nothing shared, and the sweeps write their
+# one table through TimeSeries.to_csv. compare_only is a point of the
+# washout sweep (cosine, j0 0.1, dt 1.5e-3, stride 2, t_end 4 pi): a run
+# that asks for compare alone, so the closed form and the oracle derive
+# only what compare reads; the second sweep runs that config as its base,
+# where the first sweep's base asks for all six outputs
 #
 # usage: bash .github/csv_bytes.sh <scratch dir>   (CI passes $RUNNER_TEMP)
 set -euo pipefail
@@ -75,15 +79,18 @@ echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 12,
        "output_stride": 3, "outputs": "oracle,current"}' > "$TMP/oracle_current.json"
 echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
        "outputs": "closed"}' > "$TMP/closed_only.json"
+echo '{"drive": "cosine", "omega_tilde": 0.02, "j0": 0.1, "dt": 0.0015,
+       "output_stride": 2, "t_end": 12.566370614359172, "outputs": "compare"}' \
+  > "$TMP/compare_only.json"
 six="determinism shifted hbar2 stride1 stride7 stride5000 rwa constant
      resonant_smooth resonant_positive one_step three_steps long10 long7 scan_blocks"
-for name in $six oracle_current closed_only; do
+for name in $six oracle_current closed_only compare_only; do
   for run in 1 2; do
     dressedatom run "$TMP/$name.json" --out "$TMP/$name$run" \
       2> "$TMP/$name$run.err"
     test ! -s "$TMP/$name$run.err"
   done
-  case $name in oracle_current) want=2 ;; closed_only) want=1 ;; *) want=6 ;; esac
+  case $name in oracle_current) want=2 ;; closed_only|compare_only) want=1 ;; *) want=6 ;; esac
   test "$(ls "$TMP/${name}1"/*.csv | wc -l)" -eq "$want"
   for f in "$TMP/${name}1"/*.csv; do
     cmp "$f" "$TMP/${name}2/$(basename "$f")"
@@ -93,13 +100,17 @@ for run in 1 2; do
   dressedatom sweep "$TMP/determinism.json" --axis omega_tilde --values 0.1,0.3,0.7 \
     --out "$TMP/sweep$run" > /dev/null 2> "$TMP/sweep$run.err"
   test ! -s "$TMP/sweep$run.err"
+  dressedatom sweep "$TMP/compare_only.json" --axis omega_tilde --values 0,0.001,0.3 \
+    --out "$TMP/sweep_compare$run" > /dev/null 2> "$TMP/sweep_compare$run.err"
+  test ! -s "$TMP/sweep_compare$run.err"
 done
 cmp "$TMP/sweep1/sweep.csv" "$TMP/sweep2/sweep.csv"
+cmp "$TMP/sweep_compare1/sweep.csv" "$TMP/sweep_compare2/sweep.csv"
 for f in "$TMP/rwa1"/*.csv; do
   cmp "$f" "$TMP/constant1/$(basename "$f")"
 done
 # the bytes must also be the spec: every field is its own %.17g
-python - "$TMP" "$six" "oracle_current closed_only sweep" <<'EOF'
+python - "$TMP" "$six" "oracle_current closed_only compare_only sweep sweep_compare" <<'EOF'
 import json, math, pathlib, sys
 tmp, six, others = pathlib.Path(sys.argv[1]), sys.argv[2].split(), sys.argv[3].split()
 runs = lambda names: [tmp / f"{name}{run}" for name in names for run in (1, 2)]

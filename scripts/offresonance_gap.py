@@ -32,7 +32,7 @@ for wt in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
                     output_stride=10)
     closed = dressed_series(model, res.times)
     p0_oracle = 2.0 * np.abs(res.psi0_oracle) ** 2
-    gap = np.abs(closed["p0_raw"] - p0_oracle)
+    gap = np.abs(closed.p0_raw - p0_oracle)
     rows.append((wt, float(np.max(gap)), float(np.sqrt(np.mean(gap ** 2)))))
 
 lines = ["omega_tilde,max_abs,rms"]

@@ -163,7 +163,7 @@ def criterion_4(drifts: list | None = None) -> CriterionResult:
         if drifts is not None:
             drifts.append(res.step_report.norm_drift)
         closed = dressed_series(model, res.times)
-        gap = np.abs(np.abs(closed["psi0"]) -
+        gap = np.abs(np.abs(closed.psi0) -
                      math.sqrt(2.0) * np.abs(res.psi0_oracle))
         worst = max(worst, float(np.max(gap)))
     elapsed = time.perf_counter() - t0
@@ -317,7 +317,7 @@ def criterion_10() -> CriterionResult:
 
     ts2 = np.linspace(0.0, t_span, 2048)
     closed = dressed_series(model, ts2)
-    rho = _autocorr_biased(closed["p0_raw"])
+    rho = _autocorr_biased(closed.p0_raw)
     interior = rho[1:-1]
     peaks = interior[(interior > rho[:-2]) & (interior > rho[2:])]
     peak_max = float(np.max(peaks)) if len(peaks) else 0.0
@@ -344,9 +344,9 @@ def criterion_11(drifts: list | None = None) -> CriterionResult:
         drifts.append(res.step_report.norm_drift)
     closed = dressed_series(model, res.times)
     p0_oracle = 2.0 * np.abs(res.psi0_oracle) ** 2
-    gap_raw = float(np.max(np.abs(closed["p0_raw"] - p0_oracle)))
+    gap_raw = float(np.max(np.abs(closed.p0_raw - p0_oracle)))
     denom = p0_oracle + 2.0 * np.abs(res.psi1_oracle) ** 2
-    gap_norm = float(np.max(np.abs(closed["p0_norm"] - p0_oracle / denom)))
+    gap_norm = float(np.max(np.abs(closed.p0_norm - p0_oracle / denom)))
     elapsed = time.perf_counter() - t0
     return CriterionResult(
         11, "off-resonance gap (recorded, no threshold)", True,

@@ -23,8 +23,7 @@ from pathlib import Path
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
                      ParseError, StepTooLarge, UnknownAxis, ValidationError)
 from .oracle import NORM_TOL
-from .scenario import (OUTPUT_KINDS, parse_config, run_scenario,
-                       serialize_config, sweep)
+from .scenario import OUTPUT_KINDS, config_doc, parse_config, run_scenario, sweep
 from .series import write_csv
 
 _USER_ERRORS = (ParseError, ValidationError, UnknownAxis, DomainError)
@@ -51,7 +50,7 @@ def _write_outputs(outdir: str, series: dict, report: dict, cfg) -> None:
         files = [stack.enter_context((out / f"{kind}.csv").open("wb")) for kind in series]
         write_csv(list(series.values()), files)
     report = dict(report)
-    report["config"] = json.loads(serialize_config(cfg))
+    report["config"] = config_doc(cfg)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
 

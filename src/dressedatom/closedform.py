@@ -31,6 +31,7 @@ the record, never used.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -114,15 +115,33 @@ def phase_series(model: Model, ts: np.ndarray) -> np.ndarray:
     return re + 1j * np.asarray(im)
 
 
-def dressed_series(model: Model, ts: np.ndarray) -> dict:
+class DressedSeries:
+    """The closed-form dressed state on a grid: ``t``, ``phase`` (Z),
+    ``psi0`` = -sin Z and ``p0_raw`` = |psi0|^2 are computed at once;
+    ``psi1`` = cos Z, ``p1_raw`` = |psi1|^2 and ``p0_norm`` = p0_raw /
+    (p0_raw + p1_raw) the first time they are read, and then kept."""
+
+    def __init__(self, t: np.ndarray, phase: np.ndarray):
+        self.t, self.phase = t, phase
+        self.psi0 = -np.sin(phase)
+        self.p0_raw = np.abs(self.psi0) ** 2
+
+    @cached_property
+    def psi1(self) -> np.ndarray:
+        return np.cos(self.phase)
+
+    @cached_property
+    def p1_raw(self) -> np.ndarray:
+        return np.abs(self.psi1) ** 2
+
+    @cached_property
+    def p0_norm(self) -> np.ndarray:
+        return self.p0_raw / (self.p0_raw + self.p1_raw)
+
+
+def dressed_series(model: Model, ts: np.ndarray) -> DressedSeries:
     """The closed-form dressed state on a grid (psi0(0) = 0 exactly)."""
-    z = phase_series(model, ts)
-    psi0 = -np.sin(z)
-    psi1 = np.cos(z)
-    p0 = np.abs(psi0) ** 2
-    p1 = np.abs(psi1) ** 2
-    return {"t": np.asarray(ts, dtype=float), "phase": z, "psi0": psi0,
-            "psi1": psi1, "p0_raw": p0, "p1_raw": p1, "p0_norm": p0 / (p0 + p1)}
+    return DressedSeries(np.asarray(ts, dtype=float), phase_series(model, ts))
 
 
 def psi0_gamma_zero_integrand(model: Model, t):

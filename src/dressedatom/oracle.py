@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,14 +69,55 @@ class StepReport:
 
 @dataclass
 class PropagationResult:
+    """The kept states of a run and what is derived from them.
+
+    ``u1``, ``u2`` are the traceless run's states at ``times``.  The frame
+    amplitudes ``c1``, ``c2`` (with the phase of the mean level), ``norm``,
+    the dressed projections ``psi0_oracle``, ``psi1_oracle`` and
+    ``current`` are computed the first time they are read, and then kept.
+    """
+
     times: np.ndarray
-    c1: np.ndarray              # frame amplitudes, with the phase of the mean level
-    c2: np.ndarray
-    norm: np.ndarray
-    psi0_oracle: np.ndarray
-    psi1_oracle: np.ndarray
-    current: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    model: Model
     step_report: StepReport
+
+    @cached_property
+    def _mean_phase(self) -> np.ndarray:
+        return np.exp(-1j * self.model.off * self.times)
+
+    @cached_property
+    def c1(self) -> np.ndarray:
+        return self.u1 * self._mean_phase
+
+    @cached_property
+    def c2(self) -> np.ndarray:
+        return self.u2 * self._mean_phase
+
+    @cached_property
+    def norm(self) -> np.ndarray:
+        return np.sqrt(np.abs(self.u1) ** 2 + np.abs(self.u2) ** 2)
+
+    def _dressed(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a+, a-), the dressed amplitudes; not kept, as only the
+        acceptance suite reads both projections."""
+        cth, sth = mixing_angle_series(self.model, self.times)
+        return cth * self.u1 + sth * self.u2, -sth * self.u1 + cth * self.u2
+
+    @cached_property
+    def psi0_oracle(self) -> np.ndarray:
+        a_plus, a_minus = self._dressed()
+        return (a_plus - a_minus) / 2j
+
+    @cached_property
+    def psi1_oracle(self) -> np.ndarray:
+        a_plus, a_minus = self._dressed()
+        return (a_plus + a_minus) / 2.0
+
+    @cached_property
+    def current(self) -> np.ndarray:
+        return transition_current(self.u1, self.u2)
 
 
 def initial_state_for_psi_frame(model: Model) -> StateVector:
@@ -300,7 +342,8 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     exp(-i (Ebar12 - Omega/2) t) of the mean level.  The dressed projection
     recomputes theta(t) per output point from the frame functions (single
     source of truth) and is taken of the traceless states, so psi0/psi1,
-    the norm and the current are free of that common phase.
+    the norm and the current are free of that common phase.  Each of them
+    is computed when the result is first asked for it.
 
     The Richardson estimate of the final state's error (Phil. Trans. R.
     Soc. A 210 (1911) 307; Hairer, Norsett & Wanner, Solving ODEs I,
@@ -335,17 +378,8 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     rich = math.hypot(abs(u1[-1] - p1[-1]), abs(u2[-1] - p2[-1])) \
         / abs((n_steps / n_p) ** 4 - 1.0)
 
-    norm = np.sqrt(np.abs(u1) ** 2 + np.abs(u2) ** 2)
-
-    cth, sth = mixing_angle_series(model, times)
-    a_plus = cth * u1 + sth * u2
-    a_minus = -sth * u1 + cth * u2
-    phase = np.exp(-1j * model.off * times)
-
     return PropagationResult(
-        times=times, c1=u1 * phase, c2=u2 * phase, norm=norm,
-        psi0_oracle=(a_plus - a_minus) / 2j, psi1_oracle=(a_plus + a_minus) / 2.0,
-        current=transition_current(u1, u2),
+        times=times, u1=u1, u2=u2, model=model,
         step_report=StepReport(dt=dt, norm_drift=drift, richardson_error=rich,
                                norm_ok=drift <= NORM_TOL),
     )
@@ -367,10 +401,11 @@ def compare(closed_psi0: np.ndarray, oracle_psi0: np.ndarray) -> ComparisonRepor
     not each phase on its own, keeps the exact pi jumps at the zeros of
     psi0, which both series share, out of it.
     """
-    dp = np.abs(closed_psi0) ** 2 - np.abs(oracle_psi0) ** 2
+    abs_c, abs_o = np.abs(closed_psi0), np.abs(oracle_psi0)
+    dp = abs_c ** 2 - abs_o ** 2
     max_abs = float(np.max(np.abs(dp))) if len(dp) else 0.0
     rms = float(np.sqrt(np.mean(dp ** 2))) if len(dp) else 0.0
-    ok = (np.abs(closed_psi0) > 0.1) & (np.abs(oracle_psi0) > 0.1)
+    ok = (abs_c > 0.1) & (abs_o > 0.1)
     phase_slip = 0.0
     if ok.any():
         dphi = np.unwrap(np.angle(closed_psi0[ok] * np.conj(oracle_psi0[ok])))

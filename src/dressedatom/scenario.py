@@ -165,9 +165,13 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+def config_doc(cfg: ScenarioConfig) -> dict:
+    """The config as a flat JSON object: every key, defaults included."""
+    return {f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
+
+
 def serialize_config(cfg: ScenarioConfig) -> str:
-    doc = {f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(config_doc(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def _initial_state(cfg: ScenarioConfig, model: Model):
@@ -256,8 +260,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
 
     if "closed" in wanted:
         out["closed"] = TimeSeries(schemas["closed"], [
-            ts, closed["phase"].real, closed["phase"].imag, closed["p0_raw"],
-            closed["p0_norm"]])
+            ts, closed.phase.real, closed.phase.imag, closed.p0_raw,
+            closed.p0_norm])
 
     if "oracle" in wanted:
         p0o = 2.0 * np.abs(prop.psi0_oracle) ** 2
@@ -267,10 +271,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
 
     if "compare" in wanted:
         psi0_scaled = math.sqrt(2.0) * prop.psi0_oracle
-        report["compare"] = _compare_entry(closed["psi0"], psi0_scaled)
+        report["compare"] = _compare_entry(closed.psi0, psi0_scaled)
         oracle_p0 = np.abs(psi0_scaled) ** 2
         out["compare"] = TimeSeries(schemas["compare"], [
-            ts, closed["p0_raw"], oracle_p0, np.abs(closed["p0_raw"] - oracle_p0)])
+            ts, closed.p0_raw, oracle_p0, np.abs(closed.p0_raw - oracle_p0)])
 
     if "identities" in wanted:
         r1, r2, r3 = frames.identity_residuals(model, ts)

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ def phase_at(model, t):
 
 def dressed_at(model, t):
     """The dressed state at one time: dressed_series on a one-point grid."""
-    return {k: v[0] for k, v in dressed_series(model, np.array([float(t)])).items()}
+    out = dressed_series(model, np.array([float(t)]))
+    return SimpleNamespace(**{k: getattr(out, k)[0] for k in
+                              ("phase", "psi0", "psi1", "p0_raw", "p1_raw", "p0_norm")})
 
 
 def connection_phase_quadrature(model, t):
@@ -163,7 +166,7 @@ def test_resonant_cosine_population_is_exact(j0, omega, t, n):
     ts = np.linspace(0.0, t, n)
     out = dressed_series(Model.of(CosineDrive(j0, omega), 0.0), ts)
     ref = np.sin((j0 / omega) * np.sin(omega * ts)) ** 2
-    assert np.max(np.abs(out["p0_raw"] - ref)) <= 1e-9
+    assert np.max(np.abs(out.p0_raw - ref)) <= 1e-9
 
 
 @given(wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0), omega=_OMEGA, t=_T, n=_N)
@@ -201,40 +204,40 @@ def test_boundary_condition_every_drive():
     for wt in (0.0, 0.6):
         for drv in drvs:
             sol = dressed_at(Model.of(drv, wt), 0.0)
-            assert sol["psi0"] == 0.0
-            assert sol["psi1"] == 1.0
+            assert sol.psi0 == 0.0
+            assert sol.psi1 == 1.0
 
 
 def test_rwa_quarter_period():
     sol = dressed_at(Model.of(ConstantDrive(1.0), 0.0), math.pi / 2)
-    assert abs(sol["psi0"]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(sol["psi1"]) <= 1e-12
+    assert abs(sol.psi0) == pytest.approx(1.0, abs=1e-12)
+    assert abs(sol.psi1) <= 1e-12
 
 
 def test_rwa_reduction_no_error_growth():
     ts = np.linspace(0.0, 60.0, 301)
     out = dressed_series(Model.of(ConstantDrive(0.8), 0.6), ts)
     # the envelope is the constant j0, so the angle never moves
-    assert np.all(out["phase"].imag == 0.0)
-    assert np.max(np.abs(out["p0_raw"] - np.sin(1.0 * ts) ** 2)) <= 1e-10
+    assert np.all(out.phase.imag == 0.0)
+    assert np.max(np.abs(out.p0_raw - np.sin(1.0 * ts) ** 2)) <= 1e-10
 
 
 def test_p0_matches_riemann_oracle():
     model = Model.of(CosineDrive(1.0, 1.0), 0.5)
     sol = dressed_at(model, 2.0)
     zref = riemann_phase(model, 2.0, n=2_000_000)
-    assert abs(sol["p0_raw"] - abs(cmath.sin(zref)) ** 2) <= 1e-7
+    assert abs(sol.p0_raw - abs(cmath.sin(zref)) ** 2) <= 1e-7
 
 
 def test_dressed_pair_consistency():
     sol = dressed_at(Model.of(CosineDrive(1.1, 1.2), 0.7), 2.3)
-    z = sol["phase"]
+    z = sol.phase
     psi_plus, psi_minus = cmath.exp(-1j * z), cmath.exp(1j * z)
-    assert sol["psi0"] == pytest.approx((psi_plus - psi_minus) / 2j, rel=1e-14)
-    assert sol["psi1"] == pytest.approx((psi_plus + psi_minus) / 2, rel=1e-14)
-    assert sol["p0_raw"] == pytest.approx(abs(sol["psi0"]) ** 2, rel=1e-14)
-    assert sol["p1_raw"] == pytest.approx(abs(sol["psi1"]) ** 2, rel=1e-14)
-    assert sol["p0_norm"] == pytest.approx(sol["p0_raw"] / (sol["p0_raw"] + sol["p1_raw"]))
+    assert sol.psi0 == pytest.approx((psi_plus - psi_minus) / 2j, rel=1e-14)
+    assert sol.psi1 == pytest.approx((psi_plus + psi_minus) / 2, rel=1e-14)
+    assert sol.p0_raw == pytest.approx(abs(sol.psi0) ** 2, rel=1e-14)
+    assert sol.p1_raw == pytest.approx(abs(sol.psi1) ** 2, rel=1e-14)
+    assert sol.p0_norm == pytest.approx(sol.p0_raw / (sol.p0_raw + sol.p1_raw))
 
 
 def test_pythagorean_closure():
@@ -243,10 +246,10 @@ def test_pythagorean_closure():
         wt = rng.uniform(-1.5, 1.5)
         j0 = rng.uniform(0.2, 2.0)
         sol = dressed_at(Model.of(CosineDrive(j0, 1.1), wt), rng.uniform(0.1, 8))
-        lhs = abs(sol["psi0"]) ** 2 + abs(sol["psi1"]) ** 2
-        assert abs(lhs - math.cosh(2.0 * sol["phase"].imag)) <= 1e-12
+        lhs = abs(sol.psi0) ** 2 + abs(sol.psi1) ** 2
+        assert abs(lhs - math.cosh(2.0 * sol.phase.imag)) <= 1e-12
         assert lhs >= 1.0 - 1e-12
-        assert 0.0 <= sol["p0_norm"] <= 1.0
+        assert 0.0 <= sol.p0_norm <= 1.0
 
 
 # ------------------------------------------------- literal printed integrand
@@ -513,7 +516,7 @@ def test_limit_far_detuned_quarter_period():
 def test_limit_resonant_against_full_solution():
     model = Model.of(CosineDrive(1.0, 1.0), 0.001)
     lf = limit_form(model, "resonant", 1.2)
-    assert abs(lf ** 2 - dressed_at(model, 1.2)["p0_raw"]) <= 1e-4
+    assert abs(lf ** 2 - dressed_at(model, 1.2).p0_raw) <= 1e-4
 
 
 def test_limit_regime_mismatch():

@@ -226,7 +226,7 @@ def test_resonance_equivalence_to_closed_form():
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 4 * math.pi, dt, output_stride=10)
     closed = dressed_series(model, res.times)
-    assert np.max(np.abs(closed["p0_raw"]
+    assert np.max(np.abs(closed.p0_raw
                          - 2.0 * np.abs(res.psi0_oracle) ** 2)) <= 1e-6
 
 
@@ -533,7 +533,7 @@ def test_compare_rwa_closed_vs_oracle():
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=10)
     closed = dressed_series(model, res.times)
-    rep = compare(closed["psi0"], math.sqrt(2.0) * res.psi0_oracle)
+    rep = compare(closed.psi0, math.sqrt(2.0) * res.psi0_oracle)
     assert rep.max_abs <= 1e-6
     assert abs(rep.phase_slip) <= 1e-9
 

@@ -165,6 +165,44 @@ def test_run_deterministic_csv():
             assert ts.to_csv() == _fstring_csv(ts), (doc, kind)
 
 
+# the washout sweep's point: cosine j0 0.1, dt 1.5e-3, stride 2, t_end 4 pi
+_WASHOUT_DOC = {"drive": "cosine", "omega_tilde": 0.02, "j0": 0.1, "omega": 1.0,
+                "t_end": 12.566370614359172, "dt": 0.0015, "output_stride": 2}
+
+
+def test_compare_only_run_derives_only_what_compare_reads(monkeypatch):
+    # the closed form and the oracle derive their arrays on first read, so
+    # a compare-only run never takes cos Z, the mean-level phase, c1, c2,
+    # the norm, the current or the oracle's psi1
+    from dressedatom import closedform, oracle
+    made = []
+
+    def keep(fn):
+        def spy(*args, **kwargs):
+            made.append(fn(*args, **kwargs))
+            return made[-1]
+        return spy
+
+    monkeypatch.setattr(closedform, "dressed_series", keep(closedform.dressed_series))
+    monkeypatch.setattr(oracle, "propagate", keep(oracle.propagate))
+    run_scenario(parse_config(json.dumps({**_WASHOUT_DOC, "outputs": "compare"})))
+    closed, prop = made
+    assert set(vars(closed)) == {"t", "phase", "psi0", "p0_raw"}
+    assert "psi0_oracle" in vars(prop)
+    for name in ("_mean_phase", "c1", "c2", "norm", "current", "psi1_oracle"):
+        assert name not in vars(prop)
+
+
+def test_compare_table_does_not_depend_on_the_other_outputs():
+    for doc in (_WASHOUT_DOC, {"drive": "rwa", "omega_tilde": 0.6, "j0": 0.8, "t_end": 3.0},
+                {"drive": "cosine", "omega_tilde": -0.4, "j0": 1.0, "e1": -40,
+                 "t_end": 3.0, "output_stride": 1}):
+        alone, rep_alone = run_scenario(parse_config(json.dumps({**doc, "outputs": "compare"})))
+        every, rep_every = run_scenario(parse_config(json.dumps({**doc, "outputs": ALL_OUTPUTS})))
+        assert alone["compare"].to_csv() == every["compare"].to_csv()
+        assert rep_alone["compare"] == rep_every["compare"]
+
+
 def test_csv_17_digit_roundtrip():
     cfg = replace(ScenarioConfig(), t_end=2.0, dt=0.01, outputs="closed")
     series, _ = run_scenario(cfg)
