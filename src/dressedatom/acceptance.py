@@ -36,7 +36,7 @@ class CriterionResult:
     title: str
     passed: bool
     detail: str
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # the criterion call's runtime, set by run_all
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -74,14 +74,12 @@ def criterion_1() -> CriterionResult:
     elapsed = time.perf_counter() - t0
     passed = worst <= 1.0 and elapsed < 1.0
     return CriterionResult(1, "identity suite r1,r2", passed,
-                           f"max residual/bound = {worst:.3e}, runtime {elapsed:.2f}s",
-                           elapsed)
+                           f"max residual/bound = {worst:.3e}, runtime {elapsed:.2f}s")
 
 
 def criterion_2() -> CriterionResult:
     """Consistency: both quotient forms of dtheta/dt and the closed formula
     agree pairwise to 1e-7 relative wherever |sin th cos th| > 1e-3."""
-    t0 = time.perf_counter()
     h = FD_STEP
     worst = 0.0
     for name, model in _identity_setups():
@@ -114,16 +112,13 @@ def criterion_2() -> CriterionResult:
             if valid.any():
                 worst = max(worst, float(np.max(
                     np.abs(a[valid] - b[valid]) / big[valid])))
-    elapsed = time.perf_counter() - t0
     return CriterionResult(2, "connection consistency condition", worst <= 1e-7,
                            f"max pairwise relative gap = {worst:.3e} (tol 1e-7; "
-                           "sub-1e-8 magnitudes covered by criterion 3)",
-                           elapsed)
+                           "sub-1e-8 magnitudes covered by criterion 3)")
 
 
 def criterion_3() -> CriterionResult:
     """|dtheta/dt| <= 1e-12 for constant, rotating-pair, and resonant cosine."""
-    t0 = time.perf_counter()
     ts = np.linspace(0.0, 20.0, 2001)
     cases = [
         ("constant", Model.of(ConstantDrive(1.0, 0.7), 0.3)),
@@ -134,9 +129,8 @@ def criterion_3() -> CriterionResult:
     for name, model in cases:
         dth = np.abs(connection_dtheta(model, ts))
         worst = max(worst, float(np.max(dth)))
-    elapsed = time.perf_counter() - t0
     return CriterionResult(3, "connection vanishing set", worst <= 1e-12,
-                           f"max |dtheta/dt| = {worst:.3e} (tol 1e-12)", elapsed)
+                           f"max |dtheta/dt| = {worst:.3e} (tol 1e-12)")
 
 
 # (omega_tilde, j0) of the rotating-wave drive j0 e^{i t}, which is the
@@ -156,7 +150,6 @@ def _rwa_run(wt: float, j0: float, dt_scale: float = 0.5, stride: int = 10):
 
 def criterion_4(drifts: list | None = None) -> CriterionResult:
     """Rotating-pair exactness: dressed |psi0| is |sin(omega_r t)| to 1e-6."""
-    t0 = time.perf_counter()
     worst = 0.0
     for wt, j0 in _RWA_CONFIGS:
         model, wr, res = _rwa_run(wt, j0)
@@ -166,11 +159,9 @@ def criterion_4(drifts: list | None = None) -> CriterionResult:
         gap = np.abs(np.abs(closed.psi0) -
                      math.sqrt(2.0) * np.abs(res.psi0_oracle))
         worst = max(worst, float(np.max(gap)))
-    elapsed = time.perf_counter() - t0
     return CriterionResult(4, "rotating-pair (Jaynes-Cummings) exactness",
                            worst <= 1e-6,
-                           f"MaxAbs closed-vs-oracle |psi0| = {worst:.3e} (tol 1e-6)",
-                           elapsed)
+                           f"MaxAbs closed-vs-oracle |psi0| = {worst:.3e} (tol 1e-6)")
 
 
 def _resonant_cosine_run(stride: int = 10):
@@ -184,7 +175,6 @@ def _resonant_cosine_run(stride: int = 10):
 
 def criterion_5(drifts: list | None = None) -> CriterionResult:
     """Resonance limit: phase (j0/W) sin(W t) and the forced population law."""
-    t0 = time.perf_counter()
     model, res = _resonant_cosine_run()
     drive = model.drive
     if drifts is not None:
@@ -194,31 +184,26 @@ def criterion_5(drifts: list | None = None) -> CriterionResult:
     phase_gap = float(np.max(np.abs(z.real - beta)))
     pop_gap = float(np.max(np.abs(2.0 * np.abs(res.psi0_oracle) ** 2
                                   - np.sin(beta) ** 2)))
-    elapsed = time.perf_counter() - t0
     passed = phase_gap <= 1e-8 and pop_gap <= 1e-6
     return CriterionResult(5, "resonance limit", passed,
                            f"phase gap {phase_gap:.3e} (tol 1e-8), "
-                           f"population gap {pop_gap:.3e} (tol 1e-6)", elapsed)
+                           f"population gap {pop_gap:.3e} (tol 1e-6)")
 
 
 def criterion_6() -> CriterionResult:
     """Washout: far off resonance the phase is omega_tilde * t to 0.1%."""
-    t0 = time.perf_counter()
     wt = 50.0
     ts = np.linspace(0.05, 2.0 * math.pi, 401)
     z = phase_series(Model.of(CosineDrive(0.1, 1.0), wt), ts)
     rel = np.abs(z.real - wt * ts) / (wt * ts)
     worst = float(np.max(rel))
-    elapsed = time.perf_counter() - t0
     return CriterionResult(6, "washout limit", worst <= 1e-3,
-                           f"max relative phase deviation = {worst:.3e} (tol 1e-3)",
-                           elapsed)
+                           f"max relative phase deviation = {worst:.3e} (tol 1e-3)")
 
 
 def criterion_7() -> CriterionResult:
     """The closed-form phase (positive root) equals quadrature of |omega_r|
     to 1e-9; the literal J0*W/A prefactor is recorded, not used."""
-    t0 = time.perf_counter()
     wts = (0.1, 0.5, 1.0, 2.0, 5.0)
     j0s = (0.1, 0.5, 1.0, 2.0, 4.0)
     tss = (0.3, 1.0, 2.0, 4.0, 7.0)
@@ -239,17 +224,15 @@ def criterion_7() -> CriterionResult:
                 worst = max(worst, abs(z - ref))
                 lit = (j0 * omega / amp) * ellipeinc(omega * t, amp * amp)
                 literal_worst = max(literal_worst, abs(lit - ref) / max(abs(ref), 1e-30))
-    elapsed = time.perf_counter() - t0
     return CriterionResult(
         7, "elliptic representation", worst <= 1e-9,
         f"max |elliptic - quadrature| = {worst:.3e} (tol 1e-9); "
         f"the uncorrected prefactor J0*W/A disagrees by up to "
-        f"{literal_worst:.3e} relative", elapsed)
+        f"{literal_worst:.3e} relative")
 
 
 def criterion_8(drifts: list | None = None) -> CriterionResult:
     """Unitarity (drift <= 1e-8 on all acceptance runs) and RK4 order."""
-    t0 = time.perf_counter()
     wt, j0 = _RWA_CONFIGS[0]
     errs = []
     for scale in (0.5, 0.25):
@@ -260,16 +243,14 @@ def criterion_8(drifts: list | None = None) -> CriterionResult:
             drifts.append(res.step_report.norm_drift)
     order = math.log2(errs[0] / errs[1]) if errs[1] > 0 else float("inf")
     max_drift = max(drifts) if drifts else 0.0
-    elapsed = time.perf_counter() - t0
     passed = (3.5 <= order <= 4.5) and max_drift <= 1e-8
     return CriterionResult(8, "unitarity and RK4 order", passed,
                            f"convergence order = {order:.2f} (window [3.5, 4.5]), "
-                           f"max norm drift = {max_drift:.3e} (tol 1e-8)", elapsed)
+                           f"max norm drift = {max_drift:.3e} (tol 1e-8)")
 
 
 def criterion_9(drifts: list | None = None) -> CriterionResult:
     """Current dynamics follow the harmonic of twice the accumulated phase."""
-    t0 = time.perf_counter()
     model, wr, res = _rwa_run(0.6, 0.8, stride=5)
     if drifts is not None:
         drifts.append(res.step_report.norm_drift)
@@ -279,12 +260,11 @@ def criterion_9(drifts: list | None = None) -> CriterionResult:
     if drifts is not None:
         drifts.append(res2.step_report.norm_drift)
     fit_cos = current_dynamics_check(res2, model2)
-    elapsed = time.perf_counter() - t0
     passed = abs(fit_rwa.correlation) >= 0.999 and abs(fit_cos.correlation) >= 0.99
     return CriterionResult(
         9, "current dynamics", passed,
         f"|rho| pair = {abs(fit_rwa.correlation):.6f} (tol 0.999), "
-        f"resonant cosine = {abs(fit_cos.correlation):.6f} (tol 0.99)", elapsed)
+        f"resonant cosine = {abs(fit_cos.correlation):.6f} (tol 0.99)")
 
 
 def _autocorr_biased(x: np.ndarray) -> np.ndarray:
@@ -303,7 +283,6 @@ def criterion_10() -> CriterionResult:
     over ten drive periods shows no autocorrelation peak (strict local
     maximum of the standard biased estimator) at or above 0.99.
     """
-    t0 = time.perf_counter()
     omega = 1.0
     j0 = 1e-3
     model = Model.of(CosineDrive(j0, omega), 0.5 * j0)
@@ -322,11 +301,10 @@ def criterion_10() -> CriterionResult:
     peaks = interior[(interior > rho[:-2]) & (interior > rho[2:])]
     peak_max = float(np.max(peaks)) if len(peaks) else 0.0
     acorr_ok = peak_max < 0.99
-    elapsed = time.perf_counter() - t0
     return CriterionResult(
         10, "modulation structure", fft_ok and acorr_ok,
         f"|omega_r| peak at {fpeak:.6f} (want {2 * omega}); "
-        f"max autocorrelation peak = {peak_max:.4f} (must stay < 0.99)", elapsed)
+        f"max autocorrelation peak = {peak_max:.4f} (must stay < 0.99)")
 
 
 def criterion_11(drifts: list | None = None) -> CriterionResult:
@@ -335,7 +313,6 @@ def criterion_11(drifts: list | None = None) -> CriterionResult:
     No pass threshold: the integrating-factor step of the closed form is
     unproven off resonance and this number is the measurement of it.
     """
-    t0 = time.perf_counter()
     model = Model.of(CosineDrive(1.0, 1.0), 0.5)
     dt = enforced_step_bound(model) * 0.5
     res = propagate(model, initial_state_for_psi_frame(model), 20.0, dt,
@@ -347,30 +324,36 @@ def criterion_11(drifts: list | None = None) -> CriterionResult:
     gap_raw = float(np.max(np.abs(closed.p0_raw - p0_oracle)))
     denom = p0_oracle + 2.0 * np.abs(res.psi1_oracle) ** 2
     gap_norm = float(np.max(np.abs(closed.p0_norm - p0_oracle / denom)))
-    elapsed = time.perf_counter() - t0
     return CriterionResult(
         11, "off-resonance gap (recorded, no threshold)", True,
-        f"MaxAbs raw p0 gap = {gap_raw:.6f}, normalized gap = {gap_norm:.6f}",
-        elapsed)
+        f"MaxAbs raw p0 gap = {gap_raw:.6f}, normalized gap = {gap_norm:.6f}")
+
+
+def _timed(criterion, *args) -> CriterionResult:
+    t0 = time.perf_counter()
+    result = criterion(*args)
+    result.elapsed = time.perf_counter() - t0
+    return result
 
 
 def run_all() -> list[CriterionResult]:
-    """Run every criterion; criterion 8 checks the drift of every other run,
-    so it executes last even though it reports in numeric order."""
+    """Run every criterion, timing each call; criterion 8 checks the drift
+    of every other run, so it executes last even though it reports in
+    numeric order."""
     drifts: list[float] = []
     results = [
-        criterion_1(),
-        criterion_2(),
-        criterion_3(),
-        criterion_4(drifts),
-        criterion_5(drifts),
-        criterion_6(),
-        criterion_7(),
-        criterion_9(drifts),
-        criterion_10(),
-        criterion_11(drifts),
+        _timed(criterion_1),
+        _timed(criterion_2),
+        _timed(criterion_3),
+        _timed(criterion_4, drifts),
+        _timed(criterion_5, drifts),
+        _timed(criterion_6),
+        _timed(criterion_7),
+        _timed(criterion_9, drifts),
+        _timed(criterion_10),
+        _timed(criterion_11, drifts),
     ]
-    results.append(criterion_8(drifts))
+    results.append(_timed(criterion_8, drifts))
     return sorted(results, key=lambda r: r.cid)
 
 

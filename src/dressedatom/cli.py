@@ -6,8 +6,9 @@ Subcommands:
     identities <config.json>             print identity-residual maxima
     accept                               run the acceptance suite
 
-Exit codes: 0 success, 1 validation/parse error, 2 numerical failure,
-3 acceptance-suite failure.
+Exit codes: 0 success, 1 validation/parse error, 2 numerical failure or a
+malformed command line (argparse's usage message), 3 acceptance-suite
+failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
@@ -123,7 +125,10 @@ def _cmd_accept(args) -> int:
     return acceptance.main()
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every caller, which
+    must not change it; each ``parse_args`` returns a new Namespace."""
     p = argparse.ArgumentParser(prog="dressedatom",
                                 description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

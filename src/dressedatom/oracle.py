@@ -73,8 +73,9 @@ class PropagationResult:
 
     ``u1``, ``u2`` are the traceless run's states at ``times``.  The frame
     amplitudes ``c1``, ``c2`` (with the phase of the mean level), ``norm``,
-    the dressed projections ``psi0_oracle``, ``psi1_oracle`` and
-    ``current`` are computed the first time they are read, and then kept.
+    the dressed projections ``psi0_oracle``, ``psi1_oracle``, ``current``
+    and its slope ``dcurrent_dt`` are computed the first time they are
+    read, and then kept.
     """
 
     times: np.ndarray
@@ -118,6 +119,12 @@ class PropagationResult:
     @cached_property
     def current(self) -> np.ndarray:
         return transition_current(self.u1, self.u2)
+
+    @cached_property
+    def dcurrent_dt(self) -> np.ndarray:
+        """np.gradient of ``current``; a run with t_end > 0 keeps at least
+        two rows."""
+        return np.gradient(self.current, self.times)
 
 
 def initial_state_for_psi_frame(model: Model) -> StateVector:
@@ -349,10 +356,10 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     Soc. A 210 (1911) 307; Hairer, Norsett & Wanner, Solving ODEs I,
     sec. II.4) is |y_h - y_p| / |(h_p/h)^4 - 1|, for a global error C h^4.
     The partner y_p is ``_rk4_run`` of n_p = ceil(n/2) steps of
-    h_p = t_end/n_p, with groups of the main run's stride; only its last
-    row is read.  n = 1 takes n_p = 2, the step-halving pair (16/15).  An
-    estimate below about 1e-14 is round-off, not truncation: it can move
-    by any factor when the order of the products changes.
+    h_p = t_end/n_p, with groups of max(stride, ceil(n_p/_CHUNK)) steps;
+    only its last row is read.  n = 1 takes n_p = 2, the step-halving pair
+    (16/15).  An estimate below about 1e-14 is round-off, not truncation:
+    it can move by any factor when the order of the products changes.
     """
     if dt <= 0 or t_end <= 0:
         raise ValidationError("dt and t_end must be positive")
@@ -373,8 +380,9 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     # the partner step h_p ~ 2 dt may exceed enforced_step_bound: the bound
     # guards the accuracy of the main run, and the partner only estimates it
     n_p = 2 if n_steps == 1 else -(-n_steps // 2)
-    p1, p2, _ = _rk4_run(model, c0v, n_p, t_end / n_p, output_stride,
-                         track_drift=False)
+    # only the partner's last row is read: at most _CHUNK + 1 rows are kept
+    p1, p2, _ = _rk4_run(model, c0v, n_p, t_end / n_p,
+                         max(output_stride, -(-n_p // _CHUNK)), track_drift=False)
     rich = math.hypot(abs(u1[-1] - p1[-1]), abs(u2[-1] - p2[-1])) \
         / abs((n_steps / n_p) ** 4 - 1.0)
 
@@ -449,7 +457,7 @@ def current_dynamics_check(result: PropagationResult,
         raise InsufficientSpan(
             f"run covers {n_periods:.2f} < 5 periods of the dominant oscillation")
 
-    dcur = np.gradient(cur, ts)
+    dcur = result.dcurrent_dt
     basis = np.column_stack([np.gradient(np.sin(2.0 * phi), ts),
                              np.gradient(np.cos(2.0 * phi), ts)])
     coef, *_ = np.linalg.lstsq(basis, dcur, rcond=None)

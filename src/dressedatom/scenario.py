@@ -293,9 +293,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         report["identities_max"] = _identities_max(r1, r2, r3)
 
     if "current" in wanted:
-        dcur = np.gradient(prop.current, prop.times) if len(prop.times) > 2 \
-            else np.zeros_like(prop.current)
-        out["current"] = TimeSeries(schemas["current"], [ts, prop.current, dcur])
+        out["current"] = TimeSeries(schemas["current"],
+                                    [ts, prop.current, prop.dcurrent_dt])
         try:
             fit = oracle.current_dynamics_check(prop, model)
             report["current_fit"] = {"status": fit.status,

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import dressedatom
-from dressedatom.cli import main
+from dressedatom.cli import build_parser, main
 from dressedatom.scenario import _SWEEPABLE, OUTPUT_KINDS
 
 
@@ -49,6 +49,30 @@ def test_run_deterministic_bytes(rwa_config, tmp_path):
     assert main(["run", str(rwa_config), "--out", str(out2)]) == 0
     for name in ("closed.csv", "oracle.csv", "compare.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_state(rwa_config, tmp_path, capsys):
+    # one parser serves every call in a process: a usage error, a sweep and
+    # identities in between leave a repeated run's bytes unchanged
+    first, again = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(rwa_config), "--out", str(first)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(rwa_config)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: dressedatom run")
+    assert main(["sweep", str(rwa_config), "--axis", "omega_tilde", "--values", "0.6",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert main(["identities", str(rwa_config)]) == 0
+    assert main(["run", str(rwa_config), "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.glob("*.csv"))
+    assert names == ["closed.csv", "compare.csv", "oracle.csv"]
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -220,6 +220,31 @@ def test_propagate_rk4_step_count(monkeypatch, n_steps):
     assert drifts[1] is None
 
 
+def test_richardson_partner_keeps_at_most_a_chunk_of_rows(monkeypatch):
+    # only the partner's last row is read: at stride 1 its groups grow to
+    # ceil(n_p / _CHUNK) steps, so it keeps at most _CHUNK + 1 rows, and
+    # its final state is the one of a partner at the main stride
+    rows = []
+
+    def spy(model, c0, n, dt, keep_every, track_drift=True):
+        out = _rk4_run(model, c0, n, dt, keep_every, track_drift)
+        rows.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(oracle, "_rk4_run", spy)
+    model = Model.of(CosineDrive(1.2, 1.3), 0.4)
+    n_steps = 16 * _CHUNK
+    dt = enforced_step_bound(model) / 2
+    res = propagate(model, bare_state(1), n_steps * dt, dt, output_stride=1)
+    assert rows[0] == n_steps + 1 and rows[1] <= _CHUNK + 1
+
+    n_p = n_steps // 2
+    p1, p2, _ = _rk4_run(model, np.array([1.0, 0.0], dtype=complex), n_p,
+                         n_steps * dt / n_p, 1, track_drift=False)
+    est = math.hypot(abs(res.u1[-1] - p1[-1]), abs(res.u2[-1] - p2[-1])) / 15.0
+    assert res.step_report.richardson_error == pytest.approx(est, rel=0.0, abs=1e-14)
+
+
 def test_resonance_equivalence_to_closed_form():
     model = Model.of(CosineDrive(1.0, 1.0), 0.0)
     c0 = initial_state_for_psi_frame(model)

@@ -131,6 +131,20 @@ def test_run_zero_span_emits_headers_only():
         assert ts.to_csv().count("\n") == 1  # header line only
 
 
+def test_two_row_current_slope_is_the_gradient():
+    # t_end = 0.01 at stride 10 is one group of ten steps: the run keeps
+    # t = 0 and t_end, and the slope is their difference quotient, which is
+    # np.gradient on two rows
+    series, _ = run_scenario(parse_config(json.dumps(
+        {"t_end": 0.01, "output_stride": 10, "outputs": "oracle,current"})))
+    cur = series["current"]
+    t, current, dcur = cur.arrays
+    assert len(t) == 2 and current[1] != current[0]
+    slope = (current[1] - current[0]) / (t[1] - t[0])
+    assert np.array_equal(dcur, np.gradient(current, t))
+    assert np.all(dcur == slope)
+
+
 def _fstring_csv(ts) -> str:
     """One f-string per value: the reference the array formatter must match."""
     rows = [",".join(f"{v:.17g}" for v in row) for row in ts.data]
@@ -189,7 +203,8 @@ def test_compare_only_run_derives_only_what_compare_reads(monkeypatch):
     closed, prop = made
     assert set(vars(closed)) == {"t", "phase", "psi0", "p0_raw"}
     assert "psi0_oracle" in vars(prop)
-    for name in ("_mean_phase", "c1", "c2", "norm", "current", "psi1_oracle"):
+    for name in ("_mean_phase", "c1", "c2", "norm", "current", "dcurrent_dt",
+                 "psi1_oracle"):
         assert name not in vars(prop)
 
 
