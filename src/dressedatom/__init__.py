@@ -8,7 +8,9 @@ Library layout:
                 the connection frame, the one way a drive reaches the physics
     frames      Rabi root, mixing angle, connection, identities
     closedform  phase integral Z(t) in closed form, dressed series
-    oracle      direct RK4 integration, dressed projection, comparisons
+    oracle      direct RK4 integration from an initial pair (c1, c2),
+                dressed projection, and the compare and current_fit
+                report entries as plain dicts
     scenario    JSON config surface, runs, sweeps, CSV series
     acceptance  the acceptance-criteria suite (also via `dressedatom accept`)
 """
@@ -18,10 +20,9 @@ from .drives import ConstantDrive, CosineDrive
 from .frames import (connection_dtheta, identity_residuals, mixing_angle,
                      rabi_frequency, transition_current)
 from .closedform import dressed_series, phase_series, psi0_gamma_zero_integrand
-from .oracle import (PropagationResult, StateVector, compare,
-                     current_dynamics_check, initial_state_for_psi_frame,
-                     propagate)
-from .scenario import ScenarioConfig, parse_config, run_scenario, serialize_config, sweep
+from .oracle import (PropagationResult, compare, current_dynamics_check,
+                     initial_state_for_psi_frame, propagate)
+from .scenario import ScenarioConfig, parse_config, run_scenario, sweep
 
 __all__ = [
     "Model", "BranchMode",
@@ -29,11 +30,10 @@ __all__ = [
     "rabi_frequency", "mixing_angle", "connection_dtheta",
     "identity_residuals", "transition_current",
     "phase_series", "dressed_series", "psi0_gamma_zero_integrand",
-    "StateVector", "PropagationResult",
+    "PropagationResult",
     "initial_state_for_psi_frame", "propagate", "compare",
     "current_dynamics_check",
-    "ScenarioConfig", "parse_config", "serialize_config", "run_scenario",
-    "sweep",
+    "ScenarioConfig", "parse_config", "run_scenario", "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -260,11 +260,11 @@ def criterion_9(drifts: list | None = None) -> CriterionResult:
     if drifts is not None:
         drifts.append(res2.step_report.norm_drift)
     fit_cos = current_dynamics_check(res2, model2)
-    passed = abs(fit_rwa.correlation) >= 0.999 and abs(fit_cos.correlation) >= 0.99
+    passed = abs(fit_rwa["correlation"]) >= 0.999 and abs(fit_cos["correlation"]) >= 0.99
     return CriterionResult(
         9, "current dynamics", passed,
-        f"|rho| pair = {abs(fit_rwa.correlation):.6f} (tol 0.999), "
-        f"resonant cosine = {abs(fit_cos.correlation):.6f} (tol 0.99)")
+        f"|rho| pair = {abs(fit_rwa['correlation']):.6f} (tol 0.999), "
+        f"resonant cosine = {abs(fit_cos['correlation']):.6f} (tol 0.99)")
 
 
 def _autocorr_biased(x: np.ndarray) -> np.ndarray:

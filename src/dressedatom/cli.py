@@ -6,9 +6,10 @@ Subcommands:
     identities <config.json>             print identity-residual maxima
     accept                               run the acceptance suite
 
-Exit codes: 0 success, 1 validation/parse error, 2 numerical failure or a
-malformed command line (argparse's usage message), 3 acceptance-suite
-failure.
+Exit codes: 0 success, 1 validation/parse error, an unwritable --out or a
+stdout closed before the output was written (no traceback), 2 numerical
+failure or a malformed command line (argparse's usage message), 3
+acceptance-suite failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -102,7 +104,7 @@ def _cmd_sweep(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "sweep.csv").write_text(text, encoding="utf-8")
         (out / "sweep_report.json").write_text(
-            json.dumps(reports, indent=2, sort_keys=True, default=str) + "\n",
+            json.dumps(reports, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
     except OSError as exc:
         return _write_error(args.out, exc)
@@ -159,7 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (``dressedatom ... | head``): point fd 1 at
+        # devnull, so that the flush at exit does not raise it again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 1
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -48,18 +48,6 @@ _CHUNK = 4096
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Complex amplitude pair in the propagation basis."""
-
-    c1: complex
-    c2: complex
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c1) ** 2 + abs(self.c2) ** 2)
-
-
-@dataclass(frozen=True)
 class StepReport:
     dt: float
     norm_drift: float
@@ -127,24 +115,22 @@ class PropagationResult:
         return np.gradient(self.current, self.times)
 
 
-def initial_state_for_psi_frame(model: Model) -> StateVector:
-    """Unit-norm state whose dressed amplitudes are a+ = a- = 1/sqrt(2).
+def initial_state_for_psi_frame(model: Model) -> np.ndarray:
+    """Unit-norm state (c1, c2) whose dressed amplitudes are a+ = a- = 1/sqrt(2).
 
     c(0) = U^-1(theta(0)) (1, 1)^T / sqrt(2); the occupied-state projection
     psi1 starts at 1/sqrt(2) and psi0 at exactly zero.
     """
     cth, sth = mixing_angle(model, 0.0)
     inv = 1.0 / math.sqrt(2.0)
-    return StateVector(complex((cth - sth) * inv), complex((sth + cth) * inv))
+    return np.array([(cth - sth) * inv, (sth + cth) * inv], dtype=complex)
 
 
-def bare_state(index: int) -> StateVector:
+def bare_state(index: int) -> np.ndarray:
     """Basis preparation |1> or |2> (CLI alternative to the dressed frame)."""
-    if index == 1:
-        return StateVector(1.0 + 0j, 0.0 + 0j)
-    if index == 2:
-        return StateVector(0.0 + 0j, 1.0 + 0j)
-    raise ValidationError("bare state index must be 1 or 2")
+    if index not in (1, 2):
+        raise ValidationError("bare state index must be 1 or 2")
+    return np.array([index == 1, index == 2], dtype=complex)
 
 
 def enforced_step_bound(model: Model) -> float:
@@ -174,9 +160,12 @@ def step_count(t_end: float, dt: float) -> int:
 
 def output_grid(t_end: float, dt: float, stride: int) -> np.ndarray:
     """The times of the kept states: every ``stride``-th step of the
-    ``step_count`` grid, which lands exactly on t_end, and always the last."""
+    ``step_count`` grid, which lands exactly on t_end, and always the last.
+    A stride of n_steps or more keeps the first and the last state; it is
+    clamped to n_steps, so that a stride beyond int64 still gives an
+    integer grid."""
     n_steps = step_count(t_end, dt)
-    idx = np.arange(0, n_steps + 1, stride)
+    idx = np.arange(0, n_steps + 1, min(stride, n_steps))
     if idx[-1] != n_steps:
         idx = np.append(idx, n_steps)
     return idx * (t_end / n_steps)
@@ -341,11 +330,12 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
     return kept[0], kept[1], drift
 
 
-def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
+def propagate(model: Model, c0, t_end: float, dt: float,
               output_stride: int = 1) -> PropagationResult:
     """Propagate i dc/dt = H_frame(t) c on a fixed grid and dress the output.
 
-    RK4 integrates the traceless part; c1, c2 carry the exact phase
+    ``c0`` is the initial pair (c1, c2), normalised on entry.  RK4
+    integrates the traceless part; c1, c2 carry the exact phase
     exp(-i (Ebar12 - Omega/2) t) of the mean level.  The dressed projection
     recomputes theta(t) per output point from the frame functions (single
     source of truth) and is taken of the traceless states, so psi0/psi1,
@@ -372,16 +362,21 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     times = output_grid(t_end, dt, output_stride)
     n_steps = step_count(t_end, dt)
     dt = t_end / n_steps  # land exactly on t_end
-    if c0.norm == 0:
+    c0 = np.asarray(c0, dtype=complex)
+    if c0.shape != (2,):
+        raise ValidationError(f"initial state must have shape (2,), not {c0.shape}")
+    c1, c2 = complex(c0[0]), complex(c0[1])
+    norm = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
+    if norm == 0:
         raise ValidationError("initial state must be non-zero")
-    c0v = np.array([c0.c1, c0.c2], dtype=complex) / c0.norm
+    c0 = c0 / norm
 
-    u1, u2, drift = _rk4_run(model, c0v, n_steps, dt, output_stride)
+    u1, u2, drift = _rk4_run(model, c0, n_steps, dt, output_stride)
     # the partner step h_p ~ 2 dt may exceed enforced_step_bound: the bound
     # guards the accuracy of the main run, and the partner only estimates it
     n_p = 2 if n_steps == 1 else -(-n_steps // 2)
     # only the partner's last row is read: at most _CHUNK + 1 rows are kept
-    p1, p2, _ = _rk4_run(model, c0v, n_p, t_end / n_p,
+    p1, p2, _ = _rk4_run(model, c0, n_p, t_end / n_p,
                          max(output_stride, -(-n_p // _CHUNK)), track_drift=False)
     rich = math.hypot(abs(u1[-1] - p1[-1]), abs(u2[-1] - p2[-1])) \
         / abs((n_steps / n_p) ** 4 - 1.0)
@@ -393,15 +388,9 @@ def propagate(model: Model, c0: StateVector, t_end: float, dt: float,
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    max_abs: float
-    rms: float
-    phase_slip: float
-
-
-def compare(closed_psi0: np.ndarray, oracle_psi0: np.ndarray) -> ComparisonReport:
-    """Agreement metrics between closed-form and oracle psi0 on one grid.
+def compare(closed_psi0: np.ndarray, oracle_psi0: np.ndarray) -> dict:
+    """Agreement metrics between closed-form and oracle psi0 on one grid:
+    the report.json entry {"MaxAbs", "Rms", "PhaseSlip"}.
 
     MaxAbs and Rms compare |psi0|^2.  The phase slip is the change, from
     the first to the last row where both |psi0| > 0.1, of the unwrapped
@@ -418,25 +407,18 @@ def compare(closed_psi0: np.ndarray, oracle_psi0: np.ndarray) -> ComparisonRepor
     if ok.any():
         dphi = np.unwrap(np.angle(closed_psi0[ok] * np.conj(oracle_psi0[ok])))
         phase_slip = float(dphi[-1] - dphi[0])
-    return ComparisonReport(max_abs=max_abs, rms=rms, phase_slip=phase_slip)
+    return {"MaxAbs": max_abs, "Rms": rms, "PhaseSlip": phase_slip}
 
 
-@dataclass(frozen=True)
-class CurrentFitReport:
-    status: str            # "ok" or "NoOscillation"
-    correlation: float
-    amplitude: float
-    n_periods: float
-
-
-def current_dynamics_check(result: PropagationResult,
-                           model: Model) -> CurrentFitReport:
+def current_dynamics_check(result: PropagationResult, model: Model) -> dict:
     """Fit d(current)/dt against the harmonic of twice the accumulated phase.
 
     The model is current ~ A sin(2 int omega_r dt' + phi0) + const, fitted in
     the derivative-consistent form: least squares of the numerical
     d(current)/dt on {d/dt sin(2 Phi), d/dt cos(2 Phi)}.  Returns the
-    correlation of the signal with the fit and the amplitude A.
+    report.json entry: ``status`` ("ok", or "NoOscillation" for a current
+    that stays zero), the ``correlation`` of the signal with the fit, the
+    amplitude A and the ``n_periods`` the run spans.
     """
     ts = result.times
     if len(ts) < 16:
@@ -449,10 +431,10 @@ def current_dynamics_check(result: PropagationResult,
         0.5 * (np.abs(wr[1:]) + np.abs(wr[:-1])) * np.diff(ts))])
 
     cur = result.current
-    if np.max(np.abs(cur)) < 1e-13:
-        return CurrentFitReport(status="NoOscillation", correlation=0.0,
-                                amplitude=0.0, n_periods=float(swept[-1] / math.pi))
     n_periods = float(swept[-1] / math.pi)
+    if np.max(np.abs(cur)) < 1e-13:
+        return {"status": "NoOscillation", "correlation": 0.0, "amplitude": 0.0,
+                "n_periods": n_periods}
     if n_periods < 5.0:
         raise InsufficientSpan(
             f"run covers {n_periods:.2f} < 5 periods of the dominant oscillation")
@@ -465,6 +447,5 @@ def current_dynamics_check(result: PropagationResult,
     denom = np.std(dcur) * np.std(fit)
     corr = float(np.mean((dcur - dcur.mean()) * (fit - fit.mean())) / denom) \
         if denom > 0 else 0.0
-    return CurrentFitReport(status="ok", correlation=corr,
-                            amplitude=float(np.hypot(*coef)),
-                            n_periods=n_periods)
+    return {"status": "ok", "correlation": corr, "amplitude": float(np.hypot(*coef)),
+            "n_periods": n_periods}

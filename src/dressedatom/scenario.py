@@ -1,8 +1,9 @@
 """Scenario configuration, runs, and sweeps.
 
 The config surface is a flat JSON object; unknown keys are rejected so a
-typo cannot silently fall back to a default.  ``parse_config`` and
-``serialize_config`` round-trip losslessly.
+typo cannot silently fall back to a default.  ``parse_config`` reads the
+JSON of ``config_doc`` (the ``config`` entry of report.json) back to the
+same config.
 
 Output kinds and their CSV schemas:
 
@@ -82,6 +83,11 @@ class ScenarioConfig:
                 raise ValidationError(f"unknown output kind {kind!r}")
         return self.model()
 
+    def with_omega_tilde(self, omega_tilde: float) -> ScenarioConfig:
+        """The config with e2 = e1 + hbar*(2*omega_tilde + omega), the upper
+        level at which the detuning is omega_tilde."""
+        return replace(self, e2=self.e1 + self.hbar * (2.0 * omega_tilde + self.omega))
+
     def output_list(self) -> list[str]:
         return [k.strip() for k in self.outputs.split(",") if k.strip()]
 
@@ -126,8 +132,8 @@ def _number(key: str, value) -> float:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse a flat JSON object; unknown keys are errors, missing keys default.
 
-    The convenience key ``omega_tilde`` may replace ``e2``: it sets
-    e2 = e1 + hbar*(2*omega_tilde + omega).
+    The convenience key ``omega_tilde`` may replace ``e2``: it sets e2
+    through ``ScenarioConfig.with_omega_tilde``.
     """
     try:
         raw = json.loads(text)
@@ -137,14 +143,11 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ParseError("config document must be a JSON object")
 
     raw = dict(raw)
+    wt = None
     if "omega_tilde" in raw:
         if "e2" in raw:
             raise ParseError("give either 'e2' or 'omega_tilde', not both")
         wt = _number("omega_tilde", raw.pop("omega_tilde"))
-        e1 = _number("e1", raw.get("e1", 0.0))
-        hbar = _number("hbar", raw.get("hbar", 1.0))
-        omega = _number("omega", raw.get("omega", 1.0))
-        raw["e2"] = e1 + hbar * (2.0 * wt + omega)
 
     kwargs = {}
     for key, value in raw.items():
@@ -161,6 +164,8 @@ def parse_config(text: str) -> ScenarioConfig:
         else:
             kwargs[key] = _number(key, value)
     cfg = ScenarioConfig(**kwargs)
+    if wt is not None:
+        cfg = cfg.with_omega_tilde(wt)
     cfg.validate()
     return cfg
 
@@ -168,10 +173,6 @@ def parse_config(text: str) -> ScenarioConfig:
 def config_doc(cfg: ScenarioConfig) -> dict:
     """The config as a flat JSON object: every key, defaults included."""
     return {f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(config_doc(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def _initial_state(cfg: ScenarioConfig, model: Model):
@@ -192,11 +193,6 @@ def _finite_max(a: np.ndarray) -> float:
 
 def _identities_max(r1, r2, r3) -> dict:
     return {"r1": _finite_max(r1), "r2": _finite_max(r2), "r3": _finite_max(r3)}
-
-
-def _compare_entry(closed_psi0, oracle_psi0) -> dict:
-    rep = oracle.compare(closed_psi0, oracle_psi0)
-    return {"MaxAbs": rep.max_abs, "Rms": rep.rms, "PhaseSlip": rep.phase_slip}
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
@@ -233,7 +229,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         report["empty"] = True
         # an empty span still reports what its kinds report, as zeros
         if "compare" in wanted:
-            report["compare"] = _compare_entry(empty, empty)
+            report["compare"] = oracle.compare(empty, empty)
         if "identities" in wanted:
             report["identities_max"] = _identities_max(empty, empty, empty)
         return out, report
@@ -271,7 +267,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
 
     if "compare" in wanted:
         psi0_scaled = math.sqrt(2.0) * prop.psi0_oracle
-        report["compare"] = _compare_entry(closed.psi0, psi0_scaled)
+        report["compare"] = oracle.compare(closed.psi0, psi0_scaled)
         oracle_p0 = np.abs(psi0_scaled) ** 2
         out["compare"] = TimeSeries(schemas["compare"], [
             ts, closed.p0_raw, oracle_p0, np.abs(closed.p0_raw - oracle_p0)])
@@ -296,11 +292,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         out["current"] = TimeSeries(schemas["current"],
                                     [ts, prop.current, prop.dcurrent_dt])
         try:
-            fit = oracle.current_dynamics_check(prop, model)
-            report["current_fit"] = {"status": fit.status,
-                                     "correlation": fit.correlation,
-                                     "amplitude": fit.amplitude,
-                                     "n_periods": fit.n_periods}
+            report["current_fit"] = oracle.current_dynamics_check(prop, model)
         except DressedAtomError as exc:  # InsufficientSpan stays a report entry
             report["current_fit"] = {"status": type(exc).__name__,
                                      "detail": str(exc)}
@@ -360,7 +352,7 @@ def sweep(base: ScenarioConfig, axis: str, values) -> tuple[TimeSeries, list[dic
     first_error = None  # only the first is kept: its frames hold that run's arrays
     for v in values:
         if axis == "omega_tilde":
-            cfg = replace(base, e2=base.e1 + base.hbar * (2.0 * float(v) + base.omega))
+            cfg = base.with_omega_tilde(float(v))
         else:
             cfg = replace(base, **{axis: float(v)})
         need = set(cfg.output_list()) | {"compare"}

@@ -436,6 +436,40 @@ def test_run_removes_stale_csvs(tmp_path):
                                                       "report.json"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{cfg}", "--out", "{tmp}/run"],
+    ["sweep", "{cfg}", "--axis", "j0", "--values", "0.5,1", "--out", "{tmp}/sweep"],
+    ["identities", "{cfg}"],
+], ids=["run", "sweep", "identities"])
+def test_closed_stdout_exits_1_without_traceback(argv, tmp_path):
+    # `dressedatom ... | head`: the reader is gone before anything is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_end": 1.0, "outputs": "closed,identities"}))
+    argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(dressedatom.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dressedatom.cli"] + argv, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_output_stride_beyond_int64(tmp_path):
+    # a stride of n_steps or more keeps the first and the last state
+    doc = {"t_end": 0.5, "outputs": ",".join(OUTPUT_KINDS)}
+    for name, stride in (("huge", 10 ** 23), ("n_steps", 500)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(dict(doc, output_stride=stride)))
+        assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+    for kind in OUTPUT_KINDS:
+        huge, n_steps = (tmp_path / d / f"{kind}.csv" for d in ("huge", "n_steps"))
+        assert huge.read_bytes() == n_steps.read_bytes(), kind
+
+
 # --------------------------------------------------------- the config space
 
 # the columns that may hold NaN at exit 0: r2 and r3 where a stencil reaches
