@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ellipeinc
 
 from .closedform import dressed_series, phase_series
 from .config import BranchMode, Model
@@ -40,7 +38,7 @@ class CriterionResult:
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
-        return f"[{mark}] C{self.cid:02d} {self.title}: {self.detail} ({self.elapsed:.2f}s)"
+        return f"[{mark}] C{self.cid:02d} {self.title}: {self.detail} ({self.elapsed * 1e3:.1f} ms)"
 
 
 def _identity_setups():
@@ -74,7 +72,7 @@ def criterion_1() -> CriterionResult:
     elapsed = time.perf_counter() - t0
     passed = worst <= 1.0 and elapsed < 1.0
     return CriterionResult(1, "identity suite r1,r2", passed,
-                           f"max residual/bound = {worst:.3e}, runtime {elapsed:.2f}s")
+                           f"max residual/bound = {worst:.3e} (tol 1; runtime tol 1 s)")
 
 
 def criterion_2() -> CriterionResult:
@@ -201,28 +199,48 @@ def criterion_6() -> CriterionResult:
                            f"max relative phase deviation = {worst:.3e} (tol 1e-3)")
 
 
+# criterion 7's grid; omega is away from 1, where the literal prefactor
+# would coincide with the corrected one
+_C7_OMEGA_TILDES = (0.1, 0.5, 1.0, 2.0, 5.0)
+_C7_J0S = (0.1, 0.5, 1.0, 2.0, 4.0)
+_C7_TIMES = (0.3, 1.0, 2.0, 4.0, 7.0)
+_C7_OMEGA = 1.6
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(40)
+_HALVINGS = 2.0 ** -np.arange(13, 0, -1)  # 2^-13 .. 1/2
+_SPAN_EDGES = np.concatenate(([0.0], _HALVINGS, 1.0 - _HALVINGS[-2::-1], [1.0]))
+
+
+def _abs_rabi_integral(wt: float, j0: float, omega: float, t: float) -> float:
+    """Integral of sqrt(wt^2 + j0^2 cos^2(omega s)) over [0, t], by composite
+    40-point Gauss-Legendre, independent of the closed form.  The spans
+    between coupling zeros (where the integrand has a kink, and complex
+    singularities close by when wt << j0) are each cut at points halved 12
+    times toward both ends."""
+    cuts = np.concatenate(
+        ([0.0], CosineDrive(j0, omega).coupling_zero_times(0.0, t), [t]))
+    edges = (cuts[:-1, None] + np.diff(cuts)[:, None] * _SPAN_EDGES).ravel()
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    s = mid[:, None] + half[:, None] * _GL_X
+    return float(np.sum(half * (np.hypot(wt, j0 * np.cos(omega * s)) @ _GL_W)))
+
+
 def criterion_7() -> CriterionResult:
-    """The closed-form phase (positive root) equals quadrature of |omega_r|
-    to 1e-9; the literal J0*W/A prefactor is recorded, not used."""
-    wts = (0.1, 0.5, 1.0, 2.0, 5.0)
-    j0s = (0.1, 0.5, 1.0, 2.0, 4.0)
-    tss = (0.3, 1.0, 2.0, 4.0, 7.0)
-    omega = 1.6   # away from 1, where the literal prefactor would coincide
+    """The closed-form phase (positive root) equals the Gauss-Legendre
+    integral of |omega_r| to 1e-9.  The literal J0*W/A prefactor is
+    recorded, not used: (J0*W/A) E(W t, A^2) is W^2 Re Z, since
+    A*sqrt(wt^2 + J0^2) = J0."""
     worst = 0.0
     literal_worst = 0.0
-    for wt in wts:
-        for j0 in j0s:
-            model = Model.of(CosineDrive(j0, omega), wt,
+    for wt in _C7_OMEGA_TILDES:
+        for j0 in _C7_J0S:
+            model = Model.of(CosineDrive(j0, _C7_OMEGA), wt,
                              branch=BranchMode.POSITIVE_ROOT)
-            drive = model.drive
-            amp = j0 / math.hypot(wt, j0)  # the resonant amplitude A
-            zs = phase_series(model, np.array(tss)).real
-            for t, z in zip(tss, zs):
-                ref = quad(lambda s: math.hypot(wt, j0 * math.cos(omega * s)),
-                           0.0, t, limit=400, epsabs=1e-13, epsrel=1e-13,
-                           points=list(drive.coupling_zero_times(0.0, t)) or None)[0]
+            zs = phase_series(model, np.array(_C7_TIMES)).real
+            for t, z in zip(_C7_TIMES, zs):
+                ref = _abs_rabi_integral(wt, j0, _C7_OMEGA, t)
                 worst = max(worst, abs(z - ref))
-                lit = (j0 * omega / amp) * ellipeinc(omega * t, amp * amp)
+                lit = _C7_OMEGA ** 2 * z
                 literal_worst = max(literal_worst, abs(lit - ref) / max(abs(ref), 1e-30))
     return CriterionResult(
         7, "elliptic representation", worst <= 1e-9,

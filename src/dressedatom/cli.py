@@ -67,6 +67,8 @@ def _write_error(outdir: str, exc: OSError) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
+    if not cfg.output_list():
+        raise ValidationError(f"outputs names no output kind: {cfg.outputs!r}")
     series, report = run_scenario(cfg)
     try:
         _write_outputs(args.out, series, report, cfg)
@@ -120,8 +122,8 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    # imported here: the suite loads scipy, which run, sweep and identities
-    # do not need
+    # imported here: the suite loads numpy.polynomial, which run, sweep and
+    # identities do not need
     from . import acceptance
 
     return acceptance.main()

@@ -5,9 +5,15 @@ one-line-per-criterion report prints with ``pytest -s`` and is also what
 ``dressedatom accept`` shows.
 """
 
-import pytest
+import itertools
+import math
 
-from dressedatom.acceptance import run_all
+import pytest
+from scipy.integrate import quad
+
+from dressedatom.acceptance import (_C7_J0S, _C7_OMEGA, _C7_OMEGA_TILDES, _C7_TIMES,
+                                    _abs_rabi_integral, run_all)
+from dressedatom.drives import CosineDrive
 
 _results = None
 
@@ -30,3 +36,15 @@ def test_criterion(cid):
 
 def test_all_criteria_present():
     assert sorted(r.cid for r in results()) == list(range(1, 12))
+
+
+def test_criterion_7_reference_matches_quad():
+    # criterion 7's Gauss-Legendre reference against adaptive quadrature on
+    # the criterion's whole grid, split at the same coupling zeros
+    worst = 0.0
+    for wt, j0, t in itertools.product(_C7_OMEGA_TILDES, _C7_J0S, _C7_TIMES):
+        zeros = CosineDrive(j0, _C7_OMEGA).coupling_zero_times(0.0, t)
+        ref = quad(lambda s: math.hypot(wt, j0 * math.cos(_C7_OMEGA * s)), 0.0, t,
+                   limit=400, epsabs=1e-13, epsrel=1e-13, points=list(zeros) or None)[0]
+        worst = max(worst, abs(_abs_rabi_integral(wt, j0, _C7_OMEGA, t) - ref))
+    assert worst <= 1e-13

@@ -240,9 +240,9 @@ def test_identities_at_negative_detuning(doc, tmp_path, capsys):
 
 
 def test_package_and_cli_import_no_scipy(tmp_path):
-    # run, sweep and identities never need scipy; a fresh interpreter shows
-    # what importing the package and the CLI, and running the closed form
-    # on every path of the phase, loads
+    # no command needs scipy; a fresh interpreter shows what importing the
+    # package and the CLI, running the closed form on every path of the
+    # phase, and running the acceptance suite loads
     docs = [{"omega_tilde": 0.0, "branch": "smooth"},
             {"omega_tilde": 0.0, "branch": "positive"},
             {"omega_tilde": 0.4}]
@@ -253,6 +253,7 @@ def test_package_and_cli_import_no_scipy(tmp_path):
             f"for i in range({len(docs)}):\n"
             f"    assert dressedatom.cli.main(['run', '{tmp_path}/%d.json' % i,\n"
             f"                                 '--out', '{tmp_path}/o%d' % i]) == 0\n"
+            "assert dressedatom.cli.main(['accept']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(dressedatom.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -367,6 +368,27 @@ def test_sweep_unknown_axis_exit_code(tmp_path):
     cfg.write_text("{}")
     assert main(["sweep", str(cfg), "--axis", "nope", "--values", "1",
                  "--out", str(tmp_path / "s")]) == 1
+
+
+@pytest.mark.parametrize("outputs", ["", " , "])
+def test_run_rejects_outputs_naming_no_kind(outputs, tmp_path, capsys):
+    # an outputs list with no kind is one error line; the directory is left
+    # as it was, CSVs of an earlier run included
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_end": 0.5, "outputs": outputs}))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "closed.csv").write_text("t\n")
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert sorted(p.name for p in out.iterdir()) == ["closed.csv"]
+    # sweep and identities choose their own kinds, so the base config is fine
+    assert main(["identities", str(cfg)]) == 0
+    assert main(["sweep", str(cfg), "--axis", "j0", "--values", "0.5",
+                 "--out", str(tmp_path / "s")]) == 0
 
 
 def test_accept_subcommand(capsys):
