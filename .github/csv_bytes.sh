@@ -15,8 +15,10 @@
 # oracle for one step (its Richardson partner is two half steps) and
 # for an odd count (a partner of two steps). The long configs run
 # 40,000 steps (10 chunks), so the oracle takes couplings far from t = 0
-# off its phasor table; 7 does not divide the 4,096-step chunk, so
-# every chunk stops short of it and the next starts at a new offset.
+# off its phasor table. Chunks start at multiples of 4,096 steps at every
+# stride: groups of 10 and of 7 do not divide a chunk, so most chunks
+# start inside a group and take its earlier product in; groups of 5,000
+# are longer than a chunk and straddle chunk edges.
 # The oracle scans its kept rows in blocks of 4,096: scan_blocks keeps
 # every 2nd of 20,000 steps, 10,001 rows over three blocks, the last
 # one partial.
@@ -62,7 +64,7 @@ for stride in 1 7 5000; do
          "outputs": "frame,closed,oracle,compare,identities,current"}' \
     > "$TMP/stride$stride.json"
 done
-for stride in 10 7; do
+for stride in 10 7 5000; do
   echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 40,
          "output_stride": '"$stride"',
          "outputs": "frame,closed,oracle,compare,identities,current"}' \
@@ -83,7 +85,8 @@ echo '{"drive": "cosine", "omega_tilde": 0.02, "j0": 0.1, "dt": 0.0015,
        "output_stride": 2, "t_end": 12.566370614359172, "outputs": "compare"}' \
   > "$TMP/compare_only.json"
 six="determinism shifted hbar2 stride1 stride7 stride5000 rwa constant
-     resonant_smooth resonant_positive one_step three_steps long10 long7 scan_blocks"
+     resonant_smooth resonant_positive one_step three_steps long10 long7 long5000
+     scan_blocks"
 for name in $six oracle_current closed_only compare_only; do
   for run in 1 2; do
     dressedatom run "$TMP/$name.json" --out "$TMP/$name$run" \

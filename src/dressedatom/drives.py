@@ -66,7 +66,10 @@ class CosineDrive:
         of n exponentials would cost more than the cosines it saves on a
         short run.  An entry is a product of at most log2(n) phasors, so it
         is off by a few ulps; a call costs one phasor and three array
-        passes.
+        passes.  The oracle calls it with h = dt/2 at the chunk starts
+        t0 = k0 dt, k0 a multiple of its chunk at every output stride, so a
+        step takes the same entry and phasor, and the same few-ulp error,
+        at any stride.
         """
         table = np.empty(n, dtype=complex)
         table[0] = 1.0

@@ -209,22 +209,22 @@ def _tree_order(w):
     return np.concatenate([2 * half, 2 * half + 1])
 
 
-def _step_matrices(wt: float, q: np.ndarray, dt: float):
+def _step_matrices(wt: float, q: np.ndarray, dt: float, out: np.ndarray):
     """M_k - I = dt/6 (K1 + 2 K2 + 2 K3 + K4) as (a, b), for one chunk's steps.
 
     ``q`` holds the couplings at t_k and at the half points.  The generator
     at coupling x is A_x = -i (wt sigma_z + x sigma_x); A_x^2 = -r_x I with
     r_x = wt^2 + x^2, and A_x A_y = -(wt^2 + x y) I - i wt (y - x) sigma_y.
     So the four stages multiply out to real closed forms in q0, qh, q1,
-    which are written into the real and imaginary parts of (a, b).
+    which are written into the real and imaginary parts of (a, b), the
+    rows of ``out``: a (2, m) complex array, or the caller's padded slots.
     """
     h = 0.5 * dt
     q0, qh, q1 = q[:-1:2], q[1::2], q[2::2]
     r = wt * wt + qh * qh
     hr = h * h * r
     s = q0 + q1
-    a = np.empty(len(qh), dtype=complex)
-    b = np.empty(len(qh), dtype=complex)
+    a, b = out
     a.real = (-dt * h / 3.0) * (r * (1.0 - h * h * (wt * wt + q0 * q1))
                                 + qh * s + 2.0 * wt * wt)
     a.imag = (-dt * wt) * (1.0 - (2.0 / 3.0) * hr)
@@ -260,36 +260,50 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
     largest norm drift over every step (None unless ``track_drift``).  The
     g = min(keep_every, n_steps) steps up to a kept state form a group.
 
-    Group products: chunks of at most ``_CHUNK`` steps end at their last
-    kept step, or after ``_CHUNK`` steps of a longer group.  A chunk's M_k
-    (couplings from one ``frame_coupling_grid`` of the half step) are laid
-    out step-major in ``_tree_order``, as (w, groups), reduced pairwise (a
-    last, partial group padded with identities) and written to their rows;
-    a group that a chunk edge cuts leaves its partial product in its row.
+    Group products: chunks of ``_CHUNK`` steps start at multiples of
+    ``_CHUNK`` at every stride, so a step's coupling (one
+    ``frame_coupling_grid`` of the half step, anchored at the chunk's
+    start) and its M_k do not depend on the stride.  A chunk's M_k are
+    laid out in slots of w = min(g, _CHUNK + 1) steps, the first ending
+    where the group of the chunk's first step ends, with identity steps
+    (deviation zero) in front and behind.  A group that an earlier chunk
+    began left its partial product in its row; that product goes into the
+    entry just before the chunk's first step.  The slots are laid out
+    step-major in ``_tree_order``, as (w, slots), reduced pairwise, and
+    written to their rows.
 
     Block scan: once ``_CHUNK`` rows are filled, and at the end, ``_scan``
     turns a block into prefix products, applied to the state carried in.
-    det(M_k) scales the squared norm, so the drift sums log det(M_k),
-    det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and checks the block's states.
+    The order of those products, and of the pairwise reduction, is what
+    still depends on the stride.  det(M_k) scales the squared norm, so the
+    drift sums log det(M_k), det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and
+    checks the block's states.
     """
     wt = model.omega_tilde
     g = min(keep_every, n_steps)
+    w = min(g, _CHUNK + 1)  # a group, or a chunk of one and the product carried in
+    order = _tree_order(w)
     coupling = model.drive.frame_coupling_grid(0.5 * dt, 2 * min(_CHUNK, n_steps) + 1)
     kept = np.empty((2, -(-n_steps // g) + 1), dtype=complex)
     u1, u2 = complex(c0[0]), complex(c0[1])
     kept[:, 0] = u1, u2
     logdet = 0.0
     drift = 0.0 if track_drift else None
-    k0, scanned, order = 0, 1, ()  # rows from ``scanned`` on hold group products
-    while k0 < n_steps:
-        # a chunk ends at its last kept step, or after _CHUNK steps of a
-        # group longer than that
-        k1 = k0 + _CHUNK - (k0 + _CHUNK) % g
-        k1 = min(k1 if k1 > k0 else k0 + _CHUNK, n_steps)
-        m, w = k1 - k0, min(g, k1 - k0)
-        groups = -(-m // w)
+    scanned = 1  # rows from ``scanned`` on hold group products
+    for k0 in range(0, n_steps, _CHUNK):
+        k1 = min(k0 + _CHUNK, n_steps)
+        # x: slots of w steps from step s0 on, the first ending with the
+        # group of step k0 or after _CHUNK + 1 entries; x[:, i0:i1] are k0..k1
+        s0 = min(k0 - k0 % g + g, k0 + _CHUNK) - w
+        i0, i1, row = k0 - s0, k1 - s0, k0 // g + 1
+        slots = -(-i1 // w)
+        x = np.empty((2, slots * w), dtype=complex)
+        x[:, :i0] = 0.0
+        x[:, i1:] = 0.0
+        if k0 % g:  # the product of the group's steps in earlier chunks
+            x[:, i0 - 1] = kept[:, row]
         # coupling at t_k and the half points of this chunk's steps
-        a, b = _step_matrices(wt, coupling(k0 * dt)[:2 * m + 1], dt)
+        a, b = _step_matrices(wt, coupling(k0 * dt)[:2 * (k1 - k0) + 1], dt, x[:, i0:i1])
         if track_drift:
             run = np.cumsum(np.log1p((a.real + 2.0) * a.real + a.imag ** 2
                                      + b.real ** 2 + b.imag ** 2))
@@ -297,28 +311,19 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
             logdet = float(run[-1])
             # |norm - 1| = |expm1(run / 2)| after every step; expm1 is monotonic
             drift = max(drift, -math.expm1(0.5 * run.min()), math.expm1(0.5 * run.max()))
-        if groups * w > m:
-            a, b = (np.concatenate([x, np.zeros(groups * w - m, dtype=complex)])
-                    for x in (a, b))
-        # step-major (w, groups): a row holds one step of every group
-        if len(order) != w:
-            order = _tree_order(w)
-        a, b = (x.reshape(groups, w).T[order] for x in (a, b))
+        # step-major (w, slots): a row holds one step of every group
+        a, b = (y.reshape(slots, w).T[order] for y in x)
         lo, n = 0, w
-        while n > 1:  # group products M_{(j+1)w-1} ... M_{jw} - I, into row w - 1
+        while n > 1:  # slot products M_{s0+(j+1)w-1} ... M_{s0+jw} - I, into row w - 1
             if n % 2:  # fold the first step into the next
                 _mul_dev(a[lo + 1], b[lo + 1], a[lo], b[lo])
                 lo, n = lo + 1, n - 1
             n //= 2
             _mul_dev(a[lo + n:lo + 2 * n], b[lo + n:lo + 2 * n], a[lo:lo + n], b[lo:lo + n])
             lo += n
-        row = -(-(k0 + w) // g)  # the row of the group ending at step k0 + w
-        if k0 % g:  # the rest of a group an earlier chunk began
-            _mul_dev(a[-1:], b[-1:], kept[:1, row:row + 1], kept[1:, row:row + 1])
-        kept[:, row:row + groups] = a[-1], b[-1]
-        k0 = k1
-        filled = row + groups if k0 % g == 0 or k0 == n_steps else row
-        while filled - scanned >= _CHUNK or (k0 == n_steps and filled > scanned):
+        kept[:, row:row + slots] = a[-1], b[-1]
+        filled = len(kept[0]) if k1 == n_steps else k1 // g + 1
+        while filled - scanned >= _CHUNK or (k1 == n_steps and filled > scanned):
             a, b = kept[:, scanned:min(filled, scanned + _CHUNK)]
             _scan(a, b)
             a[:], b[:] = a * u1 + b * u2 + u1, np.conj(a) * u2 - np.conj(b) * u1 + u2
@@ -350,6 +355,13 @@ def propagate(model: Model, c0, t_end: float, dt: float,
     only its last row is read.  n = 1 takes n_p = 2, the step-halving pair
     (16/15).  An estimate below about 1e-14 is round-off, not truncation:
     it can move by any factor when the order of the products changes.
+
+    ``_rk4_run`` starts its chunks at multiples of ``_CHUNK`` steps at
+    every stride, so each step's coupling and matrix are the same for any
+    ``output_stride``.  The stride still sets the order in which the steps
+    are multiplied out (the groups, and the blocks of the scan), which
+    moves a kept state by round-off: 4.9e-15 or less at 100 chunks of the
+    cosine drive, up to 1.9e-13 at 14 chunks of a constant envelope.
     """
     if dt <= 0 or t_end <= 0:
         raise ValidationError("dt and t_end must be positive")

@@ -348,12 +348,15 @@ def test_rk4_scan_matches_loop(wt, j0, omega, e1, n_steps, keep_every, drive):
 def _check_stride(model, n_steps, keep_every, tol=1e-13, drift_tol=5e-14):
     """_rk4_run keeping every keep_every-th state agrees with keeping all.
 
-    The two modes multiply the same step matrices in a different order.
-    Against a long-double sequential product, each is off by a few 1e-15
-    per chunk, the plain scan more than the grouped one; over 600 random
-    cases of up to 3 chunks the rows differed by at most 4.1e-14.  The
-    determinant part of the drift agrees to round-off, but the kept-row
-    check sees every state's rounding at keep_every = 1: up to 1.1e-14.
+    The two modes multiply the same step matrices (chunks start at
+    multiples of _CHUNK at every stride) in a different order.  Against a
+    long-double sequential product of those matrices, the cosine drive's
+    rows are off by at most 6.3e-16 per chunk at keep_every 1, 7 and 10;
+    the rwa drive's constant steps round alike in every chunk, so its rows
+    drift by about 1.9e-14 per chunk in the plain scan and 0.6-1.0e-14
+    grouped, and two strides differ by 1.4-1.9e-13 at 14 chunks.  Over 600
+    random cases of up to 3 chunks the rows differed by at most 3.7e-15
+    and the drifts by at most 2.2e-15.
     """
     dt = enforced_step_bound(model) / 2
     c0 = np.array([0.6, 0.8j])
@@ -392,7 +395,7 @@ def _stride_cases(draw):
 # chunk edges: n_steps at and one past a span; groups of 10 and of
 # span - 1 ending in a partial group; groups longer than a span, ending in
 # a partial group or spanning the whole run; kept rows that cross one and
-# two scan blocks
+# two scan blocks; groups of 7 over 14 chunks, each starting mid-group
 @example(case=(_CHUNK, 1), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(_CHUNK + 1, 1), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(3 * _CHUNK + 17, 10), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
@@ -401,6 +404,7 @@ def _stride_cases(draw):
 @example(case=(2 * _CHUNK + 7, 2 * _CHUNK + 7), drive="rwa", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(10 * _CHUNK + 3, 10), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @example(case=(4 * _CHUNK + 5, 2), drive="rwa", wt=-0.7, j0=0.9, omega=0.6)
+@example(case=(14 * _CHUNK + 5, 7), drive="cosine", wt=0.4, j0=1.2, omega=1.3)
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(case=_stride_cases(), drive=st.sampled_from(["cosine", "rwa"]),
        wt=st.floats(-2.0, 2.0), j0=st.floats(0.0, 2.0), omega=st.floats(0.2, 3.0))
@@ -409,6 +413,20 @@ def test_rk4_stride_matches_stride_one(case, drive, wt, j0, omega):
     # group products gives the rows and the drift of the plain scan
     _check_stride(Model(omega_tilde=wt, off=0.0, omega=omega,
                         drive=_drive(drive, j0, omega)), *case)
+
+
+@pytest.mark.parametrize("keep_every", [7, 10])
+def test_rk4_final_state_does_not_depend_on_stride(keep_every):
+    # chunks start at multiples of _CHUNK at every stride, so each step
+    # takes the same coupling and M_k; over 100 chunks of the cosine drive
+    # at dt 1e-3 the final state then differs from a one-row run only by
+    # the product order: at most 4.9e-15 over three configs (chunk edges
+    # that move with the stride give 8.7e-14 to 2.1e-13)
+    model = Model(omega_tilde=0.3, off=0.0, omega=1.0, drive=CosineDrive(0.9, 1.0))
+    c0 = np.array([0.6, 0.8j])
+    r1, r2, _ = _rk4_run(model, c0, 100 * _CHUNK, 1e-3, keep_every)
+    s1, s2, _ = _rk4_run(model, c0, 100 * _CHUNK, 1e-3, 100 * _CHUNK)
+    assert max(abs(r1[-1] - s1[-1]), abs(r2[-1] - s2[-1])) <= 2e-14
 
 
 @example(n=1, seed=0)
@@ -426,7 +444,7 @@ def test_scan_matches_sequential_product(n, seed):
     # differently, by up to about 2e-14 at 2 * _CHUNK + 1 rows
     rng = np.random.default_rng(seed)
     a, b = _step_matrices(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0, 2 * n + 1),
-                          rng.uniform(1e-4, 1e-2))
+                          rng.uniform(1e-4, 1e-2), np.empty((2, n), dtype=complex))
     ref_a, ref_b = np.empty_like(a), np.empty_like(b)
     pa = pb = 0j
     for k, (xa, xb) in enumerate(zip(a.tolist(), b.tolist())):
@@ -462,7 +480,7 @@ def test_step_matrices_closed_form(wt, frac, q):
     # dt up to the enforced bound 2 pi / max(Omega, max|omega_r|) / 200, Omega = 1
     dt = frac * 2.0 * math.pi / max(1.0, math.hypot(wt, np.max(np.abs(q)))) / 200.0
     ra, rb = _step_matrices_by_stages(wt, q, dt)
-    a, b = _step_matrices(wt, q, dt)
+    a, b = _step_matrices(wt, q, dt, np.empty((2, len(q) // 2), dtype=complex))
     scale = max(np.max(np.abs(ra)), np.max(np.abs(rb)))
     assert np.max(np.abs(a - ra)) <= 1e-14 * scale
     assert np.max(np.abs(b - rb)) <= 1e-14 * scale
