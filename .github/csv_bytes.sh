@@ -24,7 +24,12 @@
 # one partial.
 # Every report must carry a finite Richardson estimate and an r1
 # identity at round-off; the resonant configs put coupling zeros on the
-# r1 stencil. The writer formats a block of a run's distinct columns at
+# r1 stencil. A run's report must count the RK4 steps of its own config
+# when the oracle ran, every report's timing_s must hold finite,
+# non-negative seconds, and the two runs of a config (or a sweep) must
+# write the same reports once timing_s, the one entry that differs
+# between runs, is dropped.
+# The writer formats a block of a run's distinct columns at
 # once: oracle_current is the shape of a long oracle run (two tables
 # sharing t and current, about 4,000 rows over several blocks),
 # closed_only is one table with nothing shared, and the sweeps write their
@@ -127,5 +132,31 @@ off = [(d, r["richardson_error"], r["identities_max"]["r1"]) for d, r in reports
        if not (math.isfinite(r["richardson_error"]) and r["richardson_error"] <= 1e-8
                and r["identities_max"]["r1"] <= 1e-10)]
 print(f"{len(off)} reports miss richardson_error <= 1e-8 or r1 <= 1e-10", off)
-sys.exit(1 if bad or off else 0)
+
+def points(d):
+    """The reports a run or a sweep wrote: one, or one per sweep point."""
+    f = d / "report.json"
+    return [json.loads(f.read_text())] if f.exists() else \
+        json.loads((d / "sweep_report.json").read_text())
+
+untimed = lambda reps: [{k: v for k, v in r.items() if k != "timing_s"} for r in reps]
+steps, timing, differ = [], [], []
+for name in six + others:
+    first, second = (points(tmp / f"{name}{run}") for run in (1, 2))
+    if untimed(first) != untimed(second):
+        differ.append(name)
+    for r in first + second:
+        seconds = list(r["timing_s"].values())
+        if not seconds or not all(math.isfinite(v) and v >= 0.0 for v in seconds):
+            timing.append((name, r["timing_s"]))
+        if "config" in r:
+            c = r["config"]
+            oracle = {"oracle", "compare", "current"} & set(c["outputs"].split(","))
+            want = max(1, round(c["t_end"] / c["dt"])) if oracle else None
+            if r["diagnostics"].get("rk4_steps") != want:
+                steps.append((name, r["diagnostics"], want))
+print(f"{len(steps)} reports miss the RK4 steps of their config", steps)
+print(f"{len(timing)} reports hold a timing_s that is empty, negative or not finite", timing)
+print(f"{len(differ)} configs write reports that differ beyond timing_s", differ)
+sys.exit(1 if bad or off or steps or timing or differ else 0)
 EOF

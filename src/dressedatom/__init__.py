@@ -15,6 +15,8 @@ Library layout:
     acceptance  the acceptance-criteria suite (also via `dressedatom accept`)
 """
 
+__version__ = "0.1.0"  # set before the imports: scenario reports it
+
 from .config import BranchMode, Model
 from .drives import ConstantDrive, CosineDrive
 from .frames import (connection_dtheta, identity_residuals, mixing_angle,
@@ -35,5 +37,3 @@ __all__ = [
     "current_dynamics_check",
     "ScenarioConfig", "parse_config", "run_scenario", "sweep",
 ]
-
-__version__ = "0.1.0"

@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import (DomainError, DressedAtomError, InsufficientSpan,
                      ParseError, StepTooLarge, UnknownAxis, ValidationError)
 from .oracle import NORM_TOL
-from .scenario import OUTPUT_KINDS, config_doc, parse_config, run_scenario, sweep
+from .scenario import OUTPUT_KINDS, config_doc, parse_config, run_scenario, sweep, timed
 from .series import write_csv
 
 _USER_ERRORS = (ParseError, ValidationError, UnknownAxis, DomainError)
@@ -45,16 +45,16 @@ def _load_config(path: str):
 def _write_outputs(outdir: str, series: dict, report: dict, cfg) -> None:
     """Write the run's CSVs, streamed block by block, and report.json;
     remove the CSV of every output kind this run did not write, so that the
-    directory holds only what its report lists.  No other file is touched."""
+    directory holds only what its report lists.  No other file is touched.
+    The report's ``timing_s`` gains ``csv``, the seconds of ``write_csv``."""
+    report = dict(report, config=config_doc(cfg), timing_s=dict(report["timing_s"]))
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for kind in set(OUTPUT_KINDS) - set(series):
         (out / f"{kind}.csv").unlink(missing_ok=True)
     with ExitStack() as stack:
         files = [stack.enter_context((out / f"{kind}.csv").open("wb")) for kind in series]
-        write_csv(list(series.values()), files)
-    report = dict(report)
-    report["config"] = config_doc(cfg)
+        timed(report["timing_s"], "csv", write_csv, list(series.values()), files)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
 

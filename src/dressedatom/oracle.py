@@ -49,7 +49,13 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class StepReport:
+    """How ``propagate`` stepped: the step ``dt`` it took, the steps of the
+    main run and of its Richardson partner, the largest norm drift, the
+    Richardson estimate, and whether the drift is within ``NORM_TOL``."""
+
     dt: float
+    rk4_steps: int
+    partner_steps: int
     norm_drift: float
     richardson_error: float
     norm_ok: bool
@@ -61,9 +67,9 @@ class PropagationResult:
 
     ``u1``, ``u2`` are the traceless run's states at ``times``.  The frame
     amplitudes ``c1``, ``c2`` (with the phase of the mean level), ``norm``,
-    the dressed projections ``psi0_oracle``, ``psi1_oracle``, ``current``
-    and its slope ``dcurrent_dt`` are computed the first time they are
-    read, and then kept.
+    the dressed projections ``psi0_oracle``, ``psi1_oracle``, the population
+    ``p0``, ``current`` and its slope ``dcurrent_dt`` are computed the
+    first time they are read, and then kept.
     """
 
     times: np.ndarray
@@ -98,6 +104,12 @@ class PropagationResult:
     def psi0_oracle(self) -> np.ndarray:
         a_plus, a_minus = self._dressed()
         return (a_plus - a_minus) / 2j
+
+    @cached_property
+    def p0(self) -> np.ndarray:
+        """|sqrt(2) psi0_oracle|^2: the run starts from a unit-norm state, whose
+        dressed amplitudes are 1/sqrt(2), and the closed form from psi-bar = 1."""
+        return np.abs(math.sqrt(2.0) * self.psi0_oracle) ** 2
 
     @cached_property
     def psi1_oracle(self) -> np.ndarray:
@@ -395,8 +407,8 @@ def propagate(model: Model, c0, t_end: float, dt: float,
 
     return PropagationResult(
         times=times, u1=u1, u2=u2, model=model,
-        step_report=StepReport(dt=dt, norm_drift=drift, richardson_error=rich,
-                               norm_ok=drift <= NORM_TOL),
+        step_report=StepReport(dt=dt, rk4_steps=n_steps, partner_steps=n_p, norm_drift=drift,
+                               richardson_error=rich, norm_ok=drift <= NORM_TOL),
     )
 
 

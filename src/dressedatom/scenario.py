@@ -5,38 +5,57 @@ typo cannot silently fall back to a default.  ``parse_config`` reads the
 JSON of ``config_doc`` (the ``config`` entry of report.json) back to the
 same config.
 
-Output kinds and their CSV schemas:
+Each output kind is declared once, in ``_KINDS``, as its CSV columns after
+``t``.  A column is the output of a stage (the closed form, the oracle, the
+frame, compare, identities or the current fit), and ``run_scenario`` runs
+a stage at most once, when a column first reads it.
 
-    frame      t, omega_r, cos_theta, sin_theta, dtheta_dt
-    closed     t, re_Z, im_Z, p0_raw, p0_norm
-    oracle     t, re_c1, im_c1, re_c2, im_c2, norm, p0_oracle, current
-    compare    t, closed_p0, oracle_p0, abs_diff
-    identities t, r1, r2, r3 [, re_eq24, im_eq24, im_eq24_gap]
-    current    t, current, dcurrent_dt
-
-``p0_oracle`` and the compare column are 2*|psi0_oracle|^2: the oracle
-prepares a unit-norm bare state (dressed amplitudes 1/sqrt(2)), while the
-closed form uses the psi-bar = 1 convention, so oracle populations are
-rescaled by 2 for comparison.  ``closed_p0`` in compare is the raw
-(unnormalised) |psi0|^2; the run report records this choice.
+``p0_oracle`` in oracle and ``oracle_p0`` in compare are one array,
+|sqrt(2) psi0_oracle|^2: the oracle prepares a unit-norm bare state
+(dressed amplitudes 1/sqrt(2)), while the closed form uses the psi-bar = 1
+convention, so oracle populations are rescaled by 2 for comparison.
+``closed_p0`` in compare is the raw (unnormalised) |psi0|^2; the run
+report records this choice.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import closedform, frames, oracle
+from . import __version__, closedform, frames, oracle
 from .config import BranchMode, Model
 from .drives import ConstantDrive, CosineDrive
 from .errors import (DegenerateFrameError, DressedAtomError, ParseError,
                      UnknownAxis, ValidationError)
 from .series import TimeSeries
 
-OUTPUT_KINDS = ("frame", "closed", "oracle", "compare", "identities", "current")
+# Each output kind is its columns after t, each read from a stage output by
+# its path: the stage's name, then attributes of what the stage returned.
+# The eq24 columns (the printed integrand, taken literally) are the cosine
+# drive's only.
+_KINDS = {
+    "frame": {"omega_r": "frame.omega_r", "cos_theta": "frame.cos_theta",
+              "sin_theta": "frame.sin_theta", "dtheta_dt": "frame.dtheta_dt"},
+    "closed": {"re_Z": "closed.phase.real", "im_Z": "closed.phase.imag",
+               "p0_raw": "closed.p0_raw", "p0_norm": "closed.p0_norm"},
+    "oracle": {"re_c1": "oracle.c1.real", "im_c1": "oracle.c1.imag",
+               "re_c2": "oracle.c2.real", "im_c2": "oracle.c2.imag", "norm": "oracle.norm",
+               "p0_oracle": "oracle.p0", "current": "oracle.current"},
+    "compare": {"closed_p0": "closed.p0_raw", "oracle_p0": "oracle.p0",
+                "abs_diff": "compare.abs_diff"},
+    "identities": {"r1": "identities.r1", "r2": "identities.r2", "r3": "identities.r3",
+                   "re_eq24": "identities.re_eq24", "im_eq24": "identities.im_eq24",
+                   "im_eq24_gap": "identities.im_eq24_gap"},
+    "current": {"current": "oracle.current", "dcurrent_dt": "current_fit.dcurrent_dt"},
+}
+OUTPUT_KINDS = tuple(_KINDS)
 _DRIVES = ("cosine", "rwa", "constant")
 _BRANCHES = {"smooth": BranchMode.SMOOTH_CONTINUATION,
              "positive": BranchMode.POSITIVE_ROOT}
@@ -195,108 +214,110 @@ def _identities_max(r1, r2, r3) -> dict:
     return {"r1": _finite_max(r1), "r2": _finite_max(r2), "r3": _finite_max(r3)}
 
 
+def timed(timing: dict, name: str, fn, *args):
+    """fn(*args), with its seconds added to ``timing[name]``."""
+    start = time.perf_counter()
+    value = fn(*args)
+    timing[name] = timing.get(name, 0.0) + (time.perf_counter() - start)
+    return value
+
+
+def _read(path: str, stages: dict, done: dict, timing: dict):
+    """The stage output at ``path``; the stage runs on the first read, and
+    ``done`` keeps what it returned.  Its inputs are read before its timer
+    starts, and a read is timed to the stage read (an output such as the
+    oracle's c1 is computed on first read), so each stage's entry in
+    ``timing`` is its own.  A module function, not a closure: a recursive
+    closure is a reference cycle, which would hold a run's arrays until
+    the cyclic collector runs."""
+    name, *attrs = path.split(".")
+    if name not in done:
+        stage, inputs = stages[name]
+        done[name] = timed(timing, name, stage, *[_read(p, stages, done, timing) for p in inputs])
+    return timed(timing, name, reduce, getattr, attrs, done[name])
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
     """Produce the requested output series plus a scalar report.
 
     Deterministic for a fixed config: fixed-step RK4, a closed-form phase,
-    and 17-significant-digit CSV serialisation.
+    and 17-significant-digit CSV serialisation.  The report's ``timing_s``
+    holds each stage's seconds (the reads of its outputs included) and the
+    ``total``; it is the only entry that differs between runs.
     """
+    start = time.perf_counter()
     model = cfg.validate()
-    wanted = cfg.output_list()
+    kinds = {kind: {name: path for name, path in cols.items()
+                    if cfg.drive == "cosine" or "eq24" not in name}
+             for kind, cols in _KINDS.items() if kind in cfg.output_list()}
     report: dict = {
         "detuning": model.omega_tilde,
         "population_convention":
             "closed p0_raw uses psi_bar=1; oracle p0 rescaled by 2 to match",
+        "diagnostics": {"version": __version__},
     }
-    out: dict[str, TimeSeries] = {}
-
-    schemas = {
-        "frame": ["t", "omega_r", "cos_theta", "sin_theta", "dtheta_dt"],
-        "closed": ["t", "re_Z", "im_Z", "p0_raw", "p0_norm"],
-        "oracle": ["t", "re_c1", "im_c1", "re_c2", "im_c2", "norm",
-                   "p0_oracle", "current"],
-        "compare": ["t", "closed_p0", "oracle_p0", "abs_diff"],
-        "identities": ["t", "r1", "r2", "r3"],
-        "current": ["t", "current", "dcurrent_dt"],
-    }
-    if cfg.drive == "cosine" and "identities" in wanted:
-        schemas["identities"] += ["re_eq24", "im_eq24", "im_eq24_gap"]
+    timing = report["timing_s"] = {}
 
     if cfg.t_end == 0.0:
         empty = np.empty(0)
-        for kind in wanted:
-            out[kind] = TimeSeries(schemas[kind], [empty] * len(schemas[kind]))
         report["empty"] = True
         # an empty span still reports what its kinds report, as zeros
-        if "compare" in wanted:
+        if "compare" in kinds:
             report["compare"] = oracle.compare(empty, empty)
-        if "identities" in wanted:
+        if "identities" in kinds:
             report["identities_max"] = _identities_max(empty, empty, empty)
-        return out, report
+        timing["total"] = time.perf_counter() - start
+        return {kind: TimeSeries(["t", *cols], [empty] * (1 + len(cols)))
+                for kind, cols in kinds.items()}, report
 
     ts = oracle.output_grid(cfg.t_end, cfg.dt, cfg.output_stride)
 
-    closed = None
-    if {"closed", "compare"} & set(wanted):
-        closed = closedform.dressed_series(model, ts)
-
-    prop = None
-    if {"oracle", "compare", "current"} & set(wanted):
+    # the stages call through their modules, so that a caller may rebind them
+    def propagate():
         prop = oracle.propagate(model, _initial_state(cfg, model), cfg.t_end,
                                 cfg.dt, output_stride=cfg.output_stride)
-        report["norm_drift"] = prop.step_report.norm_drift
-        report["richardson_error"] = prop.step_report.richardson_error
-        report["norm_ok"] = prop.step_report.norm_ok
+        steps = vars(prop.step_report)
+        report.update((k, steps[k]) for k in ("norm_drift", "richardson_error", "norm_ok"))
+        report["diagnostics"].update((k, steps[k]) for k in ("dt", "rk4_steps", "partner_steps"))
+        return prop
 
-    # a column that tables share is one array (t, p0_raw, current): CSV formats it once
-    if "frame" in wanted:
-        fr = frames.frame_series(model, ts)
-        out["frame"] = TimeSeries(schemas["frame"], [
-            ts, fr["omega_r"], fr["cos_theta"], fr["sin_theta"], fr["dtheta_dt"]])
+    def compare(closed, prop):
+        report["compare"] = oracle.compare(closed.psi0, math.sqrt(2.0) * prop.psi0_oracle)
+        return SimpleNamespace(abs_diff=np.abs(closed.p0_raw - prop.p0))
 
-    if "closed" in wanted:
-        out["closed"] = TimeSeries(schemas["closed"], [
-            ts, closed.phase.real, closed.phase.imag, closed.p0_raw,
-            closed.p0_norm])
-
-    if "oracle" in wanted:
-        p0o = 2.0 * np.abs(prop.psi0_oracle) ** 2
-        out["oracle"] = TimeSeries(schemas["oracle"], [
-            ts, prop.c1.real, prop.c1.imag, prop.c2.real, prop.c2.imag,
-            prop.norm, p0o, prop.current])
-
-    if "compare" in wanted:
-        psi0_scaled = math.sqrt(2.0) * prop.psi0_oracle
-        report["compare"] = oracle.compare(closed.psi0, psi0_scaled)
-        oracle_p0 = np.abs(psi0_scaled) ** 2
-        out["compare"] = TimeSeries(schemas["compare"], [
-            ts, closed.p0_raw, oracle_p0, np.abs(closed.p0_raw - oracle_p0)])
-
-    if "identities" in wanted:
+    def identities():
         r1, r2, r3 = frames.identity_residuals(model, ts)
-        cols = [ts, r1, r2, r3]
+        report["identities_max"] = _identities_max(r1, r2, r3)
+        out = SimpleNamespace(r1=r1, r2=r2, r3=r3)
         if cfg.drive == "cosine":
-            re24 = np.full(len(ts), np.nan)
-            im24 = np.full(len(ts), np.nan)
+            out.re_eq24, out.im_eq24 = np.full(len(ts), np.nan), np.full(len(ts), np.nan)
             # the printed form takes the positive root
             positive = replace(model, branch=BranchMode.POSITIVE_ROOT)
             ok = frames.rabi_frequency(positive, ts) > 1e-9
             eq24 = closedform.psi0_gamma_zero_integrand(model, ts[ok])
-            re24[ok], im24[ok] = eq24.real, eq24.imag
-            dth = frames.connection_dtheta(model, ts)
-            cols += [re24, im24, np.abs(im24 - dth)]
-        out["identities"] = TimeSeries(schemas["identities"], cols)
-        report["identities_max"] = _identities_max(r1, r2, r3)
+            out.re_eq24[ok], out.im_eq24[ok] = eq24.real, eq24.imag
+            out.im_eq24_gap = np.abs(out.im_eq24 - frames.connection_dtheta(model, ts))
+        return out
 
-    if "current" in wanted:
-        out["current"] = TimeSeries(schemas["current"],
-                                    [ts, prop.current, prop.dcurrent_dt])
+    def current_fit(prop):
         try:
             report["current_fit"] = oracle.current_dynamics_check(prop, model)
         except DressedAtomError as exc:  # InsufficientSpan stays a report entry
-            report["current_fit"] = {"status": type(exc).__name__,
-                                     "detail": str(exc)}
+            report["current_fit"] = {"status": type(exc).__name__, "detail": str(exc)}
+        return prop  # the current kind reads dcurrent_dt through the fit, so the fit runs
 
+    # name: (stage, the stages whose outputs it takes)
+    stages = {"closed": (lambda: closedform.dressed_series(model, ts), ()),
+              "oracle": (propagate, ()),
+              "frame": (lambda: SimpleNamespace(**frames.frame_series(model, ts)), ()),
+              "compare": (compare, ("closed", "oracle")),
+              "identities": (identities, ()), "current_fit": (current_fit, ("oracle",))}
+    done: dict = {}
+    # a column that tables share is one array (t, p0_raw, p0, current): CSV formats it once
+    out = {kind: TimeSeries(["t", *cols], [ts] + [_read(path, stages, done, timing)
+                                                  for path in cols.values()])
+           for kind, cols in kinds.items()}
+    timing["total"] = time.perf_counter() - start
     return out, report
 
 

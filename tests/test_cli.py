@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import dressedatom
 from dressedatom.cli import build_parser, main
+from dressedatom.oracle import _CHUNK, step_count
 from dressedatom.scenario import _SWEEPABLE, OUTPUT_KINDS
 
 
@@ -49,6 +51,34 @@ def test_run_deterministic_bytes(rwa_config, tmp_path):
     assert main(["run", str(rwa_config), "--out", str(out2)]) == 0
     for name in ("closed.csv", "oracle.csv", "compare.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 2 * _CHUNK + 1])
+def test_report_says_what_produced_it(n, tmp_path):
+    # the package version, the step the oracle took and the steps of its
+    # main run and of the Richardson partner (two half steps for one step,
+    # ceil(n/2) otherwise); two runs differ only in timing_s
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9,
+                               "dt": 1e-3, "t_end": n * 1e-3, "outputs": "oracle"}))
+    reports = []
+    for out in ("a", "b"):
+        assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == 0
+        reports.append(json.loads((tmp_path / out / "report.json").read_text()))
+    report = reports[0]
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    version = re.search(r'^version = "(.*)"$', pyproject, re.M).group(1)
+    diag = report["diagnostics"]
+    assert diag["version"] == dressedatom.__version__ == version
+    t_end, dt = report["config"]["t_end"], report["config"]["dt"]
+    assert diag["rk4_steps"] == step_count(t_end, dt) == n
+    assert diag["partner_steps"] == (2 if n == 1 else -(-n // 2))
+    assert diag["dt"] == t_end / diag["rk4_steps"]
+    timings = [rep.pop("timing_s") for rep in reports]
+    assert reports[0] == reports[1]
+    for timing in timings:
+        assert set(timing) == {"oracle", "total", "csv"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in timing.values())
 
 
 def test_parser_is_built_once():

@@ -1,5 +1,6 @@
 """Config surface, scenario runs, sweeps, CSV determinism."""
 
+import gc
 import io
 import json
 import tracemalloc
@@ -187,7 +188,8 @@ _WASHOUT_DOC = {"drive": "cosine", "omega_tilde": 0.02, "j0": 0.1, "omega": 1.0,
 def test_compare_only_run_derives_only_what_compare_reads(monkeypatch):
     # the closed form and the oracle derive their arrays on first read, so
     # a compare-only run never takes cos Z, the mean-level phase, c1, c2,
-    # the norm, the current or the oracle's psi1
+    # the norm, the current or the oracle's psi1; and a stage runs only when
+    # a column reads it, so the report times only the stages that ran
     from dressedatom import closedform, oracle
     made = []
 
@@ -199,13 +201,33 @@ def test_compare_only_run_derives_only_what_compare_reads(monkeypatch):
 
     monkeypatch.setattr(closedform, "dressed_series", keep(closedform.dressed_series))
     monkeypatch.setattr(oracle, "propagate", keep(oracle.propagate))
-    run_scenario(parse_config(json.dumps({**_WASHOUT_DOC, "outputs": "compare"})))
+    _, report = run_scenario(parse_config(json.dumps({**_WASHOUT_DOC, "outputs": "compare"})))
     closed, prop = made
     assert set(vars(closed)) == {"t", "phase", "psi0", "p0_raw"}
     assert "psi0_oracle" in vars(prop)
     for name in ("_mean_phase", "c1", "c2", "norm", "current", "dcurrent_dt",
                  "psi1_oracle"):
         assert name not in vars(prop)
+    assert set(report["timing_s"]) == {"closed", "oracle", "compare", "total"}
+    _, report = run_scenario(parse_config(json.dumps({**_WASHOUT_DOC,
+                                                      "outputs": "identities"})))
+    assert len(made) == 2
+    assert set(report["timing_s"]) == {"identities", "total"}
+
+
+def test_run_leaves_no_reference_cycle():
+    # a run's arrays are freed with its outputs: nothing run_scenario builds
+    # refers back to itself, which would hold the arrays until the cyclic
+    # collector runs and raise the memory peak of a sweep
+    cfg = parse_config(json.dumps({"t_end": 3.0, "outputs": ALL_OUTPUTS}))
+    run_scenario(cfg)
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_compare_table_does_not_depend_on_the_other_outputs():
@@ -241,6 +263,7 @@ def test_rwa_is_the_constant_envelope(wt, j0, omega):
         except DressedAtomError as exc:  # wt = j0 = 0 has no mixing angle
             return repr(exc)
         assert sorted(series) == sorted(ALL_OUTPUTS.split(","))
+        del report["timing_s"]  # the one entry that differs between runs
         return ({k: ts.to_csv() for k, ts in series.items()},
                 json.dumps(report, sort_keys=True))
 

@@ -106,9 +106,9 @@ def test_write_csv_matches_fstring_property(tables):
 
 
 def test_write_csv_formats_each_distinct_column_once(monkeypatch):
-    # a cosine run with all six outputs has 32 columns, of which 25 are
+    # a cosine run with all six outputs has 32 columns, of which 24 are
     # distinct: t is in every table, current in two, closed p0_raw is
-    # compare closed_p0
+    # compare closed_p0, and oracle p0_oracle is compare oracle_p0
     doc = {"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
            "outputs": ",".join(OUTPUT_KINDS)}
     outputs, _ = run_scenario(parse_config(json.dumps(doc)))
@@ -119,8 +119,8 @@ def test_write_csv_formats_each_distinct_column_once(monkeypatch):
     fields = series._fields
     monkeypatch.setattr(series, "_fields", lambda v: formatted.append(v.size) or fields(v))
     write_csv(tables, [io.BytesIO() for _ in tables])
-    assert sum(formatted) == 25 * n_rows
-    assert len(formatted) == -(-25 * n_rows // (_BLOCK_VALUES // 25 * 25))
+    assert sum(formatted) == 24 * n_rows
+    assert len(formatted) == -(-24 * n_rows // (_BLOCK_VALUES // 24 * 24))
 
 
 def test_write_csv_needs_one_row_count():
