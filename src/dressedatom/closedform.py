@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import BranchMode, Model
 from .drives import CosineDrive
-from .errors import DegenerateFrameError, DomainError
+from .errors import DomainError
 from .frames import theta_of_t
 
 # 7 duplications reach round-off in _ellipe for every 0 <= m < 1 and
@@ -153,8 +153,10 @@ def psi0_gamma_zero_integrand(model: Model, t):
     part must match the connection (up to the sign it carries where the
     cosine is negative); any pointwise gap is what the identities report
     records.  A scalar ``t`` gives a complex, an array of times a complex
-    array; a radicand zero anywhere raises for the first such time.  The
-    printed form uses the positive root, so it takes no branch mode.
+    array.  The form is undefined where the radicand vanishes: it is NaN
+    (real and imaginary part) where |omega_r| <= 1e-9 or |omega_r| is
+    below the model's ``deg_floor``.  The printed form uses the positive
+    root, so it takes no branch mode.
     """
     drive = model.drive
     if not isinstance(drive, CosineDrive):
@@ -163,16 +165,16 @@ def psi0_gamma_zero_integrand(model: Model, t):
     wt = model.omega_tilde
     j = drive.frame_coupling(t)
     wr = np.hypot(wt, j)
-    bad = wr < model.deg_floor
-    if np.any(bad):
-        raise DegenerateFrameError(f"radicand zero at t={t[bad].flat[0]}")
+    bad = (wr <= 1e-9) | (wr < model.deg_floor)
     # j^2 / (wt + |omega_r|) equals |omega_r| - wt; for wt < 0 the printed
     # quotient cancels near every coupling zero and is 0/0 on one
-    denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
-    imag = wt * drive.frame_coupling_rate(t) / (2.0 * wr * denom)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the rows set to NaN
+        denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
+        imag = wt * drive.frame_coupling_rate(t) / (2.0 * wr * denom)
     if t.ndim == 0:
-        return complex(wr, imag)
+        return complex(math.nan, math.nan) if bad else complex(wr, imag)
     # real and imaginary parts set apart: wr + 1j*imag would turn -0 into 0
     out = np.empty(t.shape, dtype=complex)
     out.real, out.imag = wr, imag
+    out[bad] = complex(math.nan, math.nan)
     return out

@@ -70,6 +70,10 @@ class PropagationResult:
     the dressed projections ``psi0_oracle``, ``psi1_oracle``, the population
     ``p0``, ``current`` and its slope ``dcurrent_dt`` are computed the
     first time they are read, and then kept.
+
+    The projections are on the closed form's psi-bar = 1 scale: sqrt(2)
+    times those of the unit-norm state the run carries, whose dressed
+    amplitudes start at 1/sqrt(2).
     """
 
     times: np.ndarray
@@ -103,18 +107,17 @@ class PropagationResult:
     @cached_property
     def psi0_oracle(self) -> np.ndarray:
         a_plus, a_minus = self._dressed()
-        return (a_plus - a_minus) / 2j
+        return math.sqrt(2.0) * ((a_plus - a_minus) / 2j)
 
     @cached_property
     def p0(self) -> np.ndarray:
-        """|sqrt(2) psi0_oracle|^2: the run starts from a unit-norm state, whose
-        dressed amplitudes are 1/sqrt(2), and the closed form from psi-bar = 1."""
-        return np.abs(math.sqrt(2.0) * self.psi0_oracle) ** 2
+        """|psi0_oracle|^2, comparable with the closed form's p0_raw."""
+        return np.abs(self.psi0_oracle) ** 2
 
     @cached_property
     def psi1_oracle(self) -> np.ndarray:
         a_plus, a_minus = self._dressed()
-        return (a_plus + a_minus) / 2.0
+        return math.sqrt(2.0) * ((a_plus + a_minus) / 2.0)
 
     @cached_property
     def current(self) -> np.ndarray:
@@ -130,8 +133,9 @@ class PropagationResult:
 def initial_state_for_psi_frame(model: Model) -> np.ndarray:
     """Unit-norm state (c1, c2) whose dressed amplitudes are a+ = a- = 1/sqrt(2).
 
-    c(0) = U^-1(theta(0)) (1, 1)^T / sqrt(2); the occupied-state projection
-    psi1 starts at 1/sqrt(2) and psi0 at exactly zero.
+    c(0) = U^-1(theta(0)) (1, 1)^T / sqrt(2); on the psi-bar = 1 scale the
+    occupied-state projection psi1_oracle starts at 1 and psi0_oracle at
+    exactly zero.
     """
     cth, sth = mixing_angle(model, 0.0)
     inv = 1.0 / math.sqrt(2.0)

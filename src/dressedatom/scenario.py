@@ -10,12 +10,10 @@ Each output kind is declared once, in ``_KINDS``, as its CSV columns after
 frame, compare, identities or the current fit), and ``run_scenario`` runs
 a stage at most once, when a column first reads it.
 
-``p0_oracle`` in oracle and ``oracle_p0`` in compare are one array,
-|sqrt(2) psi0_oracle|^2: the oracle prepares a unit-norm bare state
-(dressed amplitudes 1/sqrt(2)), while the closed form uses the psi-bar = 1
-convention, so oracle populations are rescaled by 2 for comparison.
-``closed_p0`` in compare is the raw (unnormalised) |psi0|^2; the run
-report records this choice.
+``p0_oracle`` in oracle and ``oracle_p0`` in compare are one array, the
+oracle's ``p0``.  ``closed_p0`` in compare is the raw (unnormalised)
+|psi0|^2 of the closed form, on the psi-bar = 1 scale that the oracle's
+projections share; the run report records this choice.
 """
 
 from __future__ import annotations
@@ -170,18 +168,16 @@ def parse_config(text: str) -> ScenarioConfig:
 
     kwargs = {}
     for key, value in raw.items():
-        if key not in _FIELD_TYPES:
+        kind = _FIELD_TYPES.get(key)
+        if kind is None:
             raise ParseError(f"unknown config key {key!r}")
-        if key in ("drive", "branch", "outputs", "initial_state"):
-            if not isinstance(value, str):
-                raise ParseError(f"key {key!r} must be a string")
-            kwargs[key] = value
-        elif key == "output_stride":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError("output_stride must be an integer")
-            kwargs[key] = value
-        else:
-            kwargs[key] = _number(key, value)
+        if kind == "float":
+            value = _number(key, value)
+        elif kind == "str" and not isinstance(value, str):
+            raise ParseError(f"key {key!r} must be a string")
+        elif kind == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise ParseError(f"{key} must be an integer")
+        kwargs[key] = value
     cfg = ScenarioConfig(**kwargs)
     if wt is not None:
         cfg = cfg.with_omega_tilde(wt)
@@ -282,7 +278,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         return prop
 
     def compare(closed, prop):
-        report["compare"] = oracle.compare(closed.psi0, math.sqrt(2.0) * prop.psi0_oracle)
+        report["compare"] = oracle.compare(closed.psi0, prop.psi0_oracle)
         return SimpleNamespace(abs_diff=np.abs(closed.p0_raw - prop.p0))
 
     def identities():
@@ -290,12 +286,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
         report["identities_max"] = _identities_max(r1, r2, r3)
         out = SimpleNamespace(r1=r1, r2=r2, r3=r3)
         if cfg.drive == "cosine":
-            out.re_eq24, out.im_eq24 = np.full(len(ts), np.nan), np.full(len(ts), np.nan)
-            # the printed form takes the positive root
-            positive = replace(model, branch=BranchMode.POSITIVE_ROOT)
-            ok = frames.rabi_frequency(positive, ts) > 1e-9
-            eq24 = closedform.psi0_gamma_zero_integrand(model, ts[ok])
-            out.re_eq24[ok], out.im_eq24[ok] = eq24.real, eq24.imag
+            eq24 = closedform.psi0_gamma_zero_integrand(model, ts)
+            out.re_eq24, out.im_eq24 = eq24.real, eq24.imag
             out.im_eq24_gap = np.abs(out.im_eq24 - frames.connection_dtheta(model, ts))
         return out
 

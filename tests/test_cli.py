@@ -269,6 +269,26 @@ def test_identities_at_negative_detuning(doc, tmp_path, capsys):
         assert np.all(np.isfinite(data[:, header.index(name)])), name
 
 
+def test_eq24_rows_below_the_degeneracy_floor_are_nan(tmp_path, capsys):
+    # omega is pi/2 + 1e-13, so at t = 1 the coupling j0 cos(omega) is
+    # about -1e-7: above 1e-9 but below the model's deg_floor (1e-12 j0 =
+    # 1e-6), where the literal eq24 form is undefined; the run still
+    # succeeds, with NaN rows there
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"omega_tilde": 0, "j0": 1e6, "omega": 1.5707963267949966,
+                               "t_end": 1, "dt": 1, "output_stride": 1,
+                               "outputs": "identities"}))
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header = (out / "identities.csv").read_text().splitlines()[0].split(",")
+    data = np.loadtxt(out / "identities.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert data[:, 0].tolist() == [0.0, 1.0]
+    for name in ("re_eq24", "im_eq24", "im_eq24_gap"):
+        col = data[:, header.index(name)]
+        assert np.isfinite(col[0]) and np.isnan(col[1]), name
+
+
 def test_package_and_cli_import_no_scipy(tmp_path):
     # no command needs scipy; a fresh interpreter shows what importing the
     # package and the CLI, running the closed form on every path of the

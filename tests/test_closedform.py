@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
                          ScenarioConfig, psi0_gamma_zero_integrand)
 from dressedatom.closedform import dressed_series, phase_series
 from dressedatom.config import DEG_EPS, RAD_EPS
-from dressedatom.errors import DegenerateFrameError, DomainError
+from dressedatom.errors import DomainError
 from dressedatom.frames import connection_dtheta, rabi_frequency
 from dressedatom.scenario import dominant_frequency, parse_config, run_scenario
 
@@ -292,21 +293,28 @@ def test_literal_integrand_wrong_drive():
 
 
 def test_literal_integrand_degenerate_at_radicand_zero():
-    with pytest.raises(DegenerateFrameError):
-        psi0_gamma_zero_integrand(Model.of(CosineDrive(1.0, 1.0), 0.0), math.pi / 2)
+    # NaN where |omega_r| <= 1e-9 (here ~6e-17), and where |omega_r| is
+    # above 1e-9 but below the model's deg_floor (here ~1e-7 < 1e-6, at
+    # omega = pi/2 + 1e-13)
+    for model, t in ((Model.of(CosineDrive(1.0, 1.0), 0.0), math.pi / 2),
+                     (Model.of(CosineDrive(1e6, 1.5707963267949966), 0.0), 1.0)):
+        val = psi0_gamma_zero_integrand(model, t)
+        assert type(val) is complex
+        assert math.isnan(val.real) and math.isnan(val.imag)
 
 
 def _literal_integrand_loop(model, ts):
     """psi0_gamma_zero_integrand one time at a time with the math module:
-    the reference for its array form."""
+    the reference for its array form, NaN where the radicand vanishes."""
     wt, drive = model.omega_tilde, model.drive
     scale = max(drive.coupling_scale(), abs(wt), 1.0)
     out = []
     for t in ts:
         j = drive.j0 * math.cos(drive.omega * t)
         wr = math.hypot(wt, j)
-        if wr < DEG_EPS * scale:
-            raise DegenerateFrameError(f"radicand zero at t={t}")
+        if wr <= 1e-9 or wr < DEG_EPS * scale:
+            out.append(complex(math.nan, math.nan))
+            continue
         denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
         imag = -wt * (drive.j0 * drive.omega * math.sin(drive.omega * t)) / (2.0 * wr * denom)
         out.append(complex(wr, imag))
@@ -340,10 +348,18 @@ def test_literal_integrand_array_matches_scalar(wt, j0, omega, ts):
         _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in ref], 1e-15)
 
 
-def test_literal_integrand_array_degenerate_raises_for_first_time():
-    with pytest.raises(DegenerateFrameError, match=f"t={math.pi / 2}"):
-        psi0_gamma_zero_integrand(Model.of(CosineDrive(1.0, 1.0), 0.0),
-                                  np.array([0.3, math.pi / 2, 1.5 * math.pi]))
+def test_literal_integrand_array_nan_at_radicand_zero():
+    # every radicand zero of the array is a NaN row; the rows between them
+    # are the scalar values
+    model = Model.of(CosineDrive(1.0, 1.0), 0.0)
+    ts = np.array([0.3, math.pi / 2, 1.5 * math.pi, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        arr = psi0_gamma_zero_integrand(model, ts)
+    assert np.array_equal(np.isnan(arr.real), [False, True, True, False])
+    assert np.array_equal(np.isnan(arr.imag), np.isnan(arr.real))
+    assert arr[0] == psi0_gamma_zero_integrand(model, 0.3)
+    assert arr[3] == psi0_gamma_zero_integrand(model, 2.0)
 
 
 def test_literal_integrand_degenerate_where_denominator_rounds_to_zero():
@@ -369,9 +385,7 @@ def test_identities_eq24_columns_match_row_loop(wt, omega):
     ident = series["identities"]
     model = cfg.model()
     ts = ident.t
-    ref = np.array([_literal_integrand_loop(model, [t])[0]
-                    if abs(rabi_frequency(model, t)) > 1e-9
-                    else complex(np.nan, np.nan) for t in ts])
+    ref = np.array(_literal_integrand_loop(model, ts))
     gap = np.abs(ref.imag - connection_dtheta(model, ts))
     _assert_same_parts(ident.column("re_eq24"), ref.real, 1e-15)
     _assert_same_parts(ident.column("im_eq24"), ref.imag, 1e-15)

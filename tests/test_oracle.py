@@ -118,13 +118,13 @@ def test_output_grid_lands_on_t_end():
 
 
 def test_propagate_rwa_matches_jaynes_cummings():
-    # the pair Hamiltonian is exactly solvable; the dressed projection must
-    # reproduce |sin(omega_r t)|/sqrt(2) over many periods
+    # the pair Hamiltonian is exactly solvable; the dressed projection, on
+    # the psi-bar = 1 scale, must reproduce |sin(omega_r t)| over many periods
     model = Model.of(ConstantDrive(0.8), 0.6)
     c0 = initial_state_for_psi_frame(model)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=10)
-    target = np.abs(np.sin(1.0 * res.times)) / math.sqrt(2)
+    target = np.abs(np.sin(1.0 * res.times))
     assert np.max(np.abs(np.abs(res.psi0_oracle) - target)) <= 1e-6
     assert res.step_report.norm_drift <= 1e-8
     assert res.step_report.norm_ok
@@ -259,8 +259,7 @@ def test_resonance_equivalence_to_closed_form():
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 4 * math.pi, dt, output_stride=10)
     closed = dressed_series(model, res.times)
-    assert np.max(np.abs(closed.p0_raw
-                         - 2.0 * np.abs(res.psi0_oracle) ** 2)) <= 1e-6
+    assert np.max(np.abs(closed.p0_raw - res.p0)) <= 1e-6
 
 
 # ------------------------------------------------------- chunked RK4 scan
@@ -496,8 +495,7 @@ def test_common_level_shift_leaves_populations(shift, wt, j0, drive):
     dt = enforced_step_bound(base) / 2
     a, b = (propagate(m, initial_state_for_psi_frame(m), 4.0, dt, output_stride=10)
             for m in (base, shifted))
-    p0a, p0b = (2.0 * np.abs(r.psi0_oracle) ** 2 for r in (a, b))
-    assert np.max(np.abs(p0a - p0b)) <= 1e-9
+    assert np.max(np.abs(a.p0 - b.p0)) <= 1e-9
     assert np.max(np.abs(a.norm - b.norm)) <= 1e-9
     assert b.step_report.norm_ok
     assert abs(a.step_report.norm_drift - b.step_report.norm_drift) <= 1e-12
@@ -584,7 +582,7 @@ def test_compare_rwa_closed_vs_oracle():
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=10)
     closed = dressed_series(model, res.times)
-    rep = compare(closed.psi0, math.sqrt(2.0) * res.psi0_oracle)
+    rep = compare(closed.psi0, res.psi0_oracle)
     assert rep["MaxAbs"] <= 1e-6
     assert abs(rep["PhaseSlip"]) <= 1e-9
 

@@ -4,7 +4,7 @@ import gc
 import io
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -47,6 +47,21 @@ def test_parse_rejects_unknown_key():
 def test_parse_rejects_bad_json():
     with pytest.raises(ParseError, match="line"):
         parse_config('{"drive": cosine}')
+
+
+# a value of the wrong JSON type for every key: a number for a string key,
+# a string or true for a number, 1.5 or true for the integer output_stride
+_WRONG_JSON = {"str": [1.0], "float": ["1.0", True], "int": [1.5, True]}
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key, kind in [(f.name, f.type) for f in fields(ScenarioConfig)] + [("omega_tilde", "float")]
+    for value in _WRONG_JSON[kind]])
+def test_parse_rejects_wrong_json_type(key, value):
+    with pytest.raises(ParseError) as exc:
+        parse_config(json.dumps({key: value}))
+    assert key in str(exc.value)
 
 
 def test_parse_omega_tilde_convenience():
