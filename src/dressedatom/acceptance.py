@@ -203,11 +203,11 @@ _SPAN_EDGES = np.concatenate(([0.0], _HALVINGS, 1.0 - _HALVINGS[-2::-1], [1.0]))
 def _abs_rabi_integral(wt: float, j0: float, omega: float, t: float) -> float:
     """Integral of sqrt(wt^2 + j0^2 cos^2(omega s)) over [0, t], by composite
     40-point Gauss-Legendre, independent of the closed form.  The spans
-    between coupling zeros (where the integrand has a kink, and complex
-    singularities close by when wt << j0) are each cut at points halved 12
-    times toward both ends."""
-    cuts = np.concatenate(
-        ([0.0], CosineDrive(j0, omega).coupling_zero_times(0.0, t), [t]))
+    between the coupling zeros (k + 1/2) pi / omega in (0, t] (where the
+    integrand has a kink, and complex singularities close by when
+    wt << j0) are each cut at points halved 12 times toward both ends."""
+    zeros = (np.arange(math.floor(omega * t / math.pi - 0.5) + 1) + 0.5) * math.pi / omega
+    cuts = np.concatenate(([0.0], zeros, [t]))
     edges = (cuts[:-1, None] + np.diff(cuts)[:, None] * _SPAN_EDGES).ravel()
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     s = mid[:, None] + half[:, None] * _GL_X

@@ -106,7 +106,7 @@ def phase_series(model: Model, ts: np.ndarray) -> np.ndarray:
     else:
         m = (drive.j0 / amp) ** 2
         phi = drive.omega * ts
-        n = np.rint(phi / math.pi)
+        n = np.rint(phi / math.pi)  # drive.coupling_zero_count(ts) when j0 > 0
         e, e_complete = _ellipe(phi - n * math.pi, m)
         if model.crossing and model.branch is BranchMode.SMOOTH_CONTINUATION:
             e = np.where(n % 2 == 0, e, -e)

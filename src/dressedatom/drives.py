@@ -16,9 +16,10 @@ times in, the matching shape out):
   function of t0, built once for a given h and n: the RK4 oracle takes
   the couplings of every chunk from it without a trig call per point;
 * ``coupling_scale`` -- the largest |f|;
-* ``coupling_zero_times`` -- the times where f touches zero, the only
-  candidates for dressed-level crossings, where the smooth branch flips
-  the sign of the Rabi root.
+* ``coupling_zero_count`` -- the number of isolated zeros of f in (0, t],
+  in closed form: f touches zero only there, the only candidates for
+  dressed-level crossings, where the smooth branch flips the sign of the
+  Rabi root.
 
 Two kinds cover the three configured drives.  The cosine drive has no
 rotating-wave choice: J = j0 cos(Omega t), Gamma = 0, so f = J.  The
@@ -91,16 +92,14 @@ class CosineDrive:
     def coupling_scale(self) -> float:
         return self.j0
 
-    def coupling_zero_times(self, t0: float, t1: float) -> np.ndarray:
-        """Zeros of cos(omega t) in (t0, t1]."""
+    def coupling_zero_count(self, t):
+        """Zeros (k + 1/2) pi / omega of cos(omega t) in (0, t], t >= 0: the
+        rounding of omega t / pi that ``closedform.phase_series`` takes for
+        its section index."""
+        t = np.asarray(t, dtype=float)
         if self.j0 == 0.0:
-            return np.array([])  # identically zero, not isolated zeros
-        k0 = math.ceil((self.omega * t0 / math.pi) - 0.5 + 1e-12)
-        k1 = math.floor((self.omega * t1 / math.pi) - 0.5)
-        if k1 < k0:
-            return np.array([])
-        ks = np.arange(k0, k1 + 1)
-        return (ks + 0.5) * math.pi / self.omega
+            return np.zeros_like(t)  # identically zero, not isolated zeros
+        return np.rint(self.omega * t / math.pi)
 
 
 @dataclass(frozen=True)
@@ -133,8 +132,8 @@ class ConstantDrive:
     def coupling_scale(self) -> float:
         return math.hypot(self.j0, self.gamma0)
 
-    def coupling_zero_times(self, t0: float, t1: float) -> np.ndarray:
-        return np.array([])
+    def coupling_zero_count(self, t):
+        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 Drive = CosineDrive | ConstantDrive

@@ -49,15 +49,11 @@ def branch_sign(model: Model, t):
     The radicand omega_tilde^2 + f^2 touches zero only at the coupling
     zeros of a model at a ``crossing``; elsewhere it stays above
     omega_tilde^2 > 0, both modes coincide and the sign is the scalar 1.
+    When smooth, s is the parity of the coupling zeros in (0, t].
     """
-    t = np.asarray(t, dtype=float)
-    if model.branch is BranchMode.POSITIVE_ROOT or not model.crossing or t.size == 0:
+    if model.branch is BranchMode.POSITIVE_ROOT or not model.crossing:
         return 1
-    zeros = np.asarray(model.drive.coupling_zero_times(0.0, float(np.max(t))))
-    if len(zeros) == 0:
-        return 1
-    counts = np.searchsorted(zeros, t, side="right")
-    return np.where(counts % 2 == 0, 1, -1) if t.shape else (1 if counts % 2 == 0 else -1)
+    return np.where(model.drive.coupling_zero_count(t) % 2 == 0, 1, -1)
 
 
 def rabi_frequency(model: Model, t):
@@ -145,20 +141,8 @@ def frame_series(model: Model, ts: np.ndarray) -> dict:
     }
 
 
-def _nearest_distance(ts: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """min over zeros of |t - zero| for every t; ``zeros`` sorted.
-
-    Only the zeros just below and just above each t can be nearest, so the
-    memory is O(len(ts)), not O(len(ts) * len(zeros)).
-    """
-    i = np.searchsorted(zeros, ts)
-    below = zeros[np.maximum(i - 1, 0)]
-    above = zeros[np.minimum(i, len(zeros) - 1)]
-    return np.minimum(np.abs(ts - below), np.abs(ts - above))
-
-
 def near_coupling_zero(model: Model, ts: np.ndarray) -> np.ndarray:
-    """True for the times within 5 FD_STEP of a coupling zero.
+    """True for the times within 5 FD_STEP of a coupling zero in (0, inf).
 
     The identities differentiate the coupling envelope |J|, which has a
     kink at every coupling zero; a finite-difference stencil that reaches
@@ -166,11 +150,8 @@ def near_coupling_zero(model: Model, ts: np.ndarray) -> np.ndarray:
     """
     ts = np.asarray(ts, dtype=float)
     reach = 5.0 * FD_STEP
-    zeros = np.asarray(model.drive.coupling_zero_times(
-        0.0, float(np.max(ts, initial=0.0)) + reach))
-    if len(zeros) == 0:
-        return np.zeros(ts.shape, dtype=bool)
-    return _nearest_distance(ts, zeros) <= reach
+    count = model.drive.coupling_zero_count
+    return count(ts + reach) > count(np.maximum(ts - reach, 0.0))
 
 
 def identity_residuals(model: Model, t):

@@ -288,8 +288,8 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
     step-major in ``_tree_order``, as (w, slots), reduced pairwise, and
     written to their rows.
 
-    Block scan: once ``_CHUNK`` rows are filled, and at the end, ``_scan``
-    turns a block into prefix products, applied to the state carried in.
+    Block scan: after the last chunk, ``_scan`` turns each block of
+    ``_CHUNK`` rows into prefix products, applied to the state carried in.
     The order of those products, and of the pairwise reduction, is what
     still depends on the stride.  det(M_k) scales the squared norm, so the
     drift sums log det(M_k), det(I + X) = 1 + 2 Re a + |a|^2 + |b|^2, and
@@ -305,7 +305,6 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
     kept[:, 0] = u1, u2
     logdet = 0.0
     drift = 0.0 if track_drift else None
-    scanned = 1  # rows from ``scanned`` on hold group products
     for k0 in range(0, n_steps, _CHUNK):
         k1 = min(k0 + _CHUNK, n_steps)
         # x: slots of w steps from step s0 on, the first ending with the
@@ -338,16 +337,14 @@ def _rk4_run(model: Model, c0: np.ndarray, n_steps: int, dt: float,
             _mul_dev(a[lo + n:lo + 2 * n], b[lo + n:lo + 2 * n], a[lo:lo + n], b[lo:lo + n])
             lo += n
         kept[:, row:row + slots] = a[-1], b[-1]
-        filled = len(kept[0]) if k1 == n_steps else k1 // g + 1
-        while filled - scanned >= _CHUNK or (k1 == n_steps and filled > scanned):
-            a, b = kept[:, scanned:min(filled, scanned + _CHUNK)]
-            _scan(a, b)
-            a[:], b[:] = a * u1 + b * u2 + u1, np.conj(a) * u2 - np.conj(b) * u1 + u2
-            if track_drift:
-                norm = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
-                drift = max(drift, float(np.max(np.abs(norm - 1.0))))
-            u1, u2 = complex(a[-1]), complex(b[-1])
-            scanned += len(a)
+    for lo in range(1, len(kept[0]), _CHUNK):
+        a, b = kept[:, lo:lo + _CHUNK]
+        _scan(a, b)
+        a[:], b[:] = a * u1 + b * u2 + u1, np.conj(a) * u2 - np.conj(b) * u1 + u2
+        if track_drift:
+            norm = np.sqrt(a.real ** 2 + a.imag ** 2 + b.real ** 2 + b.imag ** 2)
+            drift = max(drift, float(np.max(np.abs(norm - 1.0))))
+        u1, u2 = complex(a[-1]), complex(b[-1])
     return kept[0], kept[1], drift
 
 

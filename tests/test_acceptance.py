@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from dressedatom.acceptance import (_C7_J0S, _C7_OMEGA, _C7_OMEGA_TILDES, _C7_TIMES,
                                     _abs_rabi_integral, run_all)
 from dressedatom.drives import CosineDrive
+from test_drives import coupling_zeros
 
 _results = None
 
@@ -43,8 +44,8 @@ def test_criterion_7_reference_matches_quad():
     # the criterion's whole grid, split at the same coupling zeros
     worst = 0.0
     for wt, j0, t in itertools.product(_C7_OMEGA_TILDES, _C7_J0S, _C7_TIMES):
-        zeros = CosineDrive(j0, _C7_OMEGA).coupling_zero_times(0.0, t)
+        zeros = coupling_zeros(CosineDrive(j0, _C7_OMEGA), t)
         ref = quad(lambda s: math.hypot(wt, j0 * math.cos(_C7_OMEGA * s)), 0.0, t,
-                   limit=400, epsabs=1e-13, epsrel=1e-13, points=list(zeros) or None)[0]
+                   limit=400, epsabs=1e-13, epsrel=1e-13, points=zeros or None)[0]
         worst = max(worst, abs(_abs_rabi_integral(wt, j0, _C7_OMEGA, t) - ref))
     assert worst <= 1e-13

@@ -269,6 +269,17 @@ def test_identities_at_negative_detuning(doc, tmp_path, capsys):
         assert np.all(np.isfinite(data[:, header.index(name)])), name
 
 
+@pytest.mark.parametrize("command", ["run", "identities"])
+def test_span_of_astronomical_zero_count(command, tmp_path, capsys):
+    # t_end = 1e308 spans ~1e308 coupling zeros: counted per row, not listed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t_end": 1e308, "dt": 1e301, "output_stride": 100000000,
+                               "omega_tilde": 0, "outputs": "frame,identities"}))
+    argv = [command, str(cfg)] + (["--out", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_eq24_rows_below_the_degeneracy_floor_are_nan(tmp_path, capsys):
     # omega is pi/2 + 1e-13, so at t = 1 the coupling j0 cos(omega) is
     # about -1e-7: above 1e-9 but below the model's deg_floor (1e-12 j0 =

@@ -20,6 +20,7 @@ from dressedatom.config import DEG_EPS, RAD_EPS
 from dressedatom.errors import DomainError
 from dressedatom.frames import connection_dtheta, rabi_frequency
 from dressedatom.scenario import dominant_frequency, parse_config, run_scenario
+from test_drives import coupling_zeros
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
@@ -44,7 +45,7 @@ def connection_phase_quadrature(model, t):
     The connection jumps at every coupling zero (sign of the envelope
     derivative), so those are always break points.
     """
-    zeros = list(model.drive.coupling_zero_times(0.0, t))
+    zeros = coupling_zeros(model.drive, t)
     return quad(lambda s: float(connection_dtheta(model, s)), 0.0, t,
                 points=zeros or None, limit=400, epsabs=1e-13, epsrel=1e-13)[0]
 
@@ -56,7 +57,7 @@ def riemann_phase(model, t, n=10_000_000):
     has a jump (the |J| kink); a cell straddling the jump would cost ~dt/2
     of spurious error on the imaginary part.
     """
-    edges = [0.0] + [float(z) for z in model.drive.coupling_zero_times(0.0, t)] + [t]
+    edges = [0.0] + [float(z) for z in coupling_zeros(model.drive, t)] + [t]
     re = im = 0.0
     chunk = 1_000_000
     for a, b in zip(edges[:-1], edges[1:]):
@@ -423,7 +424,7 @@ def test_elliptic_phase_resonance_multi_quadrant():
     model = _elliptic_model(0.0, 1.3)
     for t in (2.0, 7.0, 11.5):
         ref = quad(lambda s: abs(1.3 * math.cos(s)), 0, t,
-                   points=list(model.drive.coupling_zero_times(0, t)), limit=300)[0]
+                   points=coupling_zeros(model.drive, t), limit=300)[0]
         assert elliptic_phase(model, t) == pytest.approx(ref, abs=1e-12)
 
 
@@ -431,7 +432,7 @@ def test_elliptic_phase_quadrature():
     wt, j0, omega = 0.5, 1.0, 1.0
     model = _elliptic_model(wt, j0, omega)
     ref = quad(lambda s: math.hypot(wt, j0 * math.cos(omega * s)), 0, 2.0,
-               points=list(model.drive.coupling_zero_times(0, 2.0)), limit=200,
+               points=coupling_zeros(model.drive, 2.0), limit=200,
                epsabs=1e-13)[0]
     assert abs(elliptic_phase(model, 2.0) - ref) <= 1e-9
 

@@ -42,12 +42,38 @@ def test_cosine_values():
     assert d.coupling_scale() == 2.0
 
 
-def test_cosine_zero_times():
-    d = CosineDrive(j0=1.0, omega=2.0)
-    zeros = d.coupling_zero_times(0.0, 4.0)
-    expected = [(k + 0.5) * math.pi / 2.0 for k in range(3)]
-    assert np.allclose(zeros, expected)
-    assert np.allclose(np.abs(d.frame_coupling(zeros)), 0.0, atol=1e-15)
+def coupling_zeros(drive, t):
+    """The isolated coupling zeros in (0, t], listed: (k + 1/2) pi / omega
+    for a cosine drive with j0 > 0, none otherwise."""
+    if not isinstance(drive, CosineDrive) or drive.j0 == 0.0:
+        return []
+    k = np.arange(math.floor(drive.omega * t / math.pi - 0.5) + 1)
+    return list((k + 0.5) * math.pi / drive.omega)
+
+
+@pytest.mark.parametrize("omega", [0.3, 2.0, 7.7])
+def test_coupling_zero_count_matches_sign_changes(omega):
+    # the count of zeros in (0, t] is the count of the sign changes of
+    # cos(omega t) on a dense grid up to t (no zero falls on a grid point)
+    d = CosineDrive(j0=1.0, omega=omega)
+    ts = np.linspace(0.0, 20.0, 400_001)
+    flips = np.concatenate([[0], np.cumsum(np.diff(np.cos(omega * ts) > 0))])
+    assert np.array_equal(d.coupling_zero_count(ts), flips)
+    assert flips[-1] == round(omega * 20.0 / math.pi)
+    zeros = coupling_zeros(d, 20.0)
+    assert len(zeros) == flips[-1]
+    assert np.all(np.abs(d.frame_coupling(zeros)) <= 4.0 * np.spacing(omega * 20.0))
+
+
+def test_coupling_zero_count_edges():
+    # none at t = 0 (scalar in, scalar out); none for j0 = 0, where the
+    # envelope vanishes identically, nor for the constant envelope
+    ts = np.linspace(0.0, 50.0, 101)
+    assert CosineDrive(1.0, 2.0).coupling_zero_count(0.0) == 0.0
+    assert np.shape(CosineDrive(1.0, 2.0).coupling_zero_count(0.0)) == ()
+    for d in (CosineDrive(0.0, 2.0), ConstantDrive(0.5, 0.3), ConstantDrive(0.0)):
+        assert np.array_equal(d.coupling_zero_count(ts), np.zeros_like(ts))
+        assert d.coupling_zero_count(0.0) == 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -97,7 +123,7 @@ def test_constant_drive():
     assert d.frame_coupling(0.0) == pytest.approx(math.hypot(0.5, 0.3))
     assert float(d.frame_coupling_rate(1.0)) == 0.0
     assert d.coupling_scale() == math.hypot(0.5, 0.3)
-    assert len(d.coupling_zero_times(0, 10)) == 0
+    assert np.array_equal(d.coupling_zero_count(np.array([0.0, 10.0])), [0.0, 0.0])
 
 
 def test_negative_amplitude_rejected():

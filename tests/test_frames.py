@@ -1,5 +1,6 @@
 """Model-core: detuning, Rabi root, mixing angle, connection, identities."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
                          connection_dtheta, identity_residuals, mixing_angle,
                          rabi_frequency, transition_current)
 from dressedatom.errors import DegenerateFrameError, ValidationError
-from dressedatom.frames import _nearest_distance, near_coupling_zero, theta_of_t
-from test_drives import bare_pair
+from dressedatom.frames import FD_STEP, near_coupling_zero, theta_of_t
+from test_drives import bare_pair, coupling_zeros
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
@@ -276,7 +277,7 @@ def test_identities_rwa_r1():
 def test_identities_cosine_dense():
     model = Model.of(CosineDrive(1.3, 2.1), 0.7)
     ts = np.linspace(0.02, 10.0, 1000)
-    zeros = model.drive.coupling_zero_times(0.0, 11.0)
+    zeros = coupling_zeros(model.drive, 11.0)
     dist = np.min(np.abs(ts[:, None] - np.asarray(zeros)[None, :]), axis=1)
     near = dist <= 5e-3
     assert np.array_equal(near_coupling_zero(model, ts), near)
@@ -295,7 +296,7 @@ def test_identities_r1_smooth_at_resonant_coupling_zeros(branch):
     # coupling zero; r1 differentiates omega_r^2 = f^2 instead, so it stays
     # at round-off on every row, the zeros themselves included
     model = Model.of(CosineDrive(0.9, 1.0), 0.0, branch=branch)
-    zeros = np.asarray(model.drive.coupling_zero_times(0.0, 12.0))
+    zeros = np.asarray(coupling_zeros(model.drive, 12.0))
     ts = np.sort(np.concatenate([np.linspace(0.0, 12.0, 12001), zeros,
                                  zeros - 2e-3, zeros + 3e-3]))
     r1, _, _ = identity_residuals(model, ts)
@@ -305,14 +306,18 @@ def test_identities_r1_smooth_at_resonant_coupling_zeros(branch):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(zeros=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=40, unique=True),
-       ts=st.lists(st.floats(0.0, 60.0), max_size=200))
-def test_nearest_distance_matches_dense(zeros, ts):
-    zeros = np.sort(np.array(zeros))
+@given(omega=st.floats(0.05, 20.0), ts=st.lists(st.floats(0.0, 60.0), max_size=200))
+def test_near_coupling_zero_matches_dense(omega, ts):
+    # the mask against the distance to every zero of an explicit list, on
+    # rows that are not a rounding away from the edge at 5 FD_STEP
+    model = Model.of(CosineDrive(0.9, omega), 0.2)
+    zeros = np.array(coupling_zeros(model.drive, 61.0))
+    reach = 5.0 * FD_STEP
     for grid in (np.array(ts), np.arange(0.0, 60.0, 1e-3), zeros,
-                 np.concatenate([zeros - 5e-3, zeros + 5e-3])):
-        dense = np.min(np.abs(grid[:, None] - zeros[None, :]), axis=1)
-        assert np.array_equal(_nearest_distance(grid, zeros), dense)
+                 np.concatenate([zeros - 0.99 * reach, zeros + 1.01 * reach])):
+        dist = functools.reduce(np.minimum, (np.abs(grid - z) for z in zeros))
+        clear = np.abs(dist - reach) > 1e-12
+        assert np.array_equal(near_coupling_zero(model, grid)[clear], (dist <= reach)[clear])
 
 
 # ----------------------------------------------------------------- current

@@ -138,6 +138,21 @@ def test_identities_memory_does_not_grow_with_zeros():
     assert peak < 80 * 2 ** 20
 
 
+def test_memory_does_not_grow_with_coupling_zeros():
+    # two rows over ~3e6 coupling zeros: the branch sign and the kink mask
+    # count the zeros at each row's time, they never list them
+    cfg = parse_config(json.dumps({"t_end": 1e7, "dt": 1, "output_stride": 100000000,
+                                   "omega_tilde": 0, "outputs": "frame,identities,closed"}))
+    tracemalloc.start()
+    try:
+        series, _ = run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series["frame"].t.tolist() == [0.0, 1e7]
+    assert peak < 2 ** 20
+
+
 def test_run_zero_span_emits_headers_only():
     cfg = replace(ScenarioConfig(), t_end=0.0, outputs="frame,closed")
     series, report = run_scenario(cfg)
