@@ -41,6 +41,8 @@ from .config import BranchMode, Model
 from .errors import DegenerateFrameError
 
 FD_STEP = 1e-3  # step of the finite-difference cross-checks
+# |sin th cos th| at or below which the quotient forms of dtheta/dt blow up
+QUOTIENT_FLOOR = 1e-3
 
 
 def branch_sign(model: Model, t):
@@ -160,7 +162,7 @@ def identity_residuals(model: Model, t):
     r1 = (1/2) d(f^2)/dt - f f'
     r2 = q (d/dt + L) q + u (d/dt + L) u,   L = -(1/2) d(N^2)/dt / N^2
     r3 = d(cos th)/dt / (-sin th) - d(sin th)/dt / cos th
-         (NaN where |sin th cos th| <= 1e-3: both quotients blow up there)
+         (NaN where |sin th cos th| <= QUOTIENT_FLOOR)
 
     r1 is the identity omega_r d(omega_r)/dt = f f' with its left side
     differentiated as (1/2) d(omega_r^2)/dt = (1/2) d(f^2)/dt, which is
@@ -193,7 +195,7 @@ def identity_residuals(model: Model, t):
         r3 = (d(lambda u, q, n2: u / np.sqrt(n2)) / (-sth)
               - d(lambda u, q, n2: q / np.sqrt(n2)) / cth)
     r2 = q * (d(lambda u, q, n2: q) + lam * q) + u * (d(lambda u, q, n2: u) + lam * u)
-    r3 = np.where(np.abs(sth * cth) > 1e-3, r3, np.nan)
+    r3 = np.where(np.abs(sth * cth) > QUOTIENT_FLOOR, r3, np.nan)
     kink = near_coupling_zero(model, t)
     return r1, np.where(kink, np.nan, r2), np.where(kink, np.nan, r3)
 

@@ -11,6 +11,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from dressedatom import acceptance
 from dressedatom.acceptance import (_C7_J0S, _C7_OMEGA, _C7_OMEGA_TILDES, _C7_TIMES,
                                     _abs_rabi_integral, run_all)
 from dressedatom.drives import CosineDrive
@@ -37,6 +38,22 @@ def test_criterion(cid):
 
 def test_all_criteria_present():
     assert sorted(r.cid for r in results()) == list(range(1, 12))
+
+
+def test_criterion_8_reports_the_drift_of_every_oracle_run(monkeypatch):
+    # criteria 4, 5, 9 and 11 make seven oracle runs and criterion 8 its
+    # own two: the drift it gates is the largest of all nine
+    propagate, drifts = acceptance.propagate, []
+
+    def recording(*args, **kwargs):
+        res = propagate(*args, **kwargs)
+        drifts.append(res.step_report.norm_drift)
+        return res
+
+    monkeypatch.setattr(acceptance, "propagate", recording)
+    c8 = next(r for r in run_all() if r.cid == 8)
+    assert len(drifts) == 9
+    assert c8.drift == max(drifts) > 0.0
 
 
 def test_criterion_7_reference_matches_quad():
