@@ -37,7 +37,9 @@
 # washout sweep (cosine, j0 0.1, dt 1.5e-3, stride 2, t_end 4 pi): a run
 # that asks for compare alone, so the closed form and the oracle derive
 # only what compare reads; the second sweep runs that config as its base,
-# where the first sweep's base asks for all six outputs
+# where the first sweep's base asks for all six outputs. negative is a
+# cosine config below resonance (omega_tilde < 0), where the mixing angle
+# lies in (pi/4, pi/2] and reaches pi/2 at the coupling zeros
 #
 # usage: bash .github/csv_bytes.sh <scratch dir>   (CI passes $RUNNER_TEMP)
 set -euo pipefail
@@ -63,6 +65,9 @@ for branch in smooth positive; do
          "outputs": "frame,closed,oracle,compare,identities,current"}' \
     > "$TMP/resonant_$branch.json"
 done
+echo '{"drive": "cosine", "omega_tilde": -0.7, "j0": 0.9, "omega": 0.6, "t_end": 12,
+       "outputs": "frame,closed,oracle,compare,identities,current"}' \
+  > "$TMP/negative.json"
 for stride in 1 7 5000; do
   echo '{"drive": "cosine", "omega_tilde": 0.3, "j0": 0.9, "t_end": 3.0,
          "output_stride": '"$stride"',
@@ -90,8 +95,8 @@ echo '{"drive": "cosine", "omega_tilde": 0.02, "j0": 0.1, "dt": 0.0015,
        "output_stride": 2, "t_end": 12.566370614359172, "outputs": "compare"}' \
   > "$TMP/compare_only.json"
 six="determinism shifted hbar2 stride1 stride7 stride5000 rwa constant
-     resonant_smooth resonant_positive one_step three_steps long10 long7 long5000
-     scan_blocks"
+     resonant_smooth resonant_positive negative one_step three_steps long10 long7
+     long5000 scan_blocks"
 for name in $six oracle_current closed_only compare_only; do
   for run in 1 2; do
     dressedatom run "$TMP/$name.json" --out "$TMP/$name$run" \

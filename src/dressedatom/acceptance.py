@@ -24,7 +24,7 @@ from .config import BranchMode, Model
 from .drives import ConstantDrive, CosineDrive
 from .errors import DressedAtomError
 from .frames import (FD_STEP, QUOTIENT_FLOOR, connection_dtheta, identity_residuals,
-                     mixing_angle_series, near_coupling_zero, rabi_frequency)
+                     mixing_angle, near_coupling_zero, rabi_frequency)
 from .oracle import (NORM_TOL, current_dynamics_check, enforced_step_bound,
                      initial_state_for_psi_frame, propagate)
 from .scenario import dominant_frequency
@@ -86,10 +86,10 @@ def criterion_2() -> CriterionResult:
     for name, model in _identity_setups():
         ts = _sample_times(model, 1000)
         w = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
-        angles = [mixing_angle_series(model, ts + oi * h) for oi in (-2.0, -1.0, 1.0, 2.0)]
+        angles = [mixing_angle(model, ts + oi * h) for oi in (-2.0, -1.0, 1.0, 2.0)]
         dc = sum(wi * c for wi, (c, _) in zip(w, angles)) / h
         ds = sum(wi * si for wi, (_, si) in zip(w, angles)) / h
-        cth, sth = mixing_angle_series(model, ts)
+        cth, sth = mixing_angle(model, ts)
         mask = np.abs(sth * cth) > QUOTIENT_FLOOR
         q1 = dc[mask] / (-sth[mask])
         q2 = ds[mask] / cth[mask]

@@ -5,8 +5,8 @@ angular frequency.  ``scenario.ScenarioConfig.model`` converts the config's
 energies at the boundary; library callers build a ``Model`` with
 ``Model.of``.  Building a model checks it once, so that nothing downstream
 meets a non-finite detuning or an overflowing radicand, and evaluates the
-two thresholds every frame function shares: the degeneracy floor and
-whether the Rabi radicand can touch zero.  Their relative tolerances,
+two thresholds: the degeneracy floor of the literal integrand and whether
+the Rabi radicand can touch zero.  Their relative tolerances,
 ``DEG_EPS`` and ``RAD_EPS``, are fixed numerical policy, not parameters.
 """
 
@@ -35,7 +35,7 @@ class BranchMode(enum.Enum):
     SMOOTH_CONTINUATION = "smooth"
 
 
-DEG_EPS = 1e-12     # frame degeneracy threshold (angle undefined)
+DEG_EPS = 1e-12     # degeneracy threshold of the literal integrand
 RAD_EPS = 1e-12     # radicand-zero detection, scaled by coupling^2
 
 
@@ -52,8 +52,8 @@ class Model:
     Derived once, when the model is built:
 
     deg_floor    DEG_EPS times the problem scale max(coupling scale,
-                 |omega_tilde|, 1): the mixing angle is undefined where N
-                 falls below it, and the literal integrand where |omega_r| does
+                 |omega_tilde|, 1): the literal integrand (eq. 24) is
+                 undefined where |omega_r| falls below it
     crossing     whether the radicand omega_tilde^2 + f^2 can touch
                  zero: the detuning is within RAD_EPS of zero relative to the
                  problem scale, so the coupling zeros are dressed-level

@@ -13,10 +13,6 @@ class ParseError(DressedAtomError):
     """A config document could not be parsed; carries key context."""
 
 
-class DegenerateFrameError(DressedAtomError):
-    """The mixing angle is undefined (zero matrix up to tolerance)."""
-
-
 class DomainError(DressedAtomError):
     """Argument outside the mathematical domain of a special function."""
 

@@ -3,9 +3,9 @@
 Everything here is a pure function of (model, time): the signed Rabi root,
 the mixing angle of the diagonalising rotation, the connection d(theta)/dt
 generated by that rotation's time dependence, the identity residuals the
-construction must satisfy, and the transition current.  The detuning, the
-degeneracy floor and the branch decision come from the ``config.Model``,
-which evaluates them once.
+construction must satisfy, and the transition current.  The detuning and
+the branch decision come from the ``config.Model``, which evaluates them
+once.
 
 The drive enters only through its connection-frame envelope f(t) and its
 rate f'(t) (see ``drives``): |f| = |J + i*Gamma| and f f' = J J' +
@@ -13,9 +13,14 @@ Gamma Gamma'.  Conventions (natural units, hbar = 1):
 
     omega_tilde = ((e2 - e1) - omega_drive) / 2
     omega_r     = s(t) * sqrt(omega_tilde^2 + f^2),   s = branch sign
-    cos(theta)  = (omega_tilde + |omega_r|) / N
-    sin(theta)  = |f| / N
-    N^2         = (omega_tilde + |omega_r|)^2 + f^2
+    theta       = atan2(|f|, omega_tilde) / 2,         in [0, pi/2]
+
+The angle is half the polar angle of the field vector (omega_tilde, |f|),
+defined for every frame; the zero matrix, which any angle diagonalises,
+takes theta = 0.  Algebraically cos(theta) = (omega_tilde + |omega_r|) / N
+and sin(theta) = |f| / N with N^2 = (omega_tilde + |omega_r|)^2 + f^2;
+the identities differentiate that form as their independent route, but
+its numerator cancels for omega_tilde < 0, so nothing else takes it.
 
 The angle always uses the positive root: through a dressed-level crossing
 that is the eigenvector-continuous choice (at exact resonance it keeps
@@ -33,12 +38,9 @@ d(cos theta)/dt / (-sin theta) = d(sin theta)/dt / cos theta.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import BranchMode, Model
-from .errors import DegenerateFrameError
 
 FD_STEP = 1e-3  # step of the finite-difference cross-checks
 # |sin th cos th| at or below which the quotient forms of dtheta/dt blow up
@@ -66,50 +68,30 @@ def rabi_frequency(model: Model, t):
 
 
 def _angle_parts(model: Model, t):
-    """(u, q, N^2) with u = omega_tilde + |omega_r| and q = |f|."""
+    """(u, q, N^2) with u = omega_tilde + |omega_r| and q = |f|: the
+    identities' independent route to the angle."""
     wt = model.omega_tilde
     q = np.abs(model.drive.frame_coupling(t))
     u = wt + np.sqrt(wt * wt + q * q)
     return u, q, u * u + q * q
 
 
-def mixing_angle(model: Model, t: float) -> tuple[float, float]:
-    """(cos theta, sin theta) of the diagonalising rotation at one time.
-
-    Raises DegenerateFrameError when the normalisation N is below the
-    model's ``deg_floor`` (the zero matrix is diagonalised by any angle);
-    callers that need a series use ``mixing_angle_series`` which holds the
-    last well-defined angle across such points.
-    """
-    u, q, n2 = _angle_parts(model, t)
-    if n2 < model.deg_floor * model.deg_floor:
-        raise DegenerateFrameError(f"mixing angle undefined at t={t}")
-    n = math.sqrt(n2)
-    return float(u / n), float(q / n)
-
-
-def mixing_angle_series(model: Model, ts: np.ndarray):
-    """(cos theta, sin theta) arrays with carry-forward across degeneracies.
-
-    A degenerate first sample takes theta = 0.
-    """
-    u, q, n2 = _angle_parts(model, ts)
-    good = n2 >= model.deg_floor * model.deg_floor
-    n = np.sqrt(np.where(good, n2, 1.0))
-    cth = np.where(good, u / n, np.nan)
-    sth = np.where(good, q / n, np.nan)
-    if not good.all():
-        idx = np.where(good, np.arange(len(ts)), -1)
-        np.maximum.accumulate(idx, out=idx)
-        cth = np.where(idx >= 0, cth[np.maximum(idx, 0)], 1.0)
-        sth = np.where(idx >= 0, sth[np.maximum(idx, 0)], 0.0)
-    return cth, sth
-
-
 def theta_of_t(model: Model, t):
-    """theta(t) = atan2(sin theta, cos theta) in [0, pi], positive root."""
-    u, q, n2 = _angle_parts(model, t)
-    return np.arctan2(q, u)
+    """theta(t) = atan2(|f|, omega_tilde) / 2 in [0, pi/2], positive root.
+
+    Half the polar angle of the field vector (omega_tilde, |f|): pi/4 at
+    resonance, pi/2 at a coupling zero when omega_tilde < 0, and 0 for the
+    zero matrix, which any angle diagonalises.
+    """
+    q = np.abs(model.drive.frame_coupling(t))
+    return 0.5 * np.arctan2(q, model.omega_tilde)
+
+
+def mixing_angle(model: Model, t):
+    """(cos theta, sin theta) of the diagonalising rotation, for a time or
+    an array of times."""
+    th = theta_of_t(model, t)
+    return np.cos(th), np.sin(th)
 
 
 def connection_dtheta(model: Model, t):
@@ -132,8 +114,8 @@ def connection_dtheta(model: Model, t):
 
 
 def frame_series(model: Model, ts: np.ndarray) -> dict:
-    """Vectorised frame snapshot over a time grid (carry-forward angles)."""
-    cth, sth = mixing_angle_series(model, ts)
+    """Vectorised frame snapshot over a time grid."""
+    cth, sth = mixing_angle(model, ts)
     return {
         "t": np.asarray(ts, dtype=float),
         "omega_r": rabi_frequency(model, ts),

@@ -38,8 +38,7 @@ import numpy as np
 
 from .config import Model
 from .errors import InsufficientSpan, StepTooLarge, ValidationError
-from .frames import (mixing_angle, mixing_angle_series, rabi_frequency,
-                     transition_current)
+from .frames import mixing_angle, rabi_frequency, transition_current
 
 MAX_STEPS = 10 ** 7  # ceiling on t_end/dt: a run stays minutes, not hours
 NORM_TOL = 1e-8  # the norm drift above which a result is not norm_ok
@@ -101,7 +100,7 @@ class PropagationResult:
     def _dressed(self) -> tuple[np.ndarray, np.ndarray]:
         """(a+, a-), the dressed amplitudes; not kept, as only the
         acceptance suite reads both projections."""
-        cth, sth = mixing_angle_series(self.model, self.times)
+        cth, sth = mixing_angle(self.model, self.times)
         return cth * self.u1 + sth * self.u2, -sth * self.u1 + cth * self.u2
 
     @cached_property
@@ -135,8 +134,12 @@ def initial_state_for_psi_frame(model: Model) -> np.ndarray:
 
     c(0) = U^-1(theta(0)) (1, 1)^T / sqrt(2); on the psi-bar = 1 scale the
     occupied-state projection psi1_oracle starts at 1 and psi0_oracle at
-    exactly zero.
+    exactly zero.  The one frame without dressed states is the zero matrix,
+    omega_tilde = f(0) = 0: a ValidationError.
     """
+    if model.omega_tilde == 0.0 and model.drive.frame_coupling(0.0) == 0.0:
+        raise ValidationError("initial_state 'dressed' needs a dressed frame at "
+                              "t = 0, and omega_tilde = f(0) = 0 has none; use bare1 or bare2")
     cth, sth = mixing_angle(model, 0.0)
     inv = 1.0 / math.sqrt(2.0)
     return np.array([(cth - sth) * inv, (sth + cth) * inv], dtype=complex)

@@ -30,8 +30,7 @@ import numpy as np
 from . import __version__, closedform, frames, oracle
 from .config import BranchMode, Model
 from .drives import ConstantDrive, CosineDrive
-from .errors import (DegenerateFrameError, DressedAtomError, ParseError,
-                     UnknownAxis, ValidationError)
+from .errors import DressedAtomError, ParseError, UnknownAxis, ValidationError
 from .series import TimeSeries
 
 # Each output kind is its columns after t, each read from a stage output by
@@ -192,11 +191,7 @@ def config_doc(cfg: ScenarioConfig) -> dict:
 
 def _initial_state(cfg: ScenarioConfig, model: Model):
     if cfg.initial_state == "dressed":
-        try:
-            return oracle.initial_state_for_psi_frame(model)
-        except DegenerateFrameError as exc:  # e.g. omega_tilde = j0 = 0
-            raise ValidationError(f"initial_state 'dressed' needs a dressed "
-                                  f"frame at t = 0 ({exc}); use bare1 or bare2") from None
+        return oracle.initial_state_for_psi_frame(model)
     return oracle.bare_state(1 if cfg.initial_state == "bare1" else 2)
 
 

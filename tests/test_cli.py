@@ -224,6 +224,15 @@ def test_degenerate_dressed_preparation(outputs, code, tmp_path, capsys):
         assert not (tmp_path / "o").exists()
     else:
         assert err == ""
+    # diag(omega_tilde, -omega_tilde) with omega_tilde < 0 is not degenerate:
+    # its dressed frame has theta = pi/2, and every run of it succeeds
+    cfg.write_text(json.dumps({"drive": "rwa", "omega_tilde": -0.5, "j0": 0,
+                               "outputs": outputs}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "detuned")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "detuned" / "report.json").read_text())
+    if "compare" in outputs:
+        assert report["compare"]["MaxAbs"] <= 1e-12
 
 
 def test_numerical_error_exit_code(tmp_path):

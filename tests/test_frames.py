@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
                          ScenarioConfig,
                          connection_dtheta, identity_residuals, mixing_angle,
-                         rabi_frequency, transition_current)
-from dressedatom.errors import DegenerateFrameError, ValidationError
+                         initial_state_for_psi_frame, rabi_frequency,
+                         transition_current)
+from dressedatom.errors import ValidationError
 from dressedatom.frames import FD_STEP, near_coupling_zero, theta_of_t
-from test_drives import bare_pair, coupling_zeros
+from test_drives import bare_pair, config_drive, coupling_zeros
 
 SMOOTH = BranchMode.SMOOTH_CONTINUATION
 POSITIVE = BranchMode.POSITIVE_ROOT
@@ -171,19 +172,30 @@ def test_mixing_345_against_eigenvector_oracle():
 
 
 def test_mixing_eigenvector_oracle_with_connection():
-    model = Model.of(ConstantDrive(0.9, 1.2), 0.7)
-    c, s = mixing_angle(model, 0.5)
-    wt = model.omega_tilde
-    j, g = 0.9, 1.2
-    m = np.array([[-wt, j - 1j * g], [j + 1j * g, wt]])
-    vals, vecs = np.linalg.eigh(m)
-    v = vecs[:, 0]
-    assert np.allclose(np.abs(v), [c, s], atol=1e-12)
+    # independent oracle: eigendecomposition of [[-wt, J-iG], [J+iG, wt]],
+    # matched up to phase, on a time grid; for wt < 0 the angle is near
+    # pi/2 wherever the coupling is weak, where a form with wt + |omega_r|
+    # in it cancels
+    omega, ts = 1.3, np.linspace(0.0, 10.0, 101)
+    cases = [("constant", 0.9, 1.2, 0.7)] + [
+        ("cosine", j0, 0.0, wt) for wt in (-3.0, -1.0, -0.5) for j0 in (1.0, 1e-3, 1e-6)]
+    for kind, j0, gamma0, wt in cases:
+        model = Model.of(config_drive(kind, j0, omega, gamma0), wt)
+        c, s = mixing_angle(model, ts)
+        j, g, _, _ = bare_pair(kind, j0, omega, ts, gamma0)
+        for i in range(len(ts)):
+            m = np.array([[-wt, j[i] - 1j * g[i]], [j[i] + 1j * g[i], wt]])
+            v = np.linalg.eigh(m)[1][:, 0]
+            assert np.max(np.abs(np.abs(v) - [c[i], s[i]])) <= 1e-15, (kind, j0, wt, ts[i])
 
 
 def test_mixing_degenerate_raises():
-    with pytest.raises(DegenerateFrameError):
-        mixing_angle(Model.of(ConstantDrive(0.0), 0.0), 0.0)
+    # the zero matrix is diagonalised by any angle: the mixing angle takes
+    # theta = 0, but there is no dressed state to prepare the oracle in
+    model = Model.of(ConstantDrive(0.0), 0.0)
+    assert mixing_angle(model, 0.0) == (1.0, 0.0)
+    with pytest.raises(ValidationError, match="^initial_state 'dressed'"):
+        initial_state_for_psi_frame(model)
 
 
 def test_unit_circle_many():
@@ -193,10 +205,7 @@ def test_unit_circle_many():
         j0 = rng.uniform(0.05, 4)
         model = Model.of(CosineDrive(j0, 1.3), wt)
         t = rng.uniform(0, 10)
-        try:
-            c, s = mixing_angle(model, t)
-        except DegenerateFrameError:
-            continue
+        c, s = mixing_angle(model, t)
         assert abs(c * c + s * s - 1.0) < 1e-12
 
 
