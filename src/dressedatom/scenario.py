@@ -244,7 +244,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
     report: dict = {
         "detuning": model.omega_tilde,
         "population_convention":
-            "closed p0_raw uses psi_bar=1; oracle p0 rescaled by 2 to match",
+            "closed p0_raw and oracle p0 are both |psi0|^2 on the psi_bar=1 scale",
         "diagnostics": {"version": __version__},
     }
     timing = report["timing_s"] = {}

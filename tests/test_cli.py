@@ -45,14 +45,6 @@ def test_run_writes_outputs(rwa_config, tmp_path, capsys):
     assert header == "t,closed_p0,oracle_p0,abs_diff"
 
 
-def test_run_deterministic_bytes(rwa_config, tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["run", str(rwa_config), "--out", str(out1)]) == 0
-    assert main(["run", str(rwa_config), "--out", str(out2)]) == 0
-    for name in ("closed.csv", "oracle.csv", "compare.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
 @pytest.mark.parametrize("n", [1, 3, 2 * _CHUNK + 1])
 def test_report_says_what_produced_it(n, tmp_path):
     # the package version, the step the oracle took and the steps of its
@@ -289,7 +281,8 @@ def test_span_of_astronomical_zero_count(command, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_eq24_rows_below_the_degeneracy_floor_are_nan(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "identities"])
+def test_eq24_rows_below_the_degeneracy_floor_are_nan(command, tmp_path, capsys):
     # omega is pi/2 + 1e-13, so at t = 1 the coupling j0 cos(omega) is
     # about -1e-7: above 1e-9 but below the model's deg_floor (1e-12 j0 =
     # 1e-6), where the literal eq24 form is undefined; the run still
@@ -299,14 +292,16 @@ def test_eq24_rows_below_the_degeneracy_floor_are_nan(tmp_path, capsys):
                                "t_end": 1, "dt": 1, "output_stride": 1,
                                "outputs": "identities"}))
     out = tmp_path / "o"
-    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    argv = [command, str(cfg)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 0
     assert capsys.readouterr().err == ""
-    header = (out / "identities.csv").read_text().splitlines()[0].split(",")
-    data = np.loadtxt(out / "identities.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert data[:, 0].tolist() == [0.0, 1.0]
-    for name in ("re_eq24", "im_eq24", "im_eq24_gap"):
-        col = data[:, header.index(name)]
-        assert np.isfinite(col[0]) and np.isnan(col[1]), name
+    if command == "run":
+        header = (out / "identities.csv").read_text().splitlines()[0].split(",")
+        data = np.loadtxt(out / "identities.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert data[:, 0].tolist() == [0.0, 1.0]
+        for name in ("re_eq24", "im_eq24", "im_eq24_gap"):
+            col = data[:, header.index(name)]
+            assert np.isfinite(col[0]) and np.isnan(col[1]), name
 
 
 def test_package_and_cli_import_no_scipy(tmp_path):
@@ -326,7 +321,8 @@ def test_package_and_cli_import_no_scipy(tmp_path):
             "assert dressedatom.cli.main(['accept']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=str(Path(dressedatom.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    # a numpy warning inside the gate fails it
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
@@ -550,13 +546,14 @@ def test_closed_stdout_exits_1_without_traceback(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_output_stride_beyond_int64(tmp_path):
+def test_output_stride_beyond_int64(tmp_path, capsys):
     # a stride of n_steps or more keeps the first and the last state
     doc = {"t_end": 0.5, "outputs": ",".join(OUTPUT_KINDS)}
     for name, stride in (("huge", 10 ** 23), ("n_steps", 500)):
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(dict(doc, output_stride=stride)))
         assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().err == "", name
     for kind in OUTPUT_KINDS:
         huge, n_steps = (tmp_path / d / f"{kind}.csv" for d in ("huge", "n_steps"))
         assert huge.read_bytes() == n_steps.read_bytes(), kind

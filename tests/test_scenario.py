@@ -101,6 +101,10 @@ def test_run_rwa_scenario_compare():
                                         "im_c2", "norm", "p0_oracle", "current"]
     assert series["closed"].columns == ["t", "re_Z", "im_Z", "p0_raw", "p0_norm"]
     assert report["norm_ok"]
+    # both projections are on the closed form's scale: nothing is rescaled
+    convention = report["population_convention"]
+    assert "both" in convention and "psi_bar=1" in convention
+    assert "rescaled" not in convention
     # on the default grid the slip read -2 pi when the closed and oracle
     # phases were unwrapped one by one; it is their difference that counts
     _, report = run_scenario(parse_config('{"drive": "rwa", "omega_tilde": 0.6, "j0": 0.8}'))
