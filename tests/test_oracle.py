@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -355,13 +356,13 @@ def _check_stride(model, n_steps, keep_every, tol=1e-13, drift_tol=5e-14):
 
     The two modes multiply the same step matrices (chunks start at
     multiples of _CHUNK at every stride) in a different order.  Against a
-    long-double sequential product of those matrices, the cosine drive's
-    rows are off by at most 6.3e-16 per chunk at keep_every 1, 7 and 10;
+    long-double product of those matrices, over 14 chunks at keep_every 1,
+    7 and 10, the cosine drive's rows are off by at most 1.4e-15 per chunk;
     the rwa drive's constant steps round alike in every chunk, so its rows
-    drift by about 1.9e-14 per chunk in the plain scan and 0.6-1.0e-14
-    grouped, and two strides differ by 1.4-1.9e-13 at 14 chunks.  Over 600
-    random cases of up to 3 chunks the rows differed by at most 3.7e-15
-    and the drifts by at most 2.2e-15.
+    drift by about 9e-15 per chunk in the plain scan and 4.4-8.8e-15
+    grouped, and two strides differ by 0.55-1.9e-13 at 14 chunks.  Over the
+    stride test's first 600 draws (up to 3 chunks) the rows differed by at
+    most 1.1e-14 and the drifts by at most 5.5e-15.
     """
     dt = enforced_step_bound(model) / 2
     c0 = np.array([0.6, 0.8j])
@@ -425,13 +426,41 @@ def test_rk4_final_state_does_not_depend_on_stride(keep_every):
     # chunks start at multiples of _CHUNK at every stride, so each step
     # takes the same coupling and M_k; over 100 chunks of the cosine drive
     # at dt 1e-3 the final state then differs from a one-row run only by
-    # the product order: at most 4.9e-15 over three configs (chunk edges
-    # that move with the stride give 8.7e-14 to 2.1e-13)
+    # the product order: at most 6.6e-15 over four configs (wt 0.3 to 2,
+    # j0 0.5 to 1.5, keep_every 7 and 10), 3.9e-15 on this one (chunk edges
+    # that move with the stride gave 8.7e-14 to 2.1e-13)
     model = Model(omega_tilde=0.3, off=0.0, omega=1.0, drive=CosineDrive(0.9, 1.0))
     c0 = np.array([0.6, 0.8j])
     r1, r2, _ = _rk4_run(model, c0, 100 * _CHUNK, 1e-3, keep_every)
     s1, s2, _ = _rk4_run(model, c0, 100 * _CHUNK, 1e-3, 100 * _CHUNK)
     assert max(abs(r1[-1] - s1[-1]), abs(r2[-1] - s2[-1])) <= 2e-14
+
+
+@pytest.mark.parametrize("keep_every", [1, 10, 5 * _CHUNK + 123])
+def test_drift_sums_det_deviations_within_their_squares(keep_every):
+    # at the step bound of wt 0.3, j0 2, Omega 5 about a third of the step
+    # dets exceed 1, so the drift needs the prefix extremes of the sums; the
+    # run sums d = det M_k - 1 where log det M_k = log1p(d) is exact, and
+    # the two prefix sums differ by at most sum(d^2) / 2
+    model = Model.of(CosineDrive(2.0, 5.0), 0.3)
+    dt = enforced_step_bound(model)
+    n_steps = 5 * _CHUNK + 123
+    u1, u2, drift = _rk4_run(model, np.array([0.6, 0.8j]), n_steps, dt, keep_every)
+    coupling = model.drive.frame_coupling_grid(0.5 * dt, 2 * _CHUNK + 1)
+    logdet, ref, sum_sq, above = 0.0, 0.0, 0.0, 0
+    for k0 in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - k0)
+        d = _step_matrices(model.omega_tilde, coupling(k0 * dt)[:2 * m + 1], dt,
+                           np.empty((2, m), dtype=complex), det=True)
+        run = logdet + np.cumsum(np.log1p(d))
+        logdet = float(run[-1])
+        ref = max(ref, float(np.max(np.abs(np.expm1(0.5 * run)))))
+        sum_sq += float(np.sum(d * d))
+        above += int(np.sum(d > 0))
+    assert 0.2 * n_steps < above < 0.5 * n_steps
+    norm = np.sqrt(u1.real ** 2 + u1.imag ** 2 + u2.real ** 2 + u2.imag ** 2)
+    ref = max(ref, float(np.max(np.abs(norm[1:] - 1.0))))  # the kept states' check
+    assert abs(drift - ref) <= sum_sq
 
 
 @example(n=1, seed=0)
@@ -448,8 +477,9 @@ def test_scan_matches_sequential_product(n, seed):
     # one by one: the work-efficient tree and the sequential order round
     # differently, by up to about 2e-14 at 2 * _CHUNK + 1 rows
     rng = np.random.default_rng(seed)
-    a, b = _step_matrices(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0, 2 * n + 1),
-                          rng.uniform(1e-4, 1e-2), np.empty((2, n), dtype=complex))
+    a, b = out = np.empty((2, n), dtype=complex)
+    _step_matrices(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0, 2 * n + 1),
+                   rng.uniform(1e-4, 1e-2), out)
     ref_a, ref_b = np.empty_like(a), np.empty_like(b)
     pa = pb = 0j
     for k, (xa, xb) in enumerate(zip(a.tolist(), b.tolist())):
@@ -461,34 +491,61 @@ def test_scan_matches_sequential_product(n, seed):
     assert np.max(np.abs(b - ref_b)) <= 1e-13
 
 
-def _step_matrices_by_stages(wt, q, dt):
-    """M_k - I from the four RK4 stages, multiplied out one by one: the
-    reference for the closed form."""
-    def mul(a1, b1, a2, b2):
-        return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+def _rk4_increment(wt, q0, qh, q1, dt, y):
+    """dt/6 (K1 + 2 K2 + 2 K3 + K4) of one classic RK4 step of
+    y' = -i (wt sigma_z + x(t) sigma_x) y from y, x = q0, qh, qh, q1 at the
+    four stages, in exact rationals: a complex number is a pair (re, im)
+    of Fractions."""
+    def deriv(x, y):
+        (r0, i0), (r1, i1) = y
+        u0, u1 = (wt * r0 + x * r1, wt * i0 + x * i1), (x * r0 - wt * r1, x * i0 - wt * i1)
+        return (u0[1], -u0[0]), (u1[1], -u1[0])  # -i (re + i im) = im - i re
 
-    h = 0.5 * dt
-    ga, gb = -1j * wt, -1j * q
-    g0, gh = gb[:-1:2], gb[1::2]
-    k2 = mul(ga, gh, 1.0 + h * ga, h * g0)
-    k3 = mul(ga, gh, 1.0 + h * k2[0], h * k2[1])
-    k4 = mul(ga, gb[2::2], 1.0 + dt * k3[0], dt * k3[1])
-    return tuple(dt / 6.0 * (k1 + 2.0 * x2 + 2.0 * x3 + x4)
-                 for k1, x2, x3, x4 in zip((ga, g0), k2, k3, k4))
+    def shift(c, k):
+        return tuple((yr + c * kr, yi + c * ki) for (yr, yi), (kr, ki) in zip(y, k))
+
+    k1 = deriv(q0, y)
+    k2 = deriv(qh, shift(dt / 2, k1))
+    k3 = deriv(qh, shift(dt / 2, k2))
+    k4 = deriv(q1, shift(dt, k3))
+    return tuple(tuple((s1 + 2 * s2 + 2 * s3 + s4) * dt / 6 for s1, s2, s3, s4 in zip(*ks))
+                 for ks in zip(k1, k2, k3, k4))
 
 
+@example(wt=0.0, frac=1.0, q=[0.7, -1.3, 2.0])
+@example(wt=-2.5, frac=1.0, q=[0.4, 1.1, -0.3, 0.0, 2.9])
+@example(wt=1.7, frac=1.0, q=[0.0, 0.0, 0.0])
+@example(wt=0.0, frac=0.5, q=[0.0, 0.0, 0.0])
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(wt=st.floats(-3.0, 3.0), frac=st.floats(1e-6, 1.0),
        q=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=61).map(
-           lambda v: np.array(v[:len(v) - 1 + len(v) % 2])))
+           lambda v: v[:len(v) - 1 + len(v) % 2]))
 def test_step_matrices_closed_form(wt, frac, q):
-    # dt up to the enforced bound 2 pi / max(Omega, max|omega_r|) / 200, Omega = 1
-    dt = frac * 2.0 * math.pi / max(1.0, math.hypot(wt, np.max(np.abs(q)))) / 200.0
-    ra, rb = _step_matrices_by_stages(wt, q, dt)
-    a, b = _step_matrices(wt, q, dt, np.empty((2, len(q) // 2), dtype=complex))
-    scale = max(np.max(np.abs(ra)), np.max(np.abs(rb)))
-    assert np.max(np.abs(a - ra)) <= 1e-14 * scale
-    assert np.max(np.abs(b - rb)) <= 1e-14 * scale
+    # the kernel's (a, b) against one classic RK4 step of each basis
+    # vector, in exact arithmetic: M e1 - e1 = (a, -b*), M e2 - e2 = (b, a*);
+    # and its det deviation against |1 + a|^2 + |b|^2 - 1 of the pair it wrote
+    scale_q = max(abs(x) for x in q)
+    dt = frac * enforced_step_bound(Model(omega_tilde=wt, off=0.0, omega=1.0,
+                                          drive=ConstantDrive(scale_q)))
+    a, b = out = np.empty((2, len(q) // 2), dtype=complex)
+    d = _step_matrices(wt, np.array(q), dt, out, det=True)
+    # an ulp of the scale, and a few of the smallest subnormal, where the
+    # coefficients of a tiny wt underflow
+    ulp = 2.0 ** -52 * dt * math.hypot(wt, scale_q) + 8 * 2.0 ** -1074
+    one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    fw, fdt = Fraction(wt), Fraction(dt)
+    for k in range(len(a)):
+        q0, qh, q1 = (Fraction(x) for x in q[2 * k:2 * k + 3])
+        (a_re, a_im), (c_re, c_im) = _rk4_increment(fw, q0, qh, q1, fdt, (one, zero))
+        (b_re, b_im), (e_re, e_im) = _rk4_increment(fw, q0, qh, q1, fdt, (zero, one))
+        assert (c_re, c_im, e_re, e_im) == (-b_re, b_im, a_re, -a_im)
+        for got, want in ((a[k].real, a_re), (a[k].imag, a_im),
+                          (b[k].real, b_re), (b[k].imag, b_im)):
+            assert abs(Fraction(got) - want) <= 2 * ulp, k
+        ra, ia, rb, ib = (Fraction(x) for x in (a[k].real, a[k].imag, b[k].real, b[k].imag))
+        exact = (1 + ra) ** 2 + ia ** 2 + rb ** 2 + ib ** 2 - 1
+        terms = 2 * abs(ra) + ra ** 2 + ia ** 2 + rb ** 2 + ib ** 2
+        assert abs(Fraction(d[k]) - exact) <= 3 * 2.0 ** -52 * terms + 4 * 2.0 ** -1074, k
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
