@@ -15,6 +15,7 @@ from pathlib import Path
 from dressedatom import (CosineDrive, Model, compare, dressed_series,
                          initial_state_for_psi_frame, propagate)
 from dressedatom.oracle import enforced_step_bound
+from dressedatom.series import TimeSeries
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("offres_out")
 OUT.mkdir(parents=True, exist_ok=True)
@@ -31,9 +32,8 @@ for wt in (0.0, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
     rep = compare(dressed_series(model, res.times).psi0, res.psi0_oracle)
     rows.append((wt, rep["MaxAbs"], rep["Rms"]))
 
-lines = ["omega_tilde,max_abs,rms"]
-lines += [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in rows]
-(OUT / "gap.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+table = TimeSeries(["omega_tilde", "max_abs", "rms"], list(zip(*rows)), monotonic=False)
+(OUT / "gap.csv").write_text(table.to_csv(), encoding="utf-8")
 
 print(f"{'omega_tilde':>12} {'MaxAbs':>12} {'Rms':>12}")
 for wt, mx, rms in rows:

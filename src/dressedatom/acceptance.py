@@ -260,11 +260,11 @@ def criterion_8(drift: float) -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     """Current dynamics follow the harmonic of twice the accumulated phase."""
-    model, wr, res = _rwa_run(0.6, 0.8, stride=5)
-    fit_rwa = current_dynamics_check(res, model)
+    _, _, res = _rwa_run(0.6, 0.8, stride=5)
+    fit_rwa = current_dynamics_check(res)
 
-    model2, res2 = _resonant_cosine_run(stride=5)
-    fit_cos = current_dynamics_check(res2, model2)
+    _, res2 = _resonant_cosine_run(stride=5)
+    fit_cos = current_dynamics_check(res2)
     passed = abs(fit_rwa["correlation"]) >= 0.999 and abs(fit_cos["correlation"]) >= 0.99
     return CriterionResult(
         9, "current dynamics", passed,

@@ -40,6 +40,8 @@ from .drives import CosineDrive
 from .errors import DomainError
 from .frames import theta_of_t
 
+DEG_EPS = 1e-12     # degeneracy threshold of the literal integrand, relative
+
 # 7 duplications reach round-off in _ellipe for every 0 <= m < 1 and
 # |r| <= pi/2: 5e-16 relative error against 40-digit mpmath, where 6 leave
 # 2e-14; each further one shrinks the series' truncation error 256-fold.
@@ -99,15 +101,12 @@ def phase_series(model: Model, ts: np.ndarray) -> np.ndarray:
         raise DomainError("phase integral defined for t >= 0")
     drive, wt = model.drive, model.omega_tilde
     amp = math.hypot(wt, drive.coupling_scale())
-    if not isinstance(drive, CosineDrive):
-        re = amp * ts
-    elif amp == 0.0:
-        re = np.zeros_like(ts)
+    if not isinstance(drive, CosineDrive) or drive.j0 == 0.0:
+        re = amp * ts  # a constant envelope: zero coupling is the bare frame
     else:
         m = (drive.j0 / amp) ** 2
-        phi = drive.omega * ts
-        n = np.rint(phi / math.pi)  # drive.coupling_zero_count(ts) when j0 > 0
-        e, e_complete = _ellipe(phi - n * math.pi, m)
+        n = drive.coupling_zero_count(ts)
+        e, e_complete = _ellipe(drive.omega * ts - n * math.pi, m)
         if model.crossing and model.branch is BranchMode.SMOOTH_CONTINUATION:
             e = np.where(n % 2 == 0, e, -e)
         else:
@@ -155,8 +154,8 @@ def psi0_gamma_zero_integrand(model: Model, t):
     records.  A scalar ``t`` gives a complex, an array of times a complex
     array.  The form is undefined where the radicand vanishes: it is NaN
     (real and imaginary part) where |omega_r| <= 1e-9 or |omega_r| is
-    below the model's ``deg_floor``.  The printed form uses the positive
-    root, so it takes no branch mode.
+    below ``DEG_EPS`` times the problem scale max(j0, |omega_tilde|, 1).
+    The printed form uses the positive root, so it takes no branch mode.
     """
     drive = model.drive
     if not isinstance(drive, CosineDrive):
@@ -165,16 +164,14 @@ def psi0_gamma_zero_integrand(model: Model, t):
     wt = model.omega_tilde
     j = drive.frame_coupling(t)
     wr = np.hypot(wt, j)
-    bad = (wr <= 1e-9) | (wr < model.deg_floor)
+    bad = (wr <= 1e-9) | (wr < DEG_EPS * max(drive.j0, abs(wt), 1.0))
     # j^2 / (wt + |omega_r|) equals |omega_r| - wt; for wt < 0 the printed
     # quotient cancels near every coupling zero and is 0/0 on one
     with np.errstate(divide="ignore", invalid="ignore"):  # the rows set to NaN
         denom = wt + (wr - wt if wt < 0 else j * j / (wt + wr))
         imag = wt * drive.frame_coupling_rate(t) / (2.0 * wr * denom)
-    if t.ndim == 0:
-        return complex(math.nan, math.nan) if bad else complex(wr, imag)
     # real and imaginary parts set apart: wr + 1j*imag would turn -0 into 0
     out = np.empty(t.shape, dtype=complex)
     out.real, out.imag = wr, imag
     out[bad] = complex(math.nan, math.nan)
-    return out
+    return out[()]

@@ -5,9 +5,9 @@ angular frequency.  ``scenario.ScenarioConfig.model`` converts the config's
 energies at the boundary; library callers build a ``Model`` with
 ``Model.of``.  Building a model checks it once, so that nothing downstream
 meets a non-finite detuning or an overflowing radicand, and evaluates the
-two thresholds: the degeneracy floor of the literal integrand and whether
-the Rabi radicand can touch zero.  Their relative tolerances,
-``DEG_EPS`` and ``RAD_EPS``, are fixed numerical policy, not parameters.
+one threshold that ``frames`` and ``closedform`` share: whether the Rabi
+radicand can touch zero.  Its relative tolerance ``RAD_EPS`` is fixed
+numerical policy, not a parameter.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class BranchMode(enum.Enum):
     SMOOTH_CONTINUATION = "smooth"
 
 
-DEG_EPS = 1e-12     # degeneracy threshold of the literal integrand
 RAD_EPS = 1e-12     # radicand-zero detection, scaled by coupling^2
 
 
@@ -51,9 +50,6 @@ class Model:
 
     Derived once, when the model is built:
 
-    deg_floor    DEG_EPS times the problem scale max(coupling scale,
-                 |omega_tilde|, 1): the literal integrand (eq. 24) is
-                 undefined where |omega_r| falls below it
     crossing     whether the radicand omega_tilde^2 + f^2 can touch
                  zero: the detuning is within RAD_EPS of zero relative to the
                  problem scale, so the coupling zeros are dressed-level
@@ -65,7 +61,6 @@ class Model:
     omega: float
     drive: Drive
     branch: BranchMode = BranchMode.SMOOTH_CONTINUATION
-    deg_floor: float = field(init=False, repr=False)
     crossing: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -78,7 +73,6 @@ class Model:
         if not (self.omega > 0 and math.isfinite(self.omega * self.omega)):
             raise ValidationError("omega must be positive, and omega^2 finite")
         ref = max(scale, abs(wt), 1e-300)
-        object.__setattr__(self, "deg_floor", DEG_EPS * max(scale, abs(wt), 1.0))
         object.__setattr__(self, "crossing", not wt * wt > RAD_EPS * ref * ref)
 
     @classmethod

@@ -479,7 +479,7 @@ def compare(closed_psi0: np.ndarray, oracle_psi0: np.ndarray) -> dict:
     return {"MaxAbs": max_abs, "Rms": rms, "PhaseSlip": phase_slip}
 
 
-def current_dynamics_check(result: PropagationResult, model: Model) -> dict:
+def current_dynamics_check(result: PropagationResult) -> dict:
     """Fit d(current)/dt against the harmonic of twice the accumulated phase.
 
     The model is current ~ A sin(2 int omega_r dt' + phi0) + const, fitted in
@@ -487,20 +487,20 @@ def current_dynamics_check(result: PropagationResult, model: Model) -> dict:
     d(current)/dt on {d/dt sin(2 Phi), d/dt cos(2 Phi)}.  Returns the
     report.json entry: ``status`` ("ok", or "NoOscillation" for a current
     that stays zero), the ``correlation`` of the signal with the fit, the
-    amplitude A and the ``n_periods`` the run spans.
+    amplitude A and the ``n_periods`` the run spans, all for the run's
+    own model.
     """
     ts = result.times
     if len(ts) < 16:
         raise InsufficientSpan("too few output points for a fit")
-    wr = rabi_frequency(model, ts)
+    wr = rabi_frequency(result.model, ts)
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (wr[1:] + wr[:-1]) * np.diff(ts))])
     # span measured against the unsigned phase: at resonance the signed
     # integral oscillates around zero while cycles keep accumulating
-    swept = np.concatenate([[0.0], np.cumsum(
-        0.5 * (np.abs(wr[1:]) + np.abs(wr[:-1])) * np.diff(ts))])
+    abs_wr = np.abs(wr)
+    n_periods = float(np.sum(0.5 * (abs_wr[1:] + abs_wr[:-1]) * np.diff(ts)) / math.pi)
 
     cur = result.current
-    n_periods = float(swept[-1] / math.pi)
     if np.max(np.abs(cur)) < 1e-13:
         return {"status": "NoOscillation", "correlation": 0.0, "amplitude": 0.0,
                 "n_periods": n_periods}

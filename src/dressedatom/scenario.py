@@ -288,7 +288,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[dict[str, TimeSeries], dict]:
 
     def current_fit(prop):
         try:
-            report["current_fit"] = oracle.current_dynamics_check(prop, model)
+            report["current_fit"] = oracle.current_dynamics_check(prop)
         except DressedAtomError as exc:  # InsufficientSpan stays a report entry
             report["current_fit"] = {"status": type(exc).__name__, "detail": str(exc)}
         return prop  # the current kind reads dcurrent_dt through the fit, so the fit runs

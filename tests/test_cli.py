@@ -284,7 +284,7 @@ def test_span_of_astronomical_zero_count(command, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["run", "identities"])
 def test_eq24_rows_below_the_degeneracy_floor_are_nan(command, tmp_path, capsys):
     # omega is pi/2 + 1e-13, so at t = 1 the coupling j0 cos(omega) is
-    # about -1e-7: above 1e-9 but below the model's deg_floor (1e-12 j0 =
+    # about -1e-7: above 1e-9 but below eq. 24's floor (DEG_EPS j0 =
     # 1e-6), where the literal eq24 form is undefined; the run still
     # succeeds, with NaN rows there
     cfg = tmp_path / "cfg.json"

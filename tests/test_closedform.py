@@ -15,8 +15,8 @@ from scipy.special import ellipeinc
 
 from dressedatom import (BranchMode, ConstantDrive, CosineDrive, Model,
                          ScenarioConfig, psi0_gamma_zero_integrand)
-from dressedatom.closedform import dressed_series, phase_series
-from dressedatom.config import DEG_EPS, RAD_EPS
+from dressedatom.closedform import DEG_EPS, dressed_series, phase_series
+from dressedatom.config import RAD_EPS
 from dressedatom.errors import DomainError
 from dressedatom.frames import connection_dtheta, rabi_frequency
 from dressedatom.scenario import dominant_frequency, parse_config, run_scenario
@@ -180,6 +180,39 @@ def test_rotating_pair_phase_is_linear(wt, j0, omega, t, n):
     assert np.max(np.abs(z.real - math.hypot(wt, j0) * ts)) <= 1e-9
 
 
+_WT = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+
+
+@given(wt=_WT, omega=_OMEGA, t=st.floats(0.0, 1000.0), n=_N)
+@_PROPERTY
+def test_zero_coupling_cosine_phase_is_bare(wt, omega, t, n):
+    # without coupling the dressed frame is the bare frame: Re Z = |wt| t
+    # to the last bit, and the mixing angle never moves
+    ts = np.linspace(0.0, t, n)
+    z = phase_series(Model.of(CosineDrive(0.0, omega), wt), ts)
+    assert np.array_equal(z.real, abs(wt) * ts)
+    assert np.array_equal(z.imag, np.zeros_like(ts))
+
+
+@given(wt=_WT, rel=st.floats(1e-12, 1e-2), omega=_OMEGA, t=st.floats(0.0, 1000.0), n=_N)
+@_PROPERTY
+def test_weak_coupling_phase_meets_the_bare_phase(wt, rel, omega, t, n):
+    # continuity at the j0 = 0 seam.  For 0 < j0 < |wt| the radicand never
+    # vanishes and Re Z = int_0^t sqrt(wt^2 + j0^2 cos^2) exceeds |wt| t by
+    # at least 0 and at most j0^2 t / (2 |wt|), as sqrt(a^2 + x) - a lies in
+    # [0, x / (2a)].  With u the unit round-off 2^-52, the computed
+    # Re Z = (A/W) (E(r, m) + 2n E(m)) carries ~2.3 u of relative error from
+    # each elliptic value (the 5e-16 of _ellipe), 1 u each from
+    # r = W t - n pi, the sum, A = hypot, A/W and the product, and |wt| t one
+    # more: about 8.3 u of |wt| t, so the margin is 16 u.
+    j0 = rel * abs(wt)
+    ts = np.linspace(0.0, t, n)
+    gap = phase_series(Model.of(CosineDrive(j0, omega), wt), ts).real - abs(wt) * ts
+    margin = 16.0 * np.finfo(float).eps * abs(wt) * ts
+    assert np.all(gap >= -margin)
+    assert np.all(gap <= j0 * j0 * ts / (2.0 * abs(wt)) + margin)
+
+
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_phase_series_across_zeros_near_rad_eps(factor):
     # detuning just below (pinned, smooth branch flips) or just above
@@ -295,12 +328,12 @@ def test_literal_integrand_wrong_drive():
 
 def test_literal_integrand_degenerate_at_radicand_zero():
     # NaN where |omega_r| <= 1e-9 (here ~6e-17), and where |omega_r| is
-    # above 1e-9 but below the model's deg_floor (here ~1e-7 < 1e-6, at
+    # above 1e-9 but below eq. 24's floor (here ~1e-7 < 1e-6, at
     # omega = pi/2 + 1e-13)
     for model, t in ((Model.of(CosineDrive(1.0, 1.0), 0.0), math.pi / 2),
                      (Model.of(CosineDrive(1e6, 1.5707963267949966), 0.0), 1.0)):
         val = psi0_gamma_zero_integrand(model, t)
-        assert type(val) is complex
+        assert isinstance(val, complex)
         assert math.isnan(val.real) and math.isnan(val.imag)
 
 
@@ -342,7 +375,7 @@ def test_literal_integrand_array_matches_scalar(wt, j0, omega, ts):
     assume(np.all(wr > 1e-6))
     arr = psi0_gamma_zero_integrand(model, ts)
     one = [psi0_gamma_zero_integrand(model, float(t)) for t in ts]
-    assert all(type(v) is complex for v in one)
+    assert all(isinstance(v, complex) for v in one)
     ref = _literal_integrand_loop(model, ts)
     for part in ("real", "imag"):
         _assert_same_parts(getattr(arr, part), [getattr(v, part) for v in one], 1e-15)

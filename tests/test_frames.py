@@ -57,7 +57,6 @@ def test_model_invariants():
 
 def test_model_thresholds():
     model = Model.of(CosineDrive(2.0, 1.0), 0.5)
-    assert model.deg_floor == 1e-12 * 2.0
     assert not model.crossing
     assert Model.of(CosineDrive(2.0, 1.0), 1e-7).crossing
     assert not Model.of(CosineDrive(2.0, 1.0), 1e-5).crossing

@@ -670,13 +670,13 @@ def test_current_insufficient_span():
     res = propagate(model, initial_state_for_psi_frame(model), 2.0, 0.001,
                     output_stride=2)
     with pytest.raises(InsufficientSpan):
-        current_dynamics_check(res, model)
+        current_dynamics_check(res)
 
 
 def test_current_no_oscillation():
     model = Model.of(ConstantDrive(0.0), 0.8)
     res = propagate(model, bare_state(1), 40.0, 0.002, output_stride=20)
-    rep = current_dynamics_check(res, model)
+    rep = current_dynamics_check(res)
     assert rep["status"] == "NoOscillation"
 
 
@@ -685,7 +685,7 @@ def test_current_fit_rwa():
     c0 = initial_state_for_psi_frame(model)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 20 * math.pi, dt, output_stride=5)
-    rep = current_dynamics_check(res, model)
+    rep = current_dynamics_check(res)
     assert abs(rep["correlation"]) >= 0.999
     assert rep["n_periods"] >= 5
 
@@ -695,5 +695,5 @@ def test_current_fit_resonant_cosine():
     c0 = initial_state_for_psi_frame(model)
     dt = enforced_step_bound(model) / 2
     res = propagate(model, c0, 10 * 2 * math.pi, dt, output_stride=5)
-    rep = current_dynamics_check(res, model)
+    rep = current_dynamics_check(res)
     assert abs(rep["correlation"]) >= 0.99
